@@ -160,13 +160,24 @@ def cache_dir(flag_value=None):
     return root / "skostka"
 
 
+def matrix_labels(n, p, signed):
+    """The labels of the degree-n matrix, in the fixed total order."""
+    if signed:
+        return enumerate_p2p(n, p)
+    return [(lam, ()) for lam in enumerate_partitions(n)]
+
+
 def cache_path(directory, n, p, signed):
     kind = "signed" if signed else "plain"
     return Path(directory) / f"kpm_{kind}_n{n}_p{p}.json"
 
 
 def load_cache(path, n, p, signed, engine):
-    """The cached matrix, or None when absent, stale, or mismatched."""
+    """The cached matrix, or None when absent, stale, or mismatched.
+
+    A cache is served only when its labels are the full ordered label
+    list for (n, p, signed).
+    """
     try:
         with open(path) as f:
             obj = json.load(f)
@@ -177,6 +188,8 @@ def load_cache(path, n, p, signed, engine):
     if (obj.get("n"), obj.get("p"), obj.get("signed")) != (n, p, signed):
         return None
     if engine is not None and obj.get("engine") != engine:
+        return None
+    if obj.get("labels") != [format_label(x, p) for x in matrix_labels(n, p, signed)]:
         return None
     try:
         return KostkaMatrix.from_json(obj)
@@ -227,12 +240,8 @@ def compute_matrix(n, p, signed, engine_name, seed):
     if engine_name == "direct":
         labels, mat = modrep.assemble_matrix(n, p, signed=signed, engine=eng)
         return labels, mat.tolist()
-    if signed:
-        labels = enumerate_p2p(n, p)
-        rows = [(lam, scale(p, mu)) for lam, mu in labels]
-    else:
-        labels = [(lam, ()) for lam in enumerate_partitions(n)]
-        rows = list(labels)
+    labels = matrix_labels(n, p, signed)
+    rows = [(lam, scale(p, mu)) for lam, mu in labels]
     grid = [
         [reduction.signed_kostka(ab, x, eng) for x in labels] for ab in rows
     ]

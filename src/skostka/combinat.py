@@ -165,13 +165,21 @@ def p_adic_expansion(lam, p: int) -> list:
     p-restricted.  Computed from base-p digits of the consecutive
     differences; validated by re-summation.  Trailing empty digits are
     trimmed, so the empty partition expands to [].
+
+    The expansion is computed and validated once per (lam, p); every call
+    checks its input and returns a new list.
     """
     check_odd_prime(p)
     if not is_partition(lam):
         raise ValueError("p_adic_expansion needs a partition")
+    return list(_p_adic_digits(tuple(lam), p))
+
+
+@functools.lru_cache(maxsize=None)
+def _p_adic_digits(lam: tuple, p: int) -> tuple:
     if not lam:
-        return []
-    ext = tuple(lam) + (0,)
+        return ()
+    ext = lam + (0,)
     diffs = [ext[i] - ext[i + 1] for i in range(len(lam))]
     ndig = 1
     while p**ndig <= max(lam):
@@ -193,12 +201,12 @@ def p_adic_expansion(lam, p: int) -> list:
     total = ()
     for i, d in enumerate(digits):
         total = pointwise_add(total, scale(p**i, d))
-    if wp(total) != tuple(lam):
+    if wp(total) != lam:
         raise AssertionError(f"p-adic expansion of {lam} failed re-summation")
     for d in digits:
         if d and not is_p_restricted(d, p):
             raise AssertionError(f"digit {d} of {lam} is not {p}-restricted")
-    return digits
+    return tuple(digits)
 
 
 def digit(lam, p: int, i: int) -> tuple:

@@ -1,69 +1,149 @@
 """Exact dense linear algebra over the prime field GF(p).
 
 Matrices are numpy int64 arrays with entries reduced mod p, passed around
-together with the modulus. Row reduction uses deterministic leftmost-pivot
-elimination (first nonzero row, no pivoting heuristics) so that every basis
-produced downstream is reproducible. Multiplication goes through float64
-BLAS, which is exact while inner_dim * (p-1)^2 stays below 2**53; the sizes
-used in this package are far below that bound, and the guard falls back to
+together with the modulus.
+
+Products go through float64 BLAS. That is exact while every inner product
+stays below 2**53, i.e. while inner_dim * (p-1)**2 < 2**53; the sizes used
+in this package are far below that bound, and the guard falls back to
 int64 arithmetic otherwise.
+
+`rref` is blocked Gauss-Jordan elimination, with its trailing updates
+done by BLAS products as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008). It runs the classical pivot loop (leftmost column, first
+nonzero row) on a copy of a panel of PANEL columns, which finds the
+panel's pivot rows and their pivot columns. The pivot rows are then
+multiplied by the inverse S^-1 of their block S at the pivot columns, and
+every other row with a nonzero in those columns is cleared by one product
+with them. Both products have inner dimension at most PANEL, so they stay
+exact under the guard above, and the Python loop only ever runs over a
+panel. A matrix at most two panels wide, and the last two panels' width
+of a wider one, run the pivot loop in place: there the products would
+cost more than they save.
+
+The reduced row echelon form of a matrix is unique, so the output does
+not depend on the panel width, on which rows serve as pivots, or on the
+order of the updates: every basis produced downstream is reproducible.
 """
 
 import numpy as np
 
 from .combinat import check_odd_prime
 
+PANEL = 64
+
+
+def _mod(x, p):
+    """x mod p, in place on an int64 array; numpy divides by a scalar
+    several times faster than it takes a remainder by one."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
 
 def normalize(a, p):
-    """Reduce an integer array mod p, returning int64."""
-    return np.asarray(a, dtype=np.int64) % p
+    """Reduce an integer array mod p, returning a new int64 array."""
+    return _mod(np.array(a, dtype=np.int64), p)
 
 
 def identity(k):
     return np.eye(k, dtype=np.int64)
 
 
-def matmul(a, b, p):
+def _product(a, b, p):
+    """a @ b over the integers, for entries in [0, p): exact, unreduced."""
     a = np.asarray(a)
     b = np.asarray(b)
-    inner = a.shape[-1]
-    if inner * (p - 1) ** 2 < 2**53:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(c).astype(np.int64) % p
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p
+    if a.shape[-1] * (p - 1) ** 2 < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.astype(np.int64) @ b.astype(np.int64)
+
+
+def matmul(a, b, p):
+    return _mod(_product(a, b, p), p)
 
 
 def _inv_scalar(x, p):
     return pow(int(x), p - 2, p)
 
 
-def rref(a, p):
-    """Reduced row echelon form.
+def _eliminate(a, p, r=0):
+    """The pivot loop, in place on a reduced int64 array.
 
-    Returns (R, pivots) where pivots is the tuple of pivot column indices.
-    The pivot row chosen in each column is the first row with a nonzero
-    entry, making the output deterministic.
+    Eliminates column after column, taking as pivot row the first row at
+    or below r with a nonzero entry and clearing that column in every
+    other row, including rows above r. Rows above r must already be pivot
+    rows of earlier columns, and rows from r down must be zero in the
+    columns before the first one. Returns (pivots, order): the pivot
+    columns, and order[i], the row of the input that the swaps moved to
+    row i.
     """
-    a = normalize(a, p).copy()
     m, n = a.shape
     pivots = []
-    r = 0
+    order = list(range(m))
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv_scalar(a[r, c], p)) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+            order[r], order[i] = order[i], order[r]
+        # every row from r down is zero left of c, so work from c on
+        if a[r, c] != 1:
+            a[r, c:] = _mod(a[r, c:] * _inv_scalar(a[r, c], p), p)
+        rows = np.flatnonzero(a[:, c])
+        if rows.size > 1:
+            rows = rows[rows != r]
+            a[rows, c:] = _mod(a[rows, c:] - np.outer(a[rows, c], a[r, c:]), p)
         pivots.append(c)
         r += 1
+    return pivots, order
+
+
+def rref(a, p):
+    """Reduced row echelon form.
+
+    Returns (R, pivots) where pivots is the tuple of pivot column indices.
+    R is unique, so it is the same as that of the unblocked pivot loop.
+    """
+    a = normalize(a, p)
+    m, n = a.shape
+    pivots = []
+    r = c0 = 0
+    while n - c0 > 2 * PANEL and r < m:
+        found, order = _eliminate(a[r:, c0 : c0 + PANEL].copy(), p)
+        k = len(found)
+        if k:
+            # bring the panel's pivot rows to rows r..r+k-1, moving only
+            # the rows the swaps moved
+            order = np.array(order)
+            moved = np.flatnonzero(order != np.arange(order.size))
+            if moved.size:
+                a[r + moved, c0:] = a[r + order[moved], c0:]
+            top = a[r : r + k, c0:]
+            block = top[:, found]
+            # rows that are already reduced (S = 1), as in the sparse Hom
+            # spans of the isomorphism test, need no product at all
+            if not np.array_equal(block, identity(k)):
+                aug = np.concatenate([block, identity(k)], axis=1)
+                _eliminate(aug, p)
+                top[...] = matmul(aug[:, k:], top, p)
+            cols = [c0 + c for c in found]
+            mult = a[:, cols]
+            mult[r : r + k] = 0
+            rows = np.flatnonzero(mult.any(axis=1))
+            if rows.size:
+                a[rows, c0:] = _mod(a[rows, c0:] - _product(mult[rows], top, p), p)
+            pivots.extend(cols)
+            r += k
+        c0 += PANEL
+    if r < m:
+        found, _ = _eliminate(a[:, c0:], p, r)
+        pivots.extend(c0 + c for c in found)
     return a, tuple(pivots)
 
 
@@ -75,20 +155,24 @@ def nullspace(a, p):
     """Basis of the right null space, one vector per row.
 
     Satisfies a @ nullspace(a, p).T == 0; the number of rows is
-    cols - rank(a).
+    cols - rank(a). Row k is zero at every free column but the k-th,
+    and scaled so that its first nonzero entry is 1.
     """
     a = np.asarray(a)
-    m, n = a.shape
+    n = a.shape[1]
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for row, pc in enumerate(pivots):
-            basis[k, pc] = (-r[row, c]) % p
-        lead = np.nonzero(basis[k])[0][0]
-        basis[k] = (basis[k] * _inv_scalar(basis[k, lead], p)) % p
-    return basis
+    pivots = list(pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    if not free.size:
+        return basis
+    here = np.arange(free.size)
+    basis[here, free] = 1
+    basis[:, pivots] = _mod(-r[: len(pivots), free].T, p)
+    lead = basis[here, (basis != 0).argmax(axis=1)]
+    values, which = np.unique(lead, return_inverse=True)
+    scale = np.array([_inv_scalar(v, p) for v in values])[which]
+    return _mod(basis * scale[:, None], p)
 
 
 def solve(a, b, p):
@@ -133,10 +217,6 @@ def is_invertible(a, p):
     return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
 
 
-def check_field(p):
-    check_odd_prime(p)
-
-
 class Echelon:
     """Incrementally built reduced row echelon basis over GF(p).
 
@@ -145,25 +225,35 @@ class Echelon:
     instead of a fresh elimination of the whole stack. Useful when a
     span is grown one candidate at a time, as in greedy basis
     extraction and ideal membership checks.
+
+    The rows live in a buffer whose capacity doubles when it fills, so
+    absorbing a vector does not copy the rows already stored.
     """
 
     def __init__(self, p):
-        check_field(p)
+        check_odd_prime(p)
         self.p = p
-        self.rows = None
+        self._buf = None
         self.pivots = []
 
     @property
     def rank(self):
         return len(self.pivots)
 
+    @property
+    def rows(self):
+        """The basis, one row per pivot; None before the first vector."""
+        if self._buf is None:
+            return None
+        return self._buf[: self.rank]
+
     def reduce(self, vec):
         """Residue of vec modulo the current row span."""
-        v = np.asarray(vec, dtype=np.int64).ravel() % self.p
+        v = _mod(np.array(vec, dtype=np.int64).ravel(), self.p)
         if self.pivots:
             coeffs = v[self.pivots]
             if coeffs.any():
-                v = (v - matmul(coeffs[None, :], self.rows, self.p)[0]) % self.p
+                v = _mod(v - matmul(coeffs[None, :], self.rows, self.p)[0], self.p)
         return v
 
     def contains(self, vec):
@@ -176,13 +266,18 @@ class Echelon:
         if support.size == 0:
             return False
         c = int(support[0])
-        v = (v * _inv_scalar(int(v[c]), self.p)) % self.p
-        if self.rows is None:
-            self.rows = v[None, :]
-        else:
-            col = self.rows[:, c]
-            if col.any():
-                self.rows = (self.rows - np.outer(col, v)) % self.p
-            self.rows = np.vstack([self.rows, v])
+        v = _mod(v * _inv_scalar(int(v[c]), self.p), self.p)
+        k = self.rank
+        if self._buf is None:
+            self._buf = np.empty((8, v.size), dtype=np.int64)
+        elif k == len(self._buf):
+            grown = np.empty((2 * k, v.size), dtype=np.int64)
+            grown[:k] = self._buf
+            self._buf = grown
+        rows = self._buf[:k]
+        hit = np.flatnonzero(rows[:, c])
+        if hit.size:
+            rows[hit] = _mod(rows[hit] - np.outer(rows[hit, c], v), self.p)
+        self._buf[k] = v
         self.pivots.append(c)
         return True

@@ -85,6 +85,24 @@ def test_cache_round_trip(tmp_path):
     assert cli.load_cache(path, 2, P, True, "direct") is None
 
 
+def test_partial_cache_is_recomputed(tmp_path, capsys):
+    argv = ["matrix", "--n", "3", "--p", "3", "--signed",
+            "--cache-dir", str(tmp_path)]
+    code, full, _ = run(argv, capsys)
+    assert code == 0
+    path = cli.cache_path(tmp_path, 3, P, True)
+    obj = json.loads(path.read_text())
+    assert len(obj["labels"]) == 4
+    # a legal lower unitriangular matrix, but over 2 of the 4 labels
+    obj["labels"] = obj["labels"][:2]
+    obj["matrix"] = [row[:2] for row in obj["matrix"][:2]]
+    path.write_text(json.dumps(obj))
+    assert cli.load_cache(path, 3, P, True, "direct") is None
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == full and len(out.splitlines()) == 5
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     assert cli.cache_dir(str(tmp_path)) == tmp_path

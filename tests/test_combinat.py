@@ -147,6 +147,19 @@ def test_padic_fixed_examples():
     assert digit((6,), 3, 5) == ()
 
 
+def test_p_adic_expansion_returns_a_new_list():
+    digs = p_adic_expansion((4, 1, 1), 3)
+    digs[0] = ()
+    digs.append((7,))
+    assert p_adic_expansion((4, 1, 1), 3) == [(1, 1, 1), (1,)]
+    assert p_adic_expansion([4, 1, 1], 3) == [(1, 1, 1), (1,)]
+    # the input checks run on every call, not once per key
+    with pytest.raises(ValueError):
+        p_adic_expansion((4, 1, 1), 9)
+    with pytest.raises(ValueError):
+        p_adic_expansion((1, 4, 1), 3)
+
+
 def test_padic_uniqueness_bruteforce():
     for n in range(0, 9):
         for lam in partitions_of(n):

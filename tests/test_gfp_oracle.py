@@ -1,0 +1,188 @@
+"""The blocked GF(p) elimination against the unblocked pivot loop.
+
+The reference functions below are the column-by-column elimination and
+the loops built on it, kept as the oracle: the reduced row echelon form
+is unique, so every result must agree with them bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skostka import gfp
+
+PRIMES = (3, 5, 7)
+W = gfp.PANEL
+
+
+def ref_rref(a, p):
+    a = np.asarray(a, dtype=np.int64) % p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def ref_nullspace(a, p):
+    n = np.asarray(a).shape[1]
+    r, pivots = ref_rref(a, p)
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for row, pc in enumerate(pivots):
+            basis[k, pc] = (-r[row, c]) % p
+        lead = np.nonzero(basis[k])[0][0]
+        basis[k] = (basis[k] * pow(int(basis[k, lead]), p - 2, p)) % p
+    return basis
+
+
+def ref_solve(a, b, p):
+    n = a.shape[1]
+    r, pivots = ref_rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for row, c in enumerate(pivots):
+        x[c] = r[row, n]
+    return x
+
+
+def ref_inverse(a, p):
+    n = a.shape[0]
+    r, pivots = ref_rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    if any(c >= n for c in pivots):
+        return None
+    return r[:, n:]
+
+
+def same(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
+
+
+def check_all(a, p, rng):
+    """Every elimination entry point of gfp against the reference."""
+    a = np.asarray(a, dtype=np.int64)
+    m, n = a.shape
+    r, piv = gfp.rref(a, p)
+    r0, piv0 = ref_rref(a, p)
+    assert piv == piv0
+    assert same(r, r0)
+    assert gfp.rank(a, p) == len(piv0)
+    assert same(gfp.nullspace(a, p), ref_nullspace(a, p))
+    assert same(gfp.column_space_basis(a, p), a[:, list(piv0)])
+    for b in (rng.integers(0, p, size=m), gfp.matmul(a, rng.integers(0, p, size=n), p)):
+        assert same(gfp.solve(a, b, p), ref_solve(a % p, b, p))
+    k = min(m, n)
+    sq = a[:k, :k] % p
+    assert same(gfp.inverse(sq, p), ref_inverse(sq, p))
+
+
+def random_matrix(rng, p, m, n, kind):
+    if kind == "dense":
+        return rng.integers(0, p, size=(m, n))
+    if kind == "thin":
+        # rank at most k: a product of thin factors
+        k = int(rng.integers(0, 2 * W))
+        return rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+    if kind == "signs":
+        return rng.choice([0] * 12 + [1, -1], size=(m, n))
+    raise ValueError(kind)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    m=st.integers(0, 3 * W),
+    n=st.integers(0, 6 * W),
+    kind=st.sampled_from(["dense", "thin", "signs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_shapes_match_reference(p, m, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    check_all(random_matrix(rng, p, m, n, kind), p, rng)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize(
+    "n",
+    [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1, 3 * W, 5 * W + 3],
+)
+def test_widths_around_the_panel(p, n):
+    rng = np.random.default_rng([p, n])
+    for m, kind in [(1, "dense"), (W // 2 + 1, "signs"), (2 * W + 5, "thin"), (2 * W + 5, "dense")]:
+        check_all(random_matrix(rng, p, m, n, kind), p, rng)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_empty_tall_and_wide(p):
+    rng = np.random.default_rng(p)
+    for m, n in [(0, 0), (0, 7), (7, 0), (0, 3 * W), (3 * W, 0), (5, 4 * W), (4 * W, 5)]:
+        check_all(random_matrix(rng, p, m, n, "dense"), p, rng)
+        check_all(np.zeros((m, n), dtype=np.int64), p, rng)
+    r, piv = gfp.rref(np.zeros((0, 9), dtype=np.int64), p)
+    assert r.shape == (0, 9) and piv == ()
+    assert gfp.nullspace(np.zeros((3, 0), dtype=np.int64), p).shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sparse_hom_span_shape(p):
+    """Full-rank 120 x 14400 sign matrices of density 0.8%, the shape of
+    the Hom spans stacked in the isomorphism test: once scattered, once
+    with a leading identity block whose rows are shuffled."""
+    rng = np.random.default_rng(p)
+    m, n = 120, 14400
+    scattered = rng.choice([1, -1], size=(m, n)) * (rng.random((m, n)) < 0.008)
+    led = scattered.copy()
+    led[:, :m] = np.eye(m, dtype=np.int64)
+    for a in (scattered, led[rng.permutation(m)]):
+        r, piv = gfp.rref(a, p)
+        r0, piv0 = ref_rref(a, p)
+        assert piv == piv0 and same(r, r0)
+    assert len(piv0) == m
+
+
+def test_rref_leaves_input_alone():
+    a = np.random.default_rng(0).integers(-5, 5, size=(2 * W, 3 * W))
+    before = a.copy()
+    gfp.rref(a, 3)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_rows_match_rref(p):
+    """Echelon's rows, sorted by pivot, are the nonzero rows of the rref
+    of everything absorbed, across several doublings of its buffer."""
+    rng = np.random.default_rng(p)
+    for n in (1, 7, 40):
+        ech = gfp.Echelon(p)
+        seen = []
+        for v in random_matrix(rng, p, 60, n, "thin"):
+            ech.add(v)
+            seen.append(v)
+            r, piv = ref_rref(np.stack(seen), p)
+            assert sorted(ech.pivots) == list(piv)
+            if not piv:
+                continue
+            order = np.argsort(ech.pivots)
+            assert same(ech.rows[order], r[: len(piv)])
