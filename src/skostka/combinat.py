@@ -29,10 +29,6 @@ def is_partition(seq) -> bool:
     return all(a >= b for a, b in zip(seq, seq[1:])) and all(a > 0 for a in seq)
 
 
-def is_composition(seq) -> bool:
-    return all(a >= 0 for a in seq)
-
-
 def wp(seq) -> tuple:
     """Sort into weakly decreasing order and drop zeros."""
     if any(a < 0 for a in seq):
@@ -140,10 +136,6 @@ def total_key(x):
 
 def cmp_total(x, y) -> int:
     """-1/0/+1 comparison; x earlier than y gives -1."""
-    lam, mu = x
-    lam2, mu2 = y
-    if sum(lam) + sum(mu) != sum(lam2) + sum(mu2):
-        pass  # pairs of different degree are still comparable by the same key
     kx, ky = total_key(x), total_key(y)
     return -1 if kx < ky else (0 if kx == ky else 1)
 
@@ -421,8 +413,3 @@ def enumerate_p2p(n: int, p: int) -> list:
         s += 1
     out.sort(key=total_key)
     return out
-
-
-def label_nonneg(lam, mu) -> None:
-    if not (is_partition(lam) and is_partition(mu)):
-        raise ValueError(f"({lam}|{mu}) is not a pair of partitions")

@@ -39,7 +39,9 @@ from .combinat import (
     wp,
 )
 
-DIM_CAP = 20000
+# The Hom-orbit graph of End(M) takes about 600 bytes per cell to build,
+# so 2520^2 cells come to about 4 GB.
+DIM_CAP = 2520
 MAX_NONSPLIT_ROUNDS = 30
 MAX_NONSPLIT_ROUNDS_BIG = 12
 ISO_RANDOM_TRIES = 24
@@ -185,21 +187,23 @@ class HomBasis:
     An intertwiner X (dim N rows, dim M columns) must satisfy
     X[k', j'] = signN[k] * signM[j] * X[k, j] whenever the generator
     action carries the cell (k, j) to (k', j'), so the space has one
-    basis element per sign-consistent orbit of cells. orbit[cell] holds
-    the index of the basis element supported there (-1 when the cell is
-    forced to zero) and coeff[cell] its value (+1 or -1) on the cell.
+    basis element per sign-consistent orbit of cells, num in all. Each
+    cell stores one signed gather index into the table
+    [v_0, ..., v_{num-1}, -v_0, ..., -v_{num-1}, 0] built from the
+    coefficients v of an element: k when the cell carries +1 times
+    basis element k, num + k when it carries -1 times it, and 2 num
+    when the cell is forced to zero. An element is then one gather.
     """
 
-    def __init__(self, shape, orbit, coeff, num):
+    def __init__(self, shape, index, num):
         self.shape = shape
-        self.orbit = orbit
-        self.coeff = coeff
+        self.index = index
         self.num = num
 
     def element(self, coeffs, p):
-        vals = np.concatenate((np.asarray(coeffs, dtype=np.int64) % p, [0]))
-        flat = vals[self.orbit] * self.coeff
-        return (flat % p).reshape(self.shape)
+        v = np.asarray(coeffs, dtype=np.int64) % p
+        table = np.concatenate((v, (-v) % p, [0]))
+        return table[self.index].reshape(self.shape)
 
     def sample(self, rng, p):
         return self.element(rng.integers(0, p, self.num), p)
@@ -222,9 +226,7 @@ def _hom_orbits(m, n_mod):
     dn, dm = n_mod.dim, m.dim
     cells = dn * dm
     if not m.perms:
-        orbit = np.arange(cells, dtype=np.int64)
-        coeff = np.ones(cells, dtype=np.int64)
-        return HomBasis((dn, dm), orbit, coeff, cells)
+        return HomBasis((dn, dm), np.arange(cells), cells)
     base = np.arange(cells, dtype=np.int64)
     src = []
     dst = []
@@ -253,13 +255,15 @@ def _hom_orbits(m, n_mod):
     keep = ids[ids < mirror]
     remap = np.full(ncomp, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
+    num = len(keep)
     direct = remap[cp]
     via_mirror = remap[mirror[cp]]
-    orbit = np.where(direct >= 0, direct, via_mirror)
-    coeff = np.where(direct >= 0, 1, np.where(via_mirror >= 0, -1, 0)).astype(
-        np.int64
+    index = np.where(
+        direct >= 0,
+        direct,
+        np.where(via_mirror >= 0, num + via_mirror, 2 * num),
     )
-    return HomBasis((dn, dm), orbit, coeff, len(keep))
+    return HomBasis((dn, dm), index, num)
 
 
 def hom_basis(m, n_mod):
@@ -343,24 +347,33 @@ def _poly_lcm(a, b, p):
 
 
 def _poly_eval_matrix(coeffs, z, p):
-    """coeffs(z) by square-root blocking, few matrix products."""
+    """coeffs(z) by square-root blocking, few matrix products.
+
+    The coefficients are cut into blocks of s; each block is summed from
+    the powers z, ..., z^(s-1), and the blocks are combined by Horner's
+    rule in z^s. No product is taken with the identity or with zero.
+    """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     d = z.shape[0]
-    if len(coeffs) == 0:
-        return np.zeros((d, d), dtype=np.int64)
-    s = max(1, isqrt(len(coeffs) - 1) + 1)
-    powers = [np.eye(d, dtype=np.int64)]
-    for _ in range(s - 1):
-        powers.append(gfp.matmul(powers[-1], z, p))
-    zs = gfp.matmul(powers[-1], z, p)
     out = np.zeros((d, d), dtype=np.int64)
-    for block in reversed(
-        [coeffs[i : i + s] for i in range(0, len(coeffs), s)]
-    ):
-        out = gfp.matmul(out, zs, p)
-        for e, c in enumerate(block):
-            if c:
-                out = (out + int(c) * powers[e]) % p
+    if len(coeffs) == 0:
+        return out
+    s = isqrt(len(coeffs) - 1) + 1
+    powers = [None, gfp.normalize(z, p)]
+    for _ in range(s - 2):
+        powers.append(gfp.matmul(powers[-1], z, p))
+    blocks = [coeffs[i : i + s] for i in range(0, len(coeffs), s)]
+    if len(blocks) > 1:
+        zs = gfp.matmul(powers[-1], z, p)
+    diag = np.arange(d)
+    for k, block in enumerate(reversed(blocks)):
+        if k:
+            out = gfp.matmul(out, zs, p)
+        if block[0]:
+            out[diag, diag] = (out[diag, diag] + int(block[0])) % p
+        for e in range(1, len(block)):
+            if block[e]:
+                out = gfp._mod(out + int(block[e]) * powers[e], p)
     return out
 
 
@@ -498,8 +511,8 @@ def _split_once(z, p, rng):
     blocks = []
     for f, mult in factors:
         w = _poly_eval_matrix(f, z, p)
-        wm = np.eye(z.shape[0], dtype=np.int64)
-        for _ in range(mult):
+        wm = w
+        for _ in range(mult - 1):
             wm = gfp.matmul(wm, w, p)
         basis = gfp.nullspace(wm, p)
         if len(basis) == 0:
@@ -1181,12 +1194,21 @@ class DirectEngine:
         return out
 
     def registry_for(self, n):
-        """Class representatives for degree n, built label by label."""
+        """Class representatives for degree n, built label by label.
+
+        Every label row is checked against the cap before the sweep
+        starts, so a degree that cannot be done is refused before any
+        module is built.
+        """
         if n in self.registry:
             return self.registry[n]
+        labels = enumerate_p2p(n, self.p)
+        rows = [(lam, scale(self.p, mu)) for lam, mu in labels]
+        dim = max(module_dimension(row_ab) for row_ab in rows)
+        if dim > self.cap:
+            raise DimensionCapError(dim, self.cap)
         classes = []
-        for lam, mu in enumerate_p2p(n, self.p):
-            row_ab = (lam, scale(self.p, mu))
+        for (lam, mu), row_ab in zip(labels, rows):
             unmatched = []
             for rep, count in self._grouped_leaves(row_ab):
                 if self._match_registry(rep, classes, row_ab) is None:

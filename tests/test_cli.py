@@ -265,6 +265,25 @@ def test_decompose_dimension_cap(capsys):
     assert code == 3 and "dimension cap" in err
 
 
+def test_matrix_degree_seven_refused_before_building(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build(ab, *args, **kwargs):
+        # stop at the first build rather than sweep degree 7 for real
+        built.append(ab)
+        raise RuntimeError(f"build_module{ab} called before the cap check")
+
+    monkeypatch.setattr(modrep, "build_module", counting_build)
+    code, _, err = run(
+        ["matrix", "--n", "7", "--p", "3", "--signed", "--engine", "direct",
+         "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3 and "dimension cap" in err
+    assert "5040" in err and str(modrep.DIM_CAP) in err
+    assert built == []
+
+
 def test_tableaux_examples(capsys):
     code, out, _ = run(
         ["tableaux", "--lambda", "3,2,1,1", "--alpha", "3,2", "--beta", "1,1"],

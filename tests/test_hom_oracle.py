@@ -1,0 +1,133 @@
+"""The signed gather index of HomBasis against the orbit/coeff encoding.
+
+The reference below is the earlier construction, kept as the oracle: the
+connected components of the two-layer cell graph give each cell a basis
+element orbit[cell] (-1 when forced to zero) and a sign coeff[cell] in
+{+1, -1, 0}, and an element is (vals[orbit] * coeff) % p. Every element
+and every basis matrix must agree with it bit for bit.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+
+from skostka import modrep
+from skostka.combinat import enumerate_p2
+
+PRIMES = (3, 5, 7)
+MAX_DEGREE = 4
+
+
+def ref_hom_orbits(m, n_mod):
+    dn, dm = n_mod.dim, m.dim
+    cells = dn * dm
+    if not m.perms:
+        orbit = np.arange(cells, dtype=np.int64)
+        return orbit, np.ones(cells, dtype=np.int64), cells
+    base = np.arange(cells, dtype=np.int64)
+    src = []
+    dst = []
+    for g in range(len(m.perms)):
+        image = (n_mod.perms[g][:, None] * dm + m.perms[g][None, :]).ravel()
+        sg = (n_mod.signs[g][:, None] * m.signs[g][None, :]).ravel()
+        flip = (sg < 0).astype(np.int64) * cells
+        src.append(base)
+        dst.append(image + flip)
+        src.append(base + cells)
+        dst.append(image + (cells - flip))
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    graph = sparse.coo_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, dst)),
+        shape=(2 * cells, 2 * cells),
+    )
+    _, comp = connected_components(graph, directed=False)
+    cp = comp[:cells].astype(np.int64)
+    cm = comp[cells:].astype(np.int64)
+    ncomp = int(comp.max()) + 1
+    mirror = np.empty(ncomp, dtype=np.int64)
+    mirror[cp] = cm
+    mirror[cm] = cp
+    ids = np.arange(ncomp)
+    keep = ids[ids < mirror]
+    remap = np.full(ncomp, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    direct = remap[cp]
+    via_mirror = remap[mirror[cp]]
+    orbit = np.where(direct >= 0, direct, via_mirror)
+    coeff = np.where(direct >= 0, 1, np.where(via_mirror >= 0, -1, 0)).astype(
+        np.int64
+    )
+    return orbit, coeff, len(keep)
+
+
+def ref_element(orbit, coeff, shape, coeffs, p):
+    vals = np.concatenate((np.asarray(coeffs, dtype=np.int64) % p, [0]))
+    flat = vals[orbit] * coeff
+    return (flat % p).reshape(shape)
+
+
+def same(x, y):
+    return x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
+
+
+def module_pairs():
+    for n in range(MAX_DEGREE + 1):
+        labels = enumerate_p2(n)
+        for ab in labels:
+            for cd in labels:
+                yield ab, cd
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_hom_encoding_against_orbit_coeff(p):
+    rng = np.random.default_rng(p)
+    mods = {}
+    forced_zero = 0
+    signed_pairs = 0
+    for ab, cd in module_pairs():
+        for key in (ab, cd):
+            if key not in mods:
+                mods[key] = modrep.build_module(key, p)
+        m, n_mod = mods[ab], mods[cd]
+        hom = modrep._hom_orbits(m, n_mod)
+        orbit, coeff, num = ref_hom_orbits(m, n_mod)
+        shape = (n_mod.dim, m.dim)
+        assert hom.num == num and hom.shape == shape, (ab, cd)
+        forced_zero += bool((coeff == 0).any())
+        signed_pairs += bool(ab[1] or cd[1])
+        # unreduced coefficients too: element reduces them itself
+        draws = [rng.integers(0, p, num), rng.integers(-3 * p, 3 * p, num)]
+        draws += [np.full(num, p - 1), np.zeros(num, dtype=np.int64)]
+        for coeffs in draws:
+            got = hom.element(coeffs, p)
+            want = ref_element(orbit, coeff, shape, coeffs, p)
+            assert same(got, want), (ab, cd, coeffs)
+        got = hom.matrices(p)
+        eye = np.eye(num, dtype=np.int64)
+        assert len(got) == num
+        for i, x in enumerate(got):
+            assert same(x, ref_element(orbit, coeff, shape, eye[i], p)), (ab, cd, i)
+    assert signed_pairs > 0 and forced_zero > 0
+
+
+def test_forced_zero_cell_example():
+    # a transposition fixes the one word of M(2|-) with sign +1 and the one
+    # word of M(-|2) with sign -1, so the single cell of Hom is forced to zero
+    triv = modrep.build_module(((2,), ()), 3)
+    sgn = modrep.build_module(((), (2,)), 3)
+    orbit, coeff, num = ref_hom_orbits(triv, sgn)
+    assert num == 0 and coeff.tolist() == [0]
+    hom = modrep._hom_orbits(triv, sgn)
+    assert hom.num == 0 and hom.element([], 3).tolist() == [[0]]
+
+
+def test_sample_matches_reference_draw():
+    p = 3
+    m = modrep.build_module(((2, 1), (1,)), p)
+    hom = modrep._hom_orbits(m, m)
+    orbit, coeff, num = ref_hom_orbits(m, m)
+    got = hom.sample(np.random.default_rng(11), p)
+    coeffs = np.random.default_rng(11).integers(0, p, num)
+    assert same(got, ref_element(orbit, coeff, hom.shape, coeffs, p))

@@ -228,6 +228,41 @@ def test_matrix_minpoly():
     assert m2.tolist() == [0, 0, 0, 1]
 
 
+def horner(coeffs, z, p):
+    d = z.shape[0]
+    out = np.zeros((d, d), dtype=np.int64)
+    for c in reversed([int(c) for c in coeffs]):
+        out = (gfp.matmul(out, z, p) + c * np.eye(d, dtype=np.int64)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_poly_eval_matrix_against_horner(p):
+    rng = np.random.default_rng(p)
+    for d in range(1, 21):
+        z = rng.integers(0, p, (d, d))
+        # the products reduce an unreduced matrix the same way
+        z_wide = z + p * rng.integers(-2, 3, (d, d))
+        for length in range(0, 14):
+            polys = [rng.integers(0, p, length), rng.integers(-2 * p, 2 * p, length)]
+            if length:
+                polys.append(np.zeros(length, dtype=np.int64))
+                monomial = np.zeros(length, dtype=np.int64)
+                monomial[-1] = 1
+                polys.append(monomial)
+            for c in polys:
+                want = horner(c, z, p)
+                for mat in (z, z_wide):
+                    got = modrep._poly_eval_matrix(c, mat, p)
+                    assert got.dtype == np.int64 and got.shape == (d, d)
+                    assert np.array_equal(got, want), (d, c.tolist())
+    # the empty (zero) polynomial, a constant and a linear one, by hand
+    z = np.array([[0, 1], [2, 1]], dtype=np.int64)
+    assert modrep._poly_eval_matrix([], z, p).tolist() == [[0, 0], [0, 0]]
+    assert modrep._poly_eval_matrix([2], z, p).tolist() == [[2, 0], [0, 2]]
+    assert modrep._poly_eval_matrix([1, 1], z, p).tolist() == [[1, 1], [2, 2]]
+
+
 # ---------------------------------------------------------------------------
 # radical, wedderburn components, idempotent splitting
 
@@ -474,6 +509,20 @@ def test_decomposition_determinism():
     b = modrep.decompose_labelled(((2, 1, 1), ()), P, seed=0)
     c = modrep.decompose_labelled(((2, 1, 1), ()), P, seed=7)
     assert a == b == c
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_decomposition_seed_sweep(p):
+    # the Monte Carlo splitting must not change the labelled answer
+    pairs = [ab for n in range(6) for ab in enumerate_p2(n)]
+    first = None
+    for seed in range(5):
+        eng = modrep.DirectEngine(p, seed=seed)
+        decs = {ab: eng.decompose(ab) for ab in pairs}
+        if first is None:
+            first = decs
+        for ab in pairs:
+            assert decs[ab] == first[ab], (p, seed, ab)
 
 
 def test_composition_input_normalized():
