@@ -24,9 +24,6 @@ import weakref
 from math import factorial, isqrt
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from sympy import Poly, Symbol
 
 from . import gfp
 from .combinat import (
@@ -39,8 +36,10 @@ from .combinat import (
     wp,
 )
 
-# The Hom-orbit graph of End(M) takes about 600 bytes per cell to build,
-# so 2520^2 cells come to about 4 GB.
+# Labelling the Hom orbits of End(M) peaks at about HOM_BYTES_PER_CELL
+# bytes per cell (101-109 measured by ru_maxrss at dimensions 720 and
+# 1260), so 2520^2 cells come to about 0.7 GB.
+HOM_BYTES_PER_CELL = 110
 DIM_CAP = 2520
 MAX_NONSPLIT_ROUNDS = 30
 MAX_NONSPLIT_ROUNDS_BIG = 12
@@ -52,9 +51,11 @@ class DimensionCapError(RuntimeError):
     """Raised when a module would exceed the configured basis-size cap."""
 
     def __init__(self, dim, cap):
+        need = HOM_BYTES_PER_CELL * dim * dim
+        size = f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.0f} MB"
         super().__init__(
-            f"module dimension {dim} exceeds the cap {cap}; "
-            f"pass a larger cap to proceed"
+            f"module dimension {dim} exceeds the cap {cap}: labelling the "
+            f"Hom orbits of its endomorphisms would take about {size} of memory"
         )
         self.dim = dim
         self.cap = cap
@@ -216,10 +217,19 @@ class HomBasis:
 def _hom_orbits(m, n_mod):
     """HomBasis of the intertwiners m -> n_mod.
 
-    Builds a graph on two sign layers of the cell grid and reads the
-    connected components: a component meeting both layers of one cell
-    forces that orbit to zero, otherwise the two layers of an orbit are
-    mirror components and one basis element survives.
+    The nodes are the cells of the grid in two sign layers, 2 cells
+    in all: generator g carries node (cell, layer) to (image cell, layer
+    flipped when the sign of the cell under g is -1). Each generator is
+    an involution on the nodes, so its orbits are the connected
+    components of an undirected graph. They are labelled by min-label
+    propagation with pointer jumping (Shiloach and Vishkin): every node
+    takes the smallest label among itself and its images, then follows
+    its label's label, until nothing changes. Labels only decrease, and
+    the fixed point labels every node by the smallest node of its
+    component; ranking those roots numbers the components by their
+    smallest node. A component meeting both layers of one cell forces
+    that orbit to zero, otherwise the two layers of an orbit are mirror
+    components and one basis element survives.
     """
     if m.n != n_mod.n or m.p != n_mod.p:
         raise ValueError("hom requires equal degree and prime")
@@ -227,34 +237,42 @@ def _hom_orbits(m, n_mod):
     cells = dn * dm
     if not m.perms:
         return HomBasis((dn, dm), np.arange(cells), cells)
-    base = np.arange(cells, dtype=np.int64)
-    src = []
-    dst = []
+    # the labelling runs on the narrowest node type; the stored index is
+    # intp, which a gather takes without converting it
+    dt = np.int32 if 2 * cells <= np.iinfo(np.int32).max else np.int64
+    acts = []
     for g in range(len(m.perms)):
-        image = (n_mod.perms[g][:, None] * dm + m.perms[g][None, :]).ravel()
-        sg = (n_mod.signs[g][:, None] * m.signs[g][None, :]).ravel()
-        flip = (sg < 0).astype(np.int64) * cells
-        src.append(base)
-        dst.append(image + flip)
-        src.append(base + cells)
-        dst.append(image + (cells - flip))
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    graph = sparse.coo_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)),
-        shape=(2 * cells, 2 * cells),
-    )
-    _, comp = connected_components(graph, directed=False)
-    cp = comp[:cells].astype(np.int64)
-    cm = comp[cells:].astype(np.int64)
+        image = (
+            n_mod.perms[g].astype(dt)[:, None] * dm + m.perms[g].astype(dt)
+        ).ravel()
+        flip = (n_mod.signs[g][:, None] != m.signs[g][None, :]).ravel()
+        flip = flip.astype(dt) * cells
+        acts.append(np.concatenate((image + flip, image + (cells - flip))))
+    nodes = np.arange(2 * cells, dtype=dt)
+    lab = nodes
+    while True:
+        new = lab
+        for act in acts:
+            new = np.minimum(new, new[act])
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    # free the generator actions before the components are ranked
+    del acts, new, jumped
+    comp = (np.cumsum(lab == nodes, dtype=dt) - 1)[lab]
+    cp = comp[:cells]
+    cm = comp[cells:]
     ncomp = int(comp.max()) + 1
-    mirror = np.empty(ncomp, dtype=np.int64)
+    mirror = np.empty(ncomp, dtype=dt)
     mirror[cp] = cm
     mirror[cm] = cp
-    ids = np.arange(ncomp)
+    ids = np.arange(ncomp, dtype=dt)
     keep = ids[ids < mirror]
-    remap = np.full(ncomp, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
+    remap = np.full(ncomp, -1, dtype=dt)
+    remap[keep] = np.arange(len(keep), dtype=dt)
     num = len(keep)
     direct = remap[cp]
     via_mirror = remap[mirror[cp]]
@@ -262,7 +280,7 @@ def _hom_orbits(m, n_mod):
         direct >= 0,
         direct,
         np.where(via_mirror >= 0, num + via_mirror, 2 * num),
-    )
+    ).astype(np.intp)
     return HomBasis((dn, dm), index, num)
 
 
@@ -296,9 +314,6 @@ def hom_dim_kernel(m, n_mod):
 
 # ---------------------------------------------------------------------------
 # polynomials over GF(p), coefficient arrays ordered low degree first
-
-_X = Symbol("x")
-
 
 def _poly_trim(c):
     c = np.asarray(c, dtype=np.int64)
@@ -427,16 +442,119 @@ def matrix_minpoly(z, p, rng):
     raise IntegrityError("minimal polynomial did not annihilate the matrix")
 
 
-def _factor_poly(coeffs, p):
-    """Irreducible factorization [(coeff array, multiplicity)], sorted."""
-    poly = Poly([int(c) for c in reversed(coeffs)], _X, modulus=p)
-    _, factors = poly.factor_list()
+def _poly_sub(a, b, p):
+    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
+    out[: len(a)] += a
+    out[: len(b)] -= b
+    return _poly_trim(out % p)
+
+
+def _poly_powmod(a, e, f, p):
+    """a^e modulo f, by repeated squaring."""
+    out = np.ones(1, dtype=np.int64)
+    a = _poly_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _poly_divmod(_poly_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _squarefree(f, p):
+    """[(g, m)] with f = prod g^m, the g monic, squarefree and coprime.
+
+    f is monic of positive degree. c = gcd(f, f') holds each factor of
+    f to its multiplicity less one, or to all of it when p divides the
+    multiplicity, so w = f / c is the product of the other factors.
+    Repeated gcds of w with c peel those off one multiplicity at a time.
+    What is left of c is a polynomial in x^p: the p-th power of the
+    polynomial of its every p-th coefficient, as the Frobenius fixes
+    GF(p).
+    """
     out = []
-    for f, mult in factors:
-        fc = np.array(
-            [int(c) % p for c in reversed(f.all_coeffs())], dtype=np.int64
-        )
-        out.append((fc, int(mult)))
+    c = _poly_gcd(f, _poly_trim((f[1:] * np.arange(1, len(f))) % p), p)
+    w = _poly_divmod(f, c, p)[0]
+    mult = 1
+    while len(w) > 1:
+        y = _poly_gcd(w, c, p)
+        g = _poly_divmod(w, y, p)[0]
+        if len(g) > 1:
+            out.append((g, mult))
+        w = y
+        c = _poly_divmod(c, y, p)[0]
+        mult += 1
+    if len(c) > 1:
+        out += [(g, m * p) for g, m in _squarefree(c[::p], p)]
+    return out
+
+
+def _distinct_degree(f, p):
+    """[(g, d)]: g the product of the degree-d factors of f.
+
+    f is monic and squarefree. The factors of degree d divide
+    x^(p^d) - x, and those of smaller degree are gone by step d.
+    """
+    out = []
+    x = np.array([0, 1], dtype=np.int64)
+    h = x
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _poly_powmod(h, p, f, p)
+        g = _poly_gcd(f, _poly_sub(h, x, p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _poly_divmod(f, g, p)[0]
+            h = _poly_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f, d, p, rng):
+    """The irreducible factors of f, all of degree d (Cantor-Zassenhaus).
+
+    f is monic and squarefree. For a random a, a^((p^d - 1) / 2) is +1
+    or -1 modulo each factor, independently with probability about one
+    half, so its gcd with f, less one, usually splits f.
+    """
+    if len(f) - 1 == d:
+        return [f]
+    e = (p**d - 1) // 2
+    one = np.ones(1, dtype=np.int64)
+    while True:
+        a = _poly_trim(rng.integers(0, p, len(f) - 1))
+        g = _poly_gcd(f, _poly_sub(_poly_powmod(a, e, f, p), one, p), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p, rng) + _equal_degree(
+                _poly_divmod(f, g, p)[0], d, p, rng
+            )
+
+
+def _factor_poly(coeffs, p):
+    """Irreducible factorization [(coeff array, multiplicity)], sorted.
+
+    The factors are monic, each listed once, and sorted by degree and
+    then by coefficients; constants have no factors. Squarefree, then
+    distinct-degree, then equal-degree factorization. The equal-degree
+    step draws from its own fixed generator: the factors are unique, so
+    the answer does not depend on the draws.
+    """
+    f = _poly_trim(np.asarray(coeffs, dtype=np.int64) % p)
+    if len(f) < 2:
+        return []
+    f = (f * gfp._inv_scalar(f[-1], p)) % p
+    if len(f) == 2:
+        return [(f, 1)]
+    rng = np.random.default_rng(0)
+    out = [
+        (q, mult)
+        for g, mult in _squarefree(f, p)
+        for h, d in _distinct_degree(g, p)
+        for q in _equal_degree(h, d, p, rng)
+    ]
     out.sort(key=lambda fm: (len(fm[0]), [int(x) for x in fm[0]]))
     return out
 
@@ -449,15 +567,15 @@ class Summand:
     """A direct summand of a signed permutation module.
 
     C (dim parent x dim) and R (dim x dim parent) are equivariant
-    inclusion/projection maps with R C = identity; gens are the
-    restricted generator actions on the summand.
+    inclusion/projection maps with R C = identity; whole is set when the
+    summand is the whole parent, C = R = I.
     """
 
-    def __init__(self, parent, C, R, gens):
+    def __init__(self, parent, C, R):
         self.parent = parent
         self.C = C
         self.R = R
-        self.gens = gens
+        self.whole = _is_whole(C, R)
         self.dim = C.shape[1]
         self.p = parent.p
         self.n = parent.n
@@ -472,7 +590,7 @@ class Summand:
         """
         if self._fp is None:
             p = self.p
-            proj = gfp.matmul(self.C, self.R, p)
+            proj = self.C if self.whole else gfp.matmul(self.C, self.R, p)
             traces = [int(np.trace(proj) % p)]
             for word in _fingerprint_words(self.n):
                 perm, sign = _word_action(self.parent, word)
@@ -482,19 +600,13 @@ class Summand:
         return self._fp
 
 
-def _apply_gen_left(perm, sign, x, p):
-    """The product A_g x for a signed permutation generator."""
-    out = np.empty_like(x)
-    out[perm] = (sign[:, None] * x) % p
-    return out
-
-
-def _node_gens(module, C, R, p):
-    """Generator actions restricted to the summand cut out by (C, R)."""
-    return [
-        gfp.matmul(R, _apply_gen_left(perm, sign, C, p), p)
-        for perm, sign in zip(module.perms, module.signs)
-    ]
+def _is_whole(C, R):
+    """Whether the node (C, R) is the whole module: C = R = I."""
+    d = C.shape[0]
+    if C.shape != (d, d):
+        return False
+    eye = np.eye(d, dtype=np.int64)
+    return np.array_equal(C, eye) and np.array_equal(R, eye)
 
 
 def _split_once(z, p, rng):
@@ -548,12 +660,15 @@ def decompose_summands(module, end_basis, p, rng, start=None):
         start = (eye, eye)
     dim = start[0].shape[1]
     if end_basis.num == 1 and dim == module.dim:
-        return [Summand(module, eye, eye, _node_gens(module, eye, eye, p))]
+        return [Summand(module, eye, eye)]
     queue = [start]
     leaves = []
     while queue:
         C, R = queue.pop()
         d = C.shape[1]
+        # samples and kernel bases are reduced, so the whole module
+        # skips its products with the identity
+        whole = _is_whole(C, R)
         split = None
         if d > 1:
             rounds = (
@@ -561,15 +676,18 @@ def decompose_summands(module, end_basis, p, rng, start=None):
             )
             for _ in range(rounds):
                 big = end_basis.sample(rng, p)
-                z = gfp.matmul(gfp.matmul(R, big, p), C, p)
+                z = big if whole else gfp.matmul(gfp.matmul(R, big, p), C, p)
                 split = _split_once(z, p, rng)
                 if split is not None:
                     break
         if split is None:
-            leaves.append(Summand(module, C, R, _node_gens(module, C, R, p)))
+            leaves.append(Summand(module, C, R))
             continue
         for b, r in split:
-            queue.append((gfp.matmul(C, b, p), gfp.matmul(r, R, p)))
+            if whole:
+                queue.append((b, r))
+            else:
+                queue.append((gfp.matmul(C, b, p), gfp.matmul(r, R, p)))
     total = sum(leaf.dim for leaf in leaves)
     if total != dim:
         raise IntegrityError(f"summand dimensions sum to {total}, not {dim}")
@@ -589,17 +707,30 @@ def idempotent_summand(module, f):
     if u_inv is None:
         raise IntegrityError("image and kernel of the idempotent overlap")
     r = u_inv[: b.shape[1]]
-    return Summand(module, b, r, _node_gens(module, b, r, p))
+    return Summand(module, b, r)
 
 
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
 
+def _between(x, a, b):
+    """The map b.R x a.C from the summand a to the summand b.
+
+    x is a reduced map between the parents; the product on the side of
+    a whole-module summand is a product with the identity, and skipped.
+    """
+    p = a.p
+    if not b.whole:
+        x = gfp.matmul(b.R, x, p)
+    if not a.whole:
+        x = gfp.matmul(x, a.C, p)
+    return x
+
+
 def _random_intertwiner(a, b, hom, rng):
     """A random equivariant map a -> b through the ambient Hom basis."""
-    p = a.p
-    return gfp.matmul(gfp.matmul(b.R, hom.sample(rng, p), p), a.C, p)
+    return _between(hom.sample(rng, a.p), a, b)
 
 
 def _summands_isomorphic(a, b, hom_ab, rng, tries=ISO_RANDOM_TRIES):
@@ -621,10 +752,7 @@ def _summands_isomorphic(a, b, hom_ab, rng, tries=ISO_RANDOM_TRIES):
 def _hom_span(a, b, hom_ab):
     """Basis of Hom(a, b) as dense matrices, via the ambient Hom basis."""
     p = a.p
-    flats = [
-        gfp.matmul(gfp.matmul(b.R, x, p), a.C, p).ravel()
-        for x in hom_ab.matrices(p)
-    ]
+    flats = [_between(x, a, b).ravel() for x in hom_ab.matrices(p)]
     if not flats:
         return []
     rr, pivots = gfp.rref(np.stack(flats) % p, p)
@@ -655,7 +783,7 @@ def _as_summand(u):
         return u
     if isinstance(u, SignedPermModule):
         eye = np.eye(u.dim, dtype=np.int64)
-        return Summand(u, eye, eye, _node_gens(u, eye, eye, u.p))
+        return Summand(u, eye, eye)
     raise TypeError("expected a SignedPermModule or a Summand")
 
 

@@ -1,10 +1,12 @@
-"""The signed gather index of HomBasis against the orbit/coeff encoding.
+"""The Hom-orbit bases of HomBasis against a scipy reference.
 
-The reference below is the earlier construction, kept as the oracle: the
-connected components of the two-layer cell graph give each cell a basis
-element orbit[cell] (-1 when forced to zero) and a sign coeff[cell] in
-{+1, -1, 0}, and an element is (vals[orbit] * coeff) % p. Every element
-and every basis matrix must agree with it bit for bit.
+The reference below is the earlier construction, kept as the oracle:
+scipy's connected components of the two-layer cell graph give each cell
+a basis element orbit[cell] (-1 when forced to zero) and a sign
+coeff[cell] in {+1, -1, 0}, and an element is (vals[orbit] * coeff) % p.
+The module labels the same components by min-label propagation and
+stores one signed gather index per cell. Every index, every element and
+every basis matrix must agree with the reference bit for bit.
 """
 
 import numpy as np
@@ -131,3 +133,34 @@ def test_sample_matches_reference_draw():
     got = hom.sample(np.random.default_rng(11), p)
     coeffs = np.random.default_rng(11).integers(0, p, num)
     assert same(got, ref_element(orbit, coeff, hom.shape, coeffs, p))
+
+
+def ref_index(orbit, coeff, num):
+    return np.where(coeff == 1, orbit, np.where(coeff == -1, num + orbit, 2 * num))
+
+
+def assert_index_matches(m, n_mod):
+    hom = modrep._hom_orbits(m, n_mod)
+    orbit, coeff, num = ref_hom_orbits(m, n_mod)
+    assert hom.num == num and hom.shape == (n_mod.dim, m.dim)
+    assert hom.index.dtype == np.intp
+    assert np.array_equal(hom.index, ref_index(orbit, coeff, num))
+
+
+def test_end_index_degree_five():
+    for ab in enumerate_p2(5):
+        m = modrep.build_module(ab, 3)
+        assert_index_matches(m, m)
+
+
+def test_end_index_regular_degree_six():
+    """End(M(1^6)): 720^2 cells, the widest orbits the engine labels."""
+    m = modrep.build_module(((1,) * 6, ()), 3)
+    assert_index_matches(m, m)
+
+
+def test_cross_index_degree_six():
+    m = modrep.build_module(((1,) * 6, ()), 3)
+    n_mod = modrep.build_module(((1, 1, 1, 1), (2,)), 3)
+    assert_index_matches(m, n_mod)
+    assert_index_matches(n_mod, m)

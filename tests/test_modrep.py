@@ -385,9 +385,9 @@ def test_idempotent_summand_equivariance():
         assert (gfp.matmul(s.R, s.C, P) == np.eye(s.dim, dtype=np.int64)).all()
         for g in range(m42.n - 1):
             a = m42.generator_matrix(g)
-            assert (
-                gfp.matmul(a, s.C, P) == gfp.matmul(s.C, s.gens[g], P)
-            ).all()
+            ac = gfp.matmul(a, s.C, P)
+            restricted = gfp.matmul(s.R, ac, P)
+            assert (ac == gfp.matmul(s.C, restricted, P)).all()
 
 
 # ---------------------------------------------------------------------------
