@@ -314,6 +314,9 @@ def cmd_entry(args):
     ab = (wp(alpha), wp(beta))
     x = (lam, mu)
     eng = direct_engine(args.p, args.seed)
+    if args.method in ("direct", "both"):
+        # refuse a direct side over the cap before the reduction side runs
+        eng.check_cap(ab)
     values = {}
     if args.method in ("reduction", "both"):
         values["reduction"] = reduction.signed_kostka(ab, x, eng)

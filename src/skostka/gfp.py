@@ -213,8 +213,74 @@ def column_space_basis(a, p):
 
 
 def is_invertible(a, p):
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+    """Whether a is a square matrix of full rank.
+
+    Up to two panels wide, forward elimination only: no row above the
+    pivot is cleared, and the first column without a pivot answers
+    False at once, which is where most singular matrices stop. A wider
+    matrix takes the blocked rref.
+    """
+    a = normalize(a, p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    n = a.shape[0]
+    if n > 2 * PANEL:
+        return rank(a, p) == n
+    for c in range(n):
+        # any nonzero entry will do as the pivot: the largest is one call
+        col = a[c:, c]
+        i = int(col.argmax())
+        v = int(col[i])
+        if v == 0:
+            return False
+        if i:
+            a[[c, c + i]] = a[[c + i, c]]
+        row = a[c, c:]
+        if v != 1:
+            row = row * _inv_scalar(v, p)
+        # p*p - row is positive and is -row mod p, so the rows below
+        # stay nonnegative for _mod
+        below = a[c + 1 :, c:]
+        below += a[c + 1 :, c, None] * (p * p - row)
+        _mod(below, p)
+    return True
+
+
+def independent_rows(a, p):
+    """Indices of the rows of a that are independent of the rows before
+    them: the in-order greedy basis of the row space, the rows that
+    Echelon.add would accept one by one.
+
+    The rows are taken PANEL at a time. The basis found so far is kept
+    in reduced echelon form, so one product reduces a chunk against it;
+    the reduced rows then meet the earlier span only in 0, and the pivot
+    columns of the rref of the chunk's transpose are the chunk's new
+    independent rows. Their own rref joins the basis, which one more
+    product clears at the new pivot columns. The scan stops once the
+    basis fills the row space.
+    """
+    a = normalize(a, p)
+    m, n = a.shape
+    picked = []
+    basis = np.zeros((0, n), dtype=np.int64)
+    pivots = []
+    for s in range(0, m, PANEL):
+        if len(pivots) == n:
+            break
+        chunk = a[s : s + PANEL]
+        if pivots:
+            chunk = _mod(chunk - _product(chunk[:, pivots], basis, p), p)
+        _, found = rref(chunk.T, p)
+        if not found:
+            continue
+        picked.extend(s + i for i in found)
+        new, cols = rref(chunk[list(found)], p)
+        cols = list(cols)
+        if pivots:
+            basis = _mod(basis - _product(basis[:, cols], new, p), p)
+        basis = np.concatenate([basis, new])
+        pivots.extend(cols)
+    return picked
 
 
 class Echelon:
@@ -223,8 +289,8 @@ class Echelon:
     Every stored row stays reduced against all the others, so testing
     or absorbing one more vector costs a single vector-matrix product
     instead of a fresh elimination of the whole stack. Useful when a
-    span is grown one candidate at a time, as in greedy basis
-    extraction and ideal membership checks.
+    span is grown one candidate at a time, as in ideal membership
+    checks; a whole family known at once goes through independent_rows.
 
     The rows live in a buffer whose capacity doubles when it fills, so
     absorbing a vector does not copy the rows already stored.

@@ -18,6 +18,16 @@ in the fixed total order, with loud integrity errors on any
 inconsistency: multiplicities must fill the module dimension and every
 sweep step must expose exactly one new class, so a misidentification
 cannot pass silently.
+
+Two modules or summands are compared by modules_isomorphic: dimension,
+trace fingerprint, a random invertible intertwiner, then a certificate
+on the compositions u -> v -> u, and last matching of indecomposable
+leaves. The certificate works in coordinates: End(u) embeds in End of
+the parent module, and each basis element of that algebra has a cell
+carrying +1 times it, so reading a product at those cells gives its
+coefficients. Which compositions and which products of the ideal they
+span are independent is decided on those short vectors, in one chunked
+elimination, and only the independent ones are formed as matrices.
 """
 
 import weakref
@@ -200,6 +210,7 @@ class HomBasis:
         self.shape = shape
         self.index = index
         self.num = num
+        self._anchors = None
 
     def element(self, coeffs, p):
         v = np.asarray(coeffs, dtype=np.int64) % p
@@ -212,6 +223,16 @@ class HomBasis:
     def matrices(self, p):
         eye = np.eye(self.num, dtype=np.int64)
         return [self.element(eye[i], p) for i in range(self.num)]
+
+    def anchors(self):
+        """(rows, cols): for each basis element k, the first cell that
+        carries +1 times it. Every cell lies in one orbit, so an element
+        read at these cells gives its coefficients."""
+        if self._anchors is None:
+            plus = np.flatnonzero(self.index < self.num)
+            _, first = np.unique(self.index[plus], return_index=True)
+            self._anchors = np.unravel_index(plus[first], self.shape)
+        return self._anchors
 
 
 def _hom_orbits(m, n_mod):
@@ -759,7 +780,15 @@ def _hom_span(a, b, hom_ab):
     return [rr[i].reshape((b.dim, a.dim)) for i in range(len(pivots))]
 
 
+_end_cache = weakref.WeakKeyDictionary()
 _leaf_cache = weakref.WeakKeyDictionary()
+
+
+def _end_of(module):
+    """End(module) as a HomBasis, labelled once per module."""
+    if module not in _end_cache:
+        _end_cache[module] = _hom_orbits(module, module)
+    return _end_cache[module]
 
 
 def _leaves_of(s, rng):
@@ -769,13 +798,61 @@ def _leaves_of(s, rng):
     per_module = _leaf_cache.setdefault(parent, {})
     if key not in per_module:
         per_module[key] = decompose_summands(
-            parent,
-            _hom_orbits(parent, parent),
-            parent.p,
-            rng,
-            start=(s.C, s.R),
+            parent, _end_of(parent), parent.p, rng, start=(s.C, s.R)
         )
     return per_module[key]
+
+
+def _product_coords(lefts, rights, a):
+    """Coordinates of every product l r of maps in End(a), as an array
+    of shape (len(lefts), len(rights), num).
+
+    E in End(a) embeds in End(M) of the parent M as C E R, and reading
+    an element of End(M) at the anchor cells of its basis gives its
+    coefficients, so entry [i, j, k] is row r_k of C lefts[i] against
+    column c_k of rights[j] R: one batched contraction over the inner
+    dimension, exact under the 2**53 guard of gfp, and the map is
+    injective (R C E R C = E), so independence is read off exactly.
+    """
+    p = a.p
+    rows, cols = _end_of(a.parent).anchors()
+    left = np.stack(lefts)
+    right = np.stack(rights)
+    if a.whole:
+        left = left[:, rows, :]
+        right = right[:, :, cols]
+    else:
+        left = gfp.matmul(a.C[rows], left, p)
+        right = gfp.matmul(right, a.R[:, cols], p)
+    # batch over k: (num, |lefts|, inner) @ (num, inner, |rights|)
+    out = gfp._product(left.transpose(1, 0, 2), right.transpose(2, 1, 0), p)
+    return gfp._mod(out, p).transpose(1, 2, 0)
+
+
+def _compositions(xs, ys, a):
+    """Basis of the span of the compositions y x, x in xs and y in ys,
+    in End(a): the products independent of the ones before them, with x
+    in the outer and y in the inner loop. Only those are multiplied."""
+    coords = _product_coords(ys, xs, a).transpose(1, 0, 2)
+    picked = gfp.independent_rows(coords.reshape(-1, coords.shape[2]), a.p)
+    ny = len(ys)
+    return [gfp.matmul(ys[i % ny], xs[i // ny], a.p) for i in picked]
+
+
+def _nilpotent(ideal, a):
+    """Whether the span I of ideal, a basis of a two-sided ideal of
+    End(a), is nilpotent. The spans of I, I^2, I^4, ... each lie in the
+    one before; they shrink to zero exactly when I is nilpotent, and
+    otherwise stop shrinking at a nonzero span."""
+    power = ideal
+    while power:
+        coords = _product_coords(power, power, a)
+        picked = gfp.independent_rows(coords.reshape(-1, coords.shape[2]), a.p)
+        if len(picked) == len(power):
+            return False
+        k = len(power)
+        power = [gfp.matmul(power[i // k], power[i % k], a.p) for i in picked]
+    return True
 
 
 def _as_summand(u):
@@ -790,49 +867,50 @@ def _as_summand(u):
 def modules_isomorphic(u, v, seed=0):
     """Whether two modules or summands are isomorphic over GF(p).
 
-    Searches Hom(u, v) for an invertible map; on failure, and when the
-    composition space is small enough to enumerate, it certifies the
-    negative answer by showing that the span of all compositions
-    u -> v -> u, a two-sided ideal of End(u), is nilpotent, so no
-    composition can be invertible. Non-isomorphic indecomposables
-    always fall to one of those two cases. A decomposable pair sharing
-    a common summand without being isomorphic escapes both, as does
-    any pair with a large composition space, so the remaining case
-    splits each side into indecomposable leaves and matches them
-    pairwise, deciding by unique decomposition.
+    The paths, in order:
+
+    1. dimension: unequal dimensions answer False;
+    2. fingerprint: traces of fixed group elements are iso invariants,
+       so unequal fingerprints answer False;
+    3. random invertible map: a random element of Hom(u, v) that is
+       invertible answers True;
+    4. nilpotent certificate: when the composition space is small
+       enough to enumerate, the compositions u -> v -> u span a
+       two-sided ideal of End(u). A basis element that is invertible
+       answers True; a nilpotent ideal holds no invertible element and
+       answers False. Independence is decided on coordinates in End of
+       the parent module, so only the basis elements are ever formed;
+    5. leaf matching: a decomposable pair sharing a common summand
+       without being isomorphic escapes 3 and 4, as does any pair with
+       a large composition space. Each side is split into
+       indecomposable leaves, matched pairwise, and the answer follows
+       from unique decomposition.
+
+    Non-isomorphic indecomposables with a small composition space always
+    fall to 2 or 4. Only paths 3 and 5 draw random numbers.
     """
     a = _as_summand(u)
     b = _as_summand(v)
     if a.n != b.n or a.p != b.p:
         raise ValueError("iso test requires equal degree and prime")
-    if a.dim != b.dim:
+    if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
     p = a.p
     rng = np.random.default_rng(seed)
-    hom_ab = _hom_orbits(a.parent, b.parent)
+    same = a.parent is b.parent
+    hom_ab = _end_of(a.parent) if same else _hom_orbits(a.parent, b.parent)
     for _ in range(ISO_RANDOM_TRIES):
         if gfp.is_invertible(_random_intertwiner(a, b, hom_ab, rng), p):
             return True
     xs = _hom_span(a, b, hom_ab)
-    ys = _hom_span(b, a, _hom_orbits(b.parent, a.parent))
+    ys = _hom_span(b, a, hom_ab if same else _hom_orbits(b.parent, a.parent))
     if not xs or not ys:
         return False
     if len(xs) * len(ys) <= ISO_SPAN_PRODUCT_CAP:
-        comps = _independent(
-            (gfp.matmul(y, x, p) for x in xs for y in ys), p
-        )
-        for c in comps:
-            if gfp.is_invertible(c, p):
-                return True
-        power = comps
-        while power:
-            square = _independent(
-                (gfp.matmul(w, c, p) for w in power for c in power), p
-            )
-            if len(square) == len(power):
-                break
-            power = square
-        if not power:
+        comps = _compositions(xs, ys, a)
+        if any(gfp.is_invertible(c, p) for c in comps):
+            return True
+        if _nilpotent(comps, a):
             return False
     leaves_a = _leaves_of(a, rng)
     leaves_b = _leaves_of(b, rng)
@@ -855,12 +933,11 @@ def modules_isomorphic(u, v, seed=0):
 
 def _independent(mats, p):
     """Subset of mats forming a basis of their span, keeping order."""
-    span = gfp.Echelon(p)
-    return [
-        np.asarray(m, dtype=np.int64) % p
-        for m in mats
-        if span.add(np.asarray(m).ravel())
-    ]
+    mats = [np.asarray(m, dtype=np.int64) % p for m in mats]
+    if not mats:
+        return []
+    keep = gfp.independent_rows(np.stack([m.ravel() for m in mats]), p)
+    return [mats[i] for i in keep]
 
 
 def _combine(rows, mats, p):
@@ -1321,6 +1398,24 @@ class DirectEngine:
         self.leaf_groups[key] = out
         return out
 
+    def _label_rows(self, n):
+        """The labels of degree n and their modules, the registry rows."""
+        labels = enumerate_p2p(n, self.p)
+        return labels, [(lam, scale(self.p, mu)) for lam, mu in labels]
+
+    def check_cap(self, ab):
+        """Refuse, before building anything, a module that decompose
+        cannot do: raises DimensionCapError, naming the dimension, when
+        M(ab) or a label row of its degree, which the registry sweeps,
+        is over the cap."""
+        key = _canonical_pair(ab)
+        n = size(key[0]) + size(key[1])
+        dim = module_dimension(key)
+        if dim <= self.cap and n not in self.registry:
+            dim = max(module_dimension(row) for row in self._label_rows(n)[1])
+        if dim > self.cap:
+            raise DimensionCapError(dim, self.cap)
+
     def registry_for(self, n):
         """Class representatives for degree n, built label by label.
 
@@ -1330,11 +1425,8 @@ class DirectEngine:
         """
         if n in self.registry:
             return self.registry[n]
-        labels = enumerate_p2p(n, self.p)
-        rows = [(lam, scale(self.p, mu)) for lam, mu in labels]
-        dim = max(module_dimension(row_ab) for row_ab in rows)
-        if dim > self.cap:
-            raise DimensionCapError(dim, self.cap)
+        labels, rows = self._label_rows(n)
+        self.check_cap(rows[0])
         classes = []
         for (lam, mu), row_ab in zip(labels, rows):
             unmatched = []
@@ -1370,9 +1462,7 @@ class DirectEngine:
         key = _canonical_pair((alpha, beta))
         if key in self.decomps:
             return dict(self.decomps[key])
-        dim = module_dimension(key)
-        if dim > self.cap:
-            raise DimensionCapError(dim, self.cap)
+        self.check_cap(key)
         n = size(alpha) + size(beta)
         classes = self.registry_for(n)
         out = {}

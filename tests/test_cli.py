@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from skostka import cli, modrep
+from skostka import cli, modrep, reduction
 from skostka.combinat import enumerate_p2p, total_key
 
 P = 3
@@ -282,6 +282,38 @@ def test_matrix_degree_seven_refused_before_building(tmp_path, capsys, monkeypat
     assert code == 3 and "dimension cap" in err
     assert "5040" in err and str(modrep.DIM_CAP) in err
     assert built == []
+
+
+@pytest.mark.parametrize("method", ["both", "direct"])
+def test_entry_over_the_cap_refused_before_the_reduction(capsys, monkeypatch, method):
+    """The worked degree-15 entry: its direct side, M(1,1,1|6,3,3), is
+    over the cap, so the command exits 3 without starting the reduction
+    side or building a module."""
+    called = []
+
+    def refuse(*args, **kwargs):
+        called.append(args)
+        raise RuntimeError("reached after the cap should have refused")
+
+    monkeypatch.setattr(reduction, "signed_kostka", refuse)
+    monkeypatch.setattr(modrep, "build_module", refuse)
+    code, out, err = run(
+        ["entry", "--p", "3", "--alpha", "1,1,1", "--beta", "6,3,3",
+         "--lambda", "2,2,1,1", "--mu", "2,1", "--method", method],
+        capsys,
+    )
+    assert code == 3 and out == "" and "dimension cap" in err
+    assert str(modrep.module_dimension(((1, 1, 1), (6, 3, 3)))) in err
+    assert called == []
+
+
+def test_entry_both_engines_readme_example(capsys):
+    code, out, _ = run(
+        ["entry", "--p", "3", "--alpha", "2,1,1", "--beta", "1",
+         "--lambda", "3,1,1", "--mu", "-", "--method", "both"],
+        capsys,
+    )
+    assert code == 0 and out.split("\n")[:2] == ["3", "engines agree"]
 
 
 def test_tableaux_examples(capsys):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skostka.combinat import (
     admits_horizontal_cut,
@@ -405,3 +407,73 @@ def test_cmp_total():
     assert cmp_total(((), (2,)), ((), (1, 1))) == -1
     assert cmp_total(((3,), (1,)), ((3,), (1,))) == 0
     assert cmp_total(((), (1, 1)), ((1, 1, 1), (1,))) == 1
+
+
+# --- hypothesis properties --------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def partitions(max_part=12, max_len=12):
+    """Partitions as sorted lists of positive parts."""
+    return st.lists(st.integers(1, max_part), max_size=max_len).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+
+
+@PROPERTY
+@given(lam=partitions(max_part=60, max_len=20), p=st.sampled_from([3, 5, 7, 11]))
+def test_p_adic_digits_recombine_and_are_restricted(lam, p):
+    digs = p_adic_expansion(lam, p)
+    total = ()
+    for i, d in enumerate(digs):
+        assert is_partition(d) and is_p_restricted(d, p)
+        total = pointwise_add(total, scale(p**i, d))
+    assert wp(total) == lam
+    # trailing empty digits are trimmed
+    assert not digs or digs[-1] != ()
+
+
+@PROPERTY
+@given(
+    mu=partitions(max_part=7, max_len=7).filter(lambda mu: sum(mu) <= 16),
+    p=st.sampled_from([3, 5]),
+)
+def test_mullineux_involution_on_p_regular(mu, p):
+    """On a p-regular mu the map, carried over by conjugation, returns
+    mu after two steps and keeps its size; on the p-restricted conjugate
+    the public map does the same."""
+    # keep at most p - 1 copies of each part: a p-regular partition
+    mu = tuple(sorted(
+        (v for v in set(mu) for _ in range(min(mu.count(v), p - 1))), reverse=True
+    ))
+    lam = conjugate(mu)
+    img = mullineux(lam, p)
+    assert sum(img) == sum(lam)
+    assert is_p_restricted(img, p)
+    assert mullineux(img, p) == lam
+    reg = conjugate(img)
+    assert is_p_regular(reg, p) and sum(reg) == sum(mu)
+    assert conjugate(mullineux(conjugate(reg), p)) == mu
+
+
+@PROPERTY
+@given(
+    a=partitions(max_part=6, max_len=10),
+    b=partitions(max_part=6, max_len=10),
+    mu=partitions(max_part=3, max_len=3),
+)
+def test_dominance_implies_total_order(a, b, mu):
+    """A label dominating another of the same size and mu comes first in
+    the total order."""
+    if sum(a) != sum(b):
+        # move the difference onto the first part of the smaller one
+        d = sum(a) - sum(b)
+        if d > 0:
+            b = ((b[0] if b else 0) + d,) + b[1:]
+        else:
+            a = ((a[0] if a else 0) - d,) + a[1:]
+    if a != b and dominates(a, b):
+        assert total_key((a, mu)) < total_key((b, mu))
+    if a != b and dominates(b, a):
+        assert total_key((b, mu)) < total_key((a, mu))
