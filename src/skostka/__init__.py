@@ -3,10 +3,10 @@
 Two independent engines compute the Krull-Schmidt multiplicities of
 signed Young modules inside signed Young permutation modules: a
 combinatorial reduction to smaller plain and projective multiplicities
-(reduction), and a direct decomposition of explicit modules over GF(p)
+(reduction), and Fitting splitting of explicit modules over GF(p)
 (modrep). Tableaux counts and character vectors (tabx) give a third,
-filtration-level view, and the command line (cli) binds the engines
-together with caches and verification suites.
+filtration-level view. The consistency checks (checks) run as the
+`verify` suites of the command line (cli), which also caches results.
 """
 
 from . import combinat, gfp, modrep, reduction, tabx
@@ -29,9 +29,6 @@ from .modrep import (
     modules_isomorphic,
     projective_oracle,
     radical,
-    split_idempotents,
-    wedderburn,
-    wedderburn_module,
 )
 from .reduction import (
     enumerate_lambda,
@@ -75,9 +72,6 @@ __all__ = [
     "rowcut_lower_bound",
     "sign_twist_label",
     "signed_kostka",
-    "split_idempotents",
     "tabx",
     "total_key",
-    "wedderburn",
-    "wedderburn_module",
 ]

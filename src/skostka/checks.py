@@ -1,0 +1,186 @@
+"""Consistency checks shared by `skostka verify` and the acceptance gate.
+
+Each check takes its scope as arguments (module pairs, labels or
+degrees, the prime, the engine) and returns Record tuples: a name, the
+failing cases (empty when the check holds) and a Counter of the cases
+examined, by kind. The command line prints one line per record over a
+small scope; the acceptance gate runs the same functions over wider
+scopes and asserts that no record has a failing case.
+"""
+
+from collections import Counter, namedtuple
+
+import numpy as np
+
+from . import modrep, reduction, tabx
+from .combinat import (
+    admits_horizontal_cut,
+    conjugate,
+    enumerate_p2,
+    enumerate_partitions,
+    scale,
+    size,
+)
+
+Record = namedtuple("Record", "name failures counts")
+
+
+def format_part(seq):
+    return ",".join(str(x) for x in seq) if seq else "-"
+
+
+def format_pair(ab):
+    return format_part(ab[0]) + "|" + format_part(ab[1])
+
+
+def format_label(label, p):
+    """Label string "lam|p*mu" with "-" for an empty side."""
+    lam, mu = label
+    return format_pair((lam, scale(p, mu)))
+
+
+def _differing_cells(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return [("shape", got.shape, want.shape)]
+    return [tuple(int(i) for i in ij) for ij in np.argwhere(got != want)]
+
+
+def fixtures(ref, engine):
+    """The packaged reference table against the direct engine."""
+    p = ref["p"]
+    labels, mat = modrep.assemble_matrix(ref["n"], p, signed=True, engine=engine)
+    strings = [format_label(x, p) for x in labels]
+    order = [] if strings == ref["labels"] else [("labels", strings)]
+    cells = _differing_cells(mat, ref["matrix"])
+    return [
+        Record("reference label order", order, Counter(labels=len(strings))),
+        Record("reference matrix entries", cells, Counter(entries=mat.size)),
+    ]
+
+
+def cross_engine(pairs, labels, engine):
+    """The reduction engine against the direct decomposition, per pair."""
+    out = []
+    for ab in pairs:
+        dec = engine.decompose(ab)
+        sk = reduction.signed_kostka
+        bad = [x for x in labels if sk(ab, x, engine) != dec.get(x, 0)]
+        name = f"cross-engine row {format_pair(ab)}"
+        out.append(Record(name, bad, Counter(entries=len(labels))))
+    return out
+
+
+def blocks(n, p, engine):
+    """The signed degree-n matrix is lower unitriangular, and the labels
+    with |mu| = s form a contiguous diagonal block equal to the plain
+    Kronecker product K_s (x) K_(n - ps)."""
+
+    def plain(m):
+        return modrep.assemble_matrix(m, p, signed=False, engine=engine)[1]
+
+    labels, mat = modrep.assemble_matrix(n, p, signed=True, engine=engine)
+    unitriangular = (np.diag(mat) == 1).all() and not np.triu(mat, 1).any()
+    bad = [] if unitriangular else ["not lower unitriangular"]
+    out = [Record("lower unitriangular", bad, Counter(entries=mat.size))]
+    start = 0
+    for s in range(n // p + 1):
+        group = [i for i, (lam, mu) in enumerate(labels) if size(mu) == s]
+        bad = []
+        if group != list(range(start, start + len(group))):
+            bad.append("labels are not contiguous")
+        start += len(group)
+        if s == n // p and start != len(labels):
+            bad.append("label groups do not cover the matrix")
+        want = np.kron(plain(s), plain(n - s * p))
+        bad += _differing_cells(mat[np.ix_(group, group)], want)
+        name = f"diagonal block |mu|={s} is the plain Kronecker product"
+        out.append(Record(name, bad, Counter(entries=want.size)))
+    return out
+
+
+def rowcut(pairs, labels, p, engine):
+    """rowcut_lower_bound never exceeds the multiplicity, and equals it
+    when |beta| = p|mu|, on every admissible pair of cuts."""
+    out = []
+    for ab in pairs:
+        alpha, beta = ab
+        n = size(alpha) + size(beta)
+        bad = []
+        counts = Counter()
+        for x in labels:
+            lam, mu = x
+            pmu = scale(p, mu)
+            value = reduction.signed_kostka(ab, x, engine)
+            split = size(beta) == p * size(mu)
+            for r in range(n + 1):
+                if not admits_horizontal_cut(alpha, lam, r):
+                    continue
+                for s in range(n + 1):
+                    if not admits_horizontal_cut(beta, pmu, s):
+                        continue
+                    bound = reduction.rowcut_lower_bound(ab, x, r, s, engine)
+                    if bound > value:
+                        bad.append(("bound", x, r, s))
+                    if split and bound != value:
+                        bad.append(("equality", x, r, s))
+                    counts["bound"] += 1
+                    counts["equality"] += split
+        out.append(Record(f"row cuts for ({format_pair(ab)})", bad, counts))
+    return out
+
+
+def iso(class_degrees, char_degrees, p, seed=0):
+    """Combinatorial iso classes against module isomorphism over GF(p)
+    at each class degree; character vectors constant on the classes at
+    each char degree."""
+    out = []
+    for m in class_degrees:
+        pairs = enumerate_p2(m)
+        mods = [modrep.build_module(ab, p) for ab in pairs]
+        bad = []
+        for i, ab in enumerate(pairs):
+            for j in range(i, len(pairs)):
+                want = tabx.iso_equivalent(ab, pairs[j])
+                got = modrep.modules_isomorphic(mods[i], mods[j], seed=seed)
+                if got != want:
+                    bad.append((ab, pairs[j], "module", got, "tableaux", want))
+        name = f"classification at degree {m} matches the module level"
+        k = len(pairs)
+        out.append(Record(name, bad, Counter(modules=k * (k + 1) // 2)))
+    for m in char_degrees:
+        pairs = enumerate_p2(m)
+        chars = {ab: tabx.char_vector(ab) for ab in pairs}
+        equal = [(a, b) for a in pairs for b in pairs if tabx.iso_equivalent(a, b)]
+        bad = [(a, b) for a, b in equal if chars[a] != chars[b]]
+        name = "equivalent pairs share the character vector"
+        out.append(Record(name, bad, Counter(characters=len(pairs) ** 2)))
+    return out
+
+
+def tableaux(degrees):
+    """Signed tableaux counts against the Pieri rule, the one-column
+    completion and plain Kostka numbers; three records per degree."""
+    count, kostka = tabx.count_signed_ssyt, tabx.kostka_number
+    out = []
+    for m in degrees:
+        pairs = enumerate_p2(m)
+        pieri = [ab for ab in pairs if tabx.char_vector(ab) != tabx.pieri_expand(ab)]
+        one = [ab for ab in pairs if count(ab[0] + (1,) * size(ab[1]), ab) != 1]
+        parts = enumerate_partitions(m)
+        plain = []
+        for lam in parts:
+            for alpha in parts:
+                if count(lam, (alpha, ())) != kostka(lam, alpha):
+                    plain.append(("plain", lam, alpha))
+                if count(lam, ((), alpha)) != kostka(conjugate(lam), alpha):
+                    plain.append(("conjugate", lam, alpha))
+        names = (
+            f"character vector equals the Pieri expansion at degree {m}",
+            "single tableau for the one-column completion",
+            "plain and conjugate Kostka specializations",
+        )
+        cases = (len(pairs), len(pairs), 2 * len(parts) ** 2)
+        for name, bad, k in zip(names, (pieri, one, plain), cases):
+            out.append(Record(name, bad, Counter(cases=k)))
+    return out

@@ -12,13 +12,10 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import modrep, reduction, tabx
+from . import checks, modrep, reduction, tabx
+from .checks import format_label
 from .combinat import (
-    admits_horizontal_cut,
     check_odd_prime,
-    conjugate,
     enumerate_p2,
     enumerate_p2p,
     enumerate_partitions,
@@ -50,10 +47,6 @@ class MismatchError(RuntimeError):
 # label strings
 
 
-def format_part(seq):
-    return ",".join(str(x) for x in seq) if seq else "-"
-
-
 def parse_part(s):
     """A partition or composition from "3,2,1"; "-" is empty."""
     s = s.strip()
@@ -66,12 +59,6 @@ def parse_part(s):
     if any(x <= 0 for x in out):
         raise UsageError(f"parts must be positive in {s!r}")
     return out
-
-
-def format_label(label, p):
-    """Label string "lam|p*mu" with "-" for an empty side."""
-    lam, mu = label
-    return format_part(lam) + "|" + format_part(scale(p, mu))
 
 
 def parse_label(s, p):
@@ -390,143 +377,36 @@ def cmd_iso(args):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: the shared checks over a degree-n scope
 
 
 def suite_fixtures(n, p, seed):
     if (n, p) != (6, 3):
         raise UsageError("the published reference matrix exists for n=6, p=3")
-    ref = load_fixture()
-    eng = direct_engine(p, seed)
-    labels, mat = modrep.assemble_matrix(n, p, signed=True, engine=eng)
-    strings = [format_label(l, p) for l in labels]
-    return [
-        ("reference label order", strings == ref["labels"]),
-        ("reference matrix entries", mat.tolist() == ref["matrix"]),
-    ]
+    return checks.fixtures(load_fixture(), direct_engine(p, seed))
 
 
 def suite_reduction(n, p, seed):
-    eng = direct_engine(p, seed)
     labels = enumerate_p2p(n, p)
-    checks = []
-    for lam, mu in labels:
-        ab = (lam, scale(p, mu))
-        dec = eng.decompose(ab)
-        ok = all(
-            reduction.signed_kostka(ab, x, eng) == dec.get(x, 0)
-            for x in labels
-        )
-        checks.append((f"cross-engine row {format_label((lam, mu), p)}", ok))
-    return checks
-
-
-def plain_matrix(m, p, seed):
-    eng = direct_engine(p, seed)
-    _, mat = modrep.assemble_matrix(m, p, signed=False, engine=eng)
-    return np.asarray(mat)
+    rows = [(lam, scale(p, mu)) for lam, mu in labels]
+    return checks.cross_engine(rows, labels, direct_engine(p, seed))
 
 
 def suite_blocks(n, p, seed):
-    eng = direct_engine(p, seed)
-    labels, mat = modrep.assemble_matrix(n, p, signed=True, engine=eng)
-    mat = np.asarray(mat)
-    checks = [
-        (
-            "lower unitriangular",
-            bool((np.diag(mat) == 1).all() and not np.triu(mat, 1).any()),
-        )
-    ]
-    start = 0
-    for s in range(n // p + 1):
-        group = [i for i, (lam, mu) in enumerate(labels) if size(mu) == s]
-        ok = group == list(range(start, start + len(group)))
-        start += len(group)
-        block = mat[np.ix_(group, group)]
-        want = np.kron(plain_matrix(s, p, seed), plain_matrix(n - s * p, p, seed))
-        checks.append(
-            (
-                f"diagonal block |mu|={s} is the plain Kronecker product",
-                ok and block.shape == want.shape and (block == want).all(),
-            )
-        )
-    return checks
+    return checks.blocks(n, p, direct_engine(p, seed))
 
 
 def suite_rowcut(n, p, seed):
-    eng = direct_engine(p, seed)
     labels = enumerate_p2p(n, p)
-    checks = []
-    for ab in enumerate_p2(n):
-        alpha, beta = ab
-        ok = True
-        for x in labels:
-            lam, mu = x
-            pmu = scale(p, mu)
-            for r in range(n + 1):
-                if not admits_horizontal_cut(alpha, lam, r):
-                    continue
-                for s in range(n + 1):
-                    if not admits_horizontal_cut(beta, pmu, s):
-                        continue
-                    bound = reduction.rowcut_lower_bound(ab, x, r, s, eng)
-                    value = reduction.signed_kostka(ab, x, eng)
-                    if bound > value:
-                        ok = False
-                    if size(beta) == p * size(mu) and bound != value:
-                        ok = False
-        checks.append(
-            (f"row cuts for ({format_part(alpha)}|{format_part(beta)})", ok)
-        )
-    return checks
+    return checks.rowcut(enumerate_p2(n), labels, p, direct_engine(p, seed))
 
 
 def suite_iso(n, p, seed):
-    m = min(n, 5)
-    pairs = enumerate_p2(m)
-    modules = {ab: modrep.build_module(ab, p) for ab in pairs}
-    ok = True
-    for i, ab in enumerate(pairs):
-        for cd in pairs[i:]:
-            combinatorial = tabx.iso_equivalent(ab, cd)
-            modular = modrep.modules_isomorphic(modules[ab], modules[cd], seed=seed)
-            if combinatorial != modular:
-                ok = False
-    checks = [(f"classification at degree {m} matches the module level", ok)]
-    vec_ok = True
-    for ab in enumerate_p2(min(n, 8)):
-        for cd in enumerate_p2(min(n, 8)):
-            if tabx.iso_equivalent(ab, cd):
-                if tabx.char_vector(ab) != tabx.char_vector(cd):
-                    vec_ok = False
-    checks.append(("equivalent pairs share the character vector", vec_ok))
-    return checks
+    return checks.iso([min(n, 5)], [min(n, 8)], p, seed=seed)
 
 
 def suite_tableaux(n, p, seed):
-    m = min(n, 8)
-    pairs = enumerate_p2(m)
-    ok_pieri = all(tabx.char_vector(ab) == tabx.pieri_expand(ab) for ab in pairs)
-    ok_one = all(
-        tabx.count_signed_ssyt(ab[0] + (1,) * size(ab[1]), ab) == 1
-        for ab in pairs
-    )
-    ok_plain = True
-    for lam in enumerate_partitions(m):
-        for alpha in enumerate_partitions(m):
-            if tabx.count_signed_ssyt(lam, (alpha, ())) != tabx.kostka_number(
-                lam, alpha
-            ):
-                ok_plain = False
-            if tabx.count_signed_ssyt(lam, ((), alpha)) != tabx.kostka_number(
-                conjugate(lam), alpha
-            ):
-                ok_plain = False
-    return [
-        (f"character vector equals the Pieri expansion at degree {m}", ok_pieri),
-        ("single tableau for the one-column completion", ok_one),
-        ("plain and conjugate Kostka specializations", ok_plain),
-    ]
+    return checks.tableaux([min(n, 8)])
 
 
 SUITES = {
@@ -541,21 +421,19 @@ SUITES = {
 
 def cmd_verify(args):
     check_prime(args.p)
+    if args.n < 0:
+        raise UsageError("--n must be nonnegative")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
-    total = 0
+    failures = total = 0
     for name in names:
         if name == "fixtures" and args.suite == "all" and (args.n, args.p) != (6, 3):
             print(f"[skip] {name}: the published reference matrix needs n=6, p=3")
             continue
-        checks = SUITES[name](args.n, args.p, args.seed)
-        for label, ok in checks:
+        for record in SUITES[name](args.n, args.p, args.seed):
             total += 1
-            if ok:
-                print(f"[pass] {name}: {label}")
-            else:
-                failures += 1
-                print(f"[FAIL] {name}: {label}")
+            failures += bool(record.failures)
+            status = "FAIL" if record.failures else "pass"
+            print(f"[{status}] {name}: {record.name}")
     print(f"{total - failures}/{total} checks passed")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 

@@ -123,9 +123,6 @@ class SignedPermModule:
         a[self.perms[i], np.arange(self.dim)] = self.signs[i] % self.p
         return a
 
-    def generator_matrices(self):
-        return [self.generator_matrix(i) for i in range(len(self.perms))]
-
 
 def build_module(ab, p, cap=DIM_CAP):
     """Construct M(alpha|beta) over GF(p) with its generator actions."""
@@ -308,29 +305,6 @@ def _hom_orbits(m, n_mod):
 def hom_basis(m, n_mod):
     """All intertwiners m -> n_mod, as dense matrices."""
     return _hom_orbits(m, n_mod).matrices(m.p)
-
-
-def hom_dim_kernel(m, n_mod):
-    """Hom dimension by the naive commutant linear system.
-
-    Independent of the orbit bookkeeping: intersects, generator by
-    generator, the coefficient kernels of X -> B_g X - X A_g on the
-    running solution basis. Quadratic memory in dim m * dim n_mod, so
-    meant for small cross-checks only.
-    """
-    p = m.p
-    da, db = m.dim, n_mod.dim
-    basis = np.eye(da * db, dtype=np.int64)
-    for a_g, b_g in zip(m.generator_matrices(), n_mod.generator_matrices()):
-        mats = basis.reshape(-1, db, da)
-        images = np.stack(
-            [(gfp.matmul(b_g, x, p) - gfp.matmul(x, a_g, p)) % p for x in mats]
-        ).reshape(len(basis), -1)
-        null = gfp.nullspace(images.T, p)
-        if len(null) == 0:
-            return 0
-        basis = gfp.matmul(null, basis, p)
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -715,22 +689,6 @@ def decompose_summands(module, end_basis, p, rng, start=None):
     return leaves
 
 
-def idempotent_summand(module, f):
-    """The summand cut out by an equivariant idempotent f of the module."""
-    p = module.p
-    f = np.asarray(f, dtype=np.int64) % p
-    if gfp.matmul(f, f, p).tolist() != f.tolist():
-        raise ValueError("the map is not idempotent")
-    b = gfp.column_space_basis(f, p)
-    ker = gfp.nullspace(f, p)
-    u = np.concatenate([b, ker.T], axis=1) if len(ker) else b
-    u_inv = gfp.inverse(u, p)
-    if u_inv is None:
-        raise IntegrityError("image and kernel of the idempotent overlap")
-    r = u_inv[: b.shape[1]]
-    return Summand(module, b, r)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -928,7 +886,7 @@ def modules_isomorphic(u, v, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# algebra structure: radical, Wedderburn components, idempotent lifting
+# algebra structure: the Jacobson radical
 
 
 def _independent(mats, p):
@@ -950,17 +908,6 @@ def _combine(rows, mats, p):
             if c:
                 acc = (acc + int(c) * m) % p
         out.append(acc)
-    return out
-
-
-def _matrix_power(m, q, p):
-    out = np.eye(m.shape[0], dtype=np.int64)
-    base = m % p
-    while q:
-        if q & 1:
-            out = gfp.matmul(out, base, p)
-        base = gfp.matmul(base, base, p)
-        q >>= 1
     return out
 
 
@@ -1094,15 +1041,6 @@ class _Quotient:
     def mul(self, ca, cb):
         return self.coords(gfp.matmul(self.rep(ca), self.rep(cb), self.p))
 
-    def identity_coords(self):
-        eye = np.eye(self.dim, dtype=np.int64)
-        sys_rows = np.concatenate(_left_tables(self), axis=0)
-        rhs = np.concatenate([eye[:, i] for i in range(self.dim)])
-        one = gfp.solve(sys_rows, rhs, self.p)
-        if one is None:
-            raise IntegrityError("quotient has no identity element")
-        return one % self.p
-
 
 def _left_tables(q):
     """Left multiplication operators of the quotient basis."""
@@ -1164,159 +1102,6 @@ def _quotient_semisimple_brute(q):
         if not power:
             return False
     return True
-
-
-def _center_rows(q, left, right):
-    stack = np.concatenate(
-        [(left[i] - right[i]) % q.p for i in range(q.dim)], axis=0
-    )
-    return [row for row in gfp.nullspace(stack, q.p)]
-
-
-def _wedderburn_data(mats, p):
-    """(radical, quotient, primitive central idempotents, left, right).
-
-    The center of the semisimple quotient is split along its Frobenius
-    fixed points: a fixed element satisfies x^p = x, so Lagrange
-    evaluation at the scalars of GF(p) refines the identity into the
-    primitive central idempotents deterministically.
-    """
-    basis = _independent(list(mats), p)
-    rad = radical(basis, p)
-    q = _Quotient(basis, rad, p)
-    if q.dim == 0:
-        return rad, q, [], [], []
-    left = _left_tables(q)
-    right = _right_tables(q)
-    one = q.identity_coords()
-    center = _center_rows(q, left, right)
-    if not center:
-        raise IntegrityError("unital quotient with empty center")
-    fixed_rows = []
-    for row in center:
-        lmat = np.zeros((q.dim, q.dim), dtype=np.int64)
-        for c, tab in zip(row, left):
-            if c:
-                lmat = (lmat + int(c) * tab) % p
-        row_p = gfp.matmul(_matrix_power(lmat, p, p), one[:, None], p)[:, 0]
-        fixed_rows.append((row_p - row) % p)
-    fro = gfp.nullspace(np.stack(fixed_rows).T, p)
-    fixed = [np.tensordot(frow, np.stack(center), axes=(0, 0)) % p for frow in fro]
-    parts = [one]
-    for b in fixed:
-        refined = []
-        for e in parts:
-            refined.extend(_eigen_split(e, b, q, p))
-        parts = refined
-    return rad, q, parts, left, right
-
-
-def _eigen_split(e, b, q, p):
-    """Refine the central idempotent e along the Frobenius-fixed b."""
-    u = q.mul(e, b)
-    pieces = []
-    for c in range(p):
-        piece = e.copy()
-        for c2 in range(p):
-            if c2 == c:
-                continue
-            piece = q.mul(piece, (u - c2 * e) % p)
-            piece = (piece * gfp._inv_scalar((c - c2) % p, p)) % p
-        if piece.any():
-            pieces.append(piece)
-    if not pieces:
-        raise IntegrityError("eigenvalue split lost the idempotent")
-    return pieces
-
-
-def _component_data(e, q, left, center, p):
-    """(matrix size, residue field degree) of one Wedderburn component."""
-    le = np.zeros((q.dim, q.dim), dtype=np.int64)
-    for c, tab in zip(e, left):
-        if c:
-            le = (le + int(c) * tab) % p
-    block_dim = gfp.rank(le, p)
-    e_deg = gfp.rank(np.stack([q.mul(e, z) for z in center]) % p, p)
-    n_i = isqrt(block_dim // e_deg) if block_dim % e_deg == 0 else 0
-    if n_i * n_i * e_deg != block_dim:
-        raise IntegrityError("component dimensions are inconsistent")
-    return n_i, e_deg
-
-
-def wedderburn(mats, p):
-    """Components of span(mats)/radical as (matrix size, field degree).
-
-    For End(M) the matrix sizes are the multiplicities of the
-    indecomposable summands of M. Sorted descending.
-    """
-    rad, q, parts, left, right = _wedderburn_data(mats, p)
-    if q.dim == 0:
-        return []
-    center = _center_rows(q, left, right)
-    out = [_component_data(e, q, left, center, p) for e in parts]
-    out.sort(key=lambda t: (-t[0], -t[1]))
-    if sum(n * n * e for n, e in out) != q.dim:
-        raise IntegrityError("component dimensions do not fill the quotient")
-    return out
-
-
-def split_idempotents(mats, module, p):
-    """Lift the central idempotents of End/rad and cut the module.
-
-    Returns one record per Wedderburn component: a dict holding the
-    exact idempotent map on the module, the dimension of the underlying
-    indecomposable class, its multiplicity, and the class index. The
-    idempotents are orthogonal and sum to the identity; multiplicity
-    times class dimension summed over records gives dim M.
-    """
-    rad, q, parts, left, right = _wedderburn_data(mats, p)
-    d = module.dim
-    center = _center_rows(q, left, right)
-    comp_data = [_component_data(e, q, left, center, p) for e in parts]
-    lifted = []
-    remaining = np.eye(d, dtype=np.int64)
-    for idx, e in enumerate(parts):
-        if idx == len(parts) - 1:
-            f = remaining % p
-            if gfp.matmul(f, f, p).tolist() != f.tolist():
-                raise IntegrityError("final lifted idempotent is defective")
-        else:
-            cand = gfp.matmul(gfp.matmul(remaining, q.rep(e), p), remaining, p)
-            f = _lift_idempotent(cand, p, d)
-        lifted.append(f)
-        remaining = (remaining - f) % p
-    if remaining.any():
-        raise IntegrityError("lifted idempotents do not sum to the identity")
-    records = []
-    for idx, f in enumerate(lifted):
-        image_dim = gfp.rank(f, p)
-        mult = comp_data[idx][0]
-        if image_dim % mult:
-            raise IntegrityError(
-                "image dimension incompatible with the multiplicity"
-            )
-        records.append(
-            {
-                "idempotent": f,
-                "dim": image_dim // mult,
-                "multiplicity": mult,
-                "class_index": idx,
-            }
-        )
-    if sum(r["dim"] * r["multiplicity"] for r in records) != d:
-        raise IntegrityError("record dimensions do not sum to dim M")
-    return records
-
-
-def _lift_idempotent(e, p, d):
-    cur = e % p
-    for _ in range(d.bit_length() + 5):
-        sq = gfp.matmul(cur, cur, p)
-        if (sq == cur).all():
-            return cur
-        cube = gfp.matmul(sq, cur, p)
-        cur = (3 * sq - 2 * cube) % p
-    raise IntegrityError("idempotent lifting did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -1509,50 +1294,6 @@ def projective_oracle(ab, lam0, p, engine=None):
     if engine is None:
         engine = DirectEngine(p)
     return engine.projective_signed(ab, lam0)
-
-
-def _residue_degree(rep, hom_end, rng, p, samples=8):
-    """Degree over GF(p) of End(rep) modulo its radical.
-
-    The minimal polynomial of an endomorphism of an indecomposable is a
-    power of one irreducible whose degree divides the residue degree
-    and attains it for generic elements, so the maximum over random
-    samples is exact with high probability.
-    """
-    best = 1
-    for _ in range(samples):
-        z = _random_intertwiner(rep, rep, hom_end, rng)
-        m = matrix_minpoly(z, p, rng)
-        for f, _ in _factor_poly(m, p):
-            deg = len(f) - 1
-            if deg == 1 and f[0] == 0:
-                continue
-            best = max(best, deg)
-    return best
-
-
-def wedderburn_module(ab, p, engine=None, seed=0):
-    """Component data [(multiplicity, residue degree)] of End(M(ab)).
-
-    Derived from the labelled decomposition, so it stays feasible for
-    modules whose endomorphism algebra is too large for the direct
-    structure-constant route. Sorted descending.
-    """
-    if engine is None:
-        engine = DirectEngine(p, seed=seed)
-    dec = engine.decompose(ab)
-    n = size(wp(ab[0])) + size(wp(ab[1]))
-    out = []
-    for cls in engine.registry_for(n):
-        label = cls["label"]
-        if label not in dec:
-            continue
-        rep = cls["rep"]
-        hom_end = engine.hom(rep.parent.ab, rep.parent.ab)
-        rng = np.random.default_rng([seed, 5151, rep.dim])
-        out.append((dec[label], _residue_degree(rep, hom_end, rng, p)))
-    out.sort(key=lambda t: (-t[0], -t[1]))
-    return out
 
 
 def assemble_matrix(n, p, signed=True, engine=None, seed=0):

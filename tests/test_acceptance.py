@@ -5,29 +5,27 @@ pytest -s to see them all; a failing criterion shows its line plus the
 offending cases).  Checks with a runtime budget fail when the budget is
 exceeded even if every value is correct.
 
-The direct engine instances are the ones the command line uses, so the
-expensive degree-6 registries are built once and shared across checks.
+Criteria 2, 4 and 7-10 run the shared checks of skostka.checks, the
+code behind `skostka verify`, over wider scopes. The direct engine
+instances are the ones the command line uses, so the expensive degree-6
+registries are built once and shared across checks.
 """
 
 import itertools
 import json
 import time
-from functools import lru_cache
+from collections import Counter
 
-import numpy as np
-
-from skostka import cli, modrep, reduction, tabx
+from skostka import checks, cli, reduction
 from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
     cmp_total,
-    conjugate,
     digit,
     dominates,
     dominates_pair,
     enumerate_p2,
     enumerate_p2p,
-    enumerate_partitions,
     is_p_restricted,
     mullineux,
     p_adic_expansion,
@@ -58,9 +56,14 @@ def report(num, failures, detail, elapsed=None, budget=None):
     assert not failures, (f"criterion {num}", failures[:10])
 
 
-@lru_cache(maxsize=None)
-def char_of(ab):
-    return tabx.char_vector(ab)
+def failing(records):
+    """Every failing case of the shared check records, with its name."""
+    return [(r.name, case) for r in records for case in r.failures]
+
+
+def tally(records):
+    """The cases the records examined, summed by kind."""
+    return sum((r.counts for r in records), Counter())
 
 
 # --- 1: the packaged reference matrix ----------------------------------------
@@ -104,17 +107,11 @@ def test_criterion_01_reference_matrix(tmp_path):
 
 def test_criterion_02_cross_engine_agreement():
     t0 = time.perf_counter()
-    eng = engine()
     pairs = enumerate_p2(6)
     labels = enumerate_p2p(6, P)
-    bad = []
-    for ab in pairs:
-        dec = eng.decompose(ab)
-        for x in labels:
-            if reduction.signed_kostka(ab, x, eng) != dec.get(x, 0):
-                bad.append((ab, x))
+    records = checks.cross_engine(pairs, labels, engine())
     report(
-        2, bad,
+        2, failing(records),
         f"reduction equals direct decomposition on {len(pairs)} pairs "
         f"x {len(labels)} labels",
         time.perf_counter() - t0, budget=600,
@@ -156,30 +153,8 @@ def test_criterion_03_worked_entry(capsys):
 
 def test_criterion_04_block_structure():
     t0 = time.perf_counter()
-    eng = engine()
-    labels, mat = modrep.assemble_matrix(6, P, signed=True, engine=eng)
-    mat = np.asarray(mat)
-    plain = {
-        m: np.asarray(modrep.assemble_matrix(m, P, signed=False, engine=eng)[1])
-        for m in (6, 3, 2, 0)
-    }
-    bad = []
-    if not (np.diag(mat) == 1).all() or np.triu(mat, 1).any():
-        bad.append("matrix is not lower unitriangular")
-    wants = [plain[6], plain[3], np.kron(plain[2], plain[0])]
-    start = 0
-    for s, want in enumerate(wants):
-        group = [i for i, (lam, mu) in enumerate(labels) if size(mu) == s]
-        if group != list(range(start, start + len(group))):
-            bad.append(f"|mu|={s} labels are not contiguous")
-        start += len(group)
-        block = mat[np.ix_(group, group)]
-        if block.shape != want.shape or (block != want).any():
-            bad.append(f"|mu|={s} diagonal block differs")
-    if start != len(labels):
-        bad.append("label groups do not cover the matrix")
     report(
-        4, bad,
+        4, failing(checks.blocks(6, P, engine())),
         "signed matrix at degree 6 is lower unitriangular with diagonal "
         "blocks K6, K3, K2 (x) K0",
         time.perf_counter() - t0,
@@ -274,33 +249,12 @@ def test_criterion_06_vanishing():
 
 def test_criterion_07_row_cut_inequality():
     t0 = time.perf_counter()
-    eng = engine()
-    bad = []
-    checks = equalities = 0
-    for alpha, beta in enumerate_p2(6):
-        ab = (alpha, beta)
-        for x in enumerate_p2p(6, P):
-            lam, mu = x
-            k = reduction.signed_kostka(ab, x, eng)
-            pmu = scale(P, mu)
-            split = size(beta) == P * size(mu)
-            for r in range(7):
-                if not admits_horizontal_cut(alpha, lam, r):
-                    continue
-                for s in range(7):
-                    if not admits_horizontal_cut(beta, pmu, s):
-                        continue
-                    lb = reduction.rowcut_lower_bound(ab, x, r, s, eng)
-                    if lb > k:
-                        bad.append(("bound", ab, x, r, s))
-                    if split and lb != k:
-                        bad.append(("equality", ab, x, r, s))
-                    checks += 1
-                    equalities += split
+    records = checks.rowcut(enumerate_p2(6), enumerate_p2p(6, P), P, engine())
+    counts = tally(records)
     report(
-        7, bad,
-        f"rowcut_lower_bound <= value on {checks} admissible cuts, "
-        f"equality on the {equalities} split cases",
+        7, failing(records),
+        f"rowcut_lower_bound <= value on {counts['bound']} admissible cuts, "
+        f"equality on the {counts['equality']} split cases",
         time.perf_counter() - t0,
     )
 
@@ -310,31 +264,12 @@ def test_criterion_07_row_cut_inequality():
 
 def test_criterion_08_isomorphism_classification():
     t0 = time.perf_counter()
-    bad = []
-    module_checks = 0
-    for n in range(6):
-        pairs = enumerate_p2(n)
-        mods = [modrep.build_module(ab, P) for ab in pairs]
-        for i, a in enumerate(pairs):
-            for j in range(i, len(pairs)):
-                want = tabx.iso_equivalent(a, pairs[j])
-                got = modrep.modules_isomorphic(mods[i], mods[j])
-                if got != want:
-                    bad.append((n, a, pairs[j], "module", got, "tableaux", want))
-                module_checks += 1
-    char_checks = 0
-    for n in range(9):
-        pairs = enumerate_p2(n)
-        for a in pairs:
-            for b in pairs:
-                if tabx.iso_equivalent(a, b) and char_of(a) != char_of(b):
-                    bad.append((n, a, b, "equal class, different characters"))
-                char_checks += a != b
+    records = checks.iso(range(6), range(9), P)
     report(
-        8, bad,
+        8, failing(records),
         f"combinatorial classes match module isomorphism on "
-        f"{module_checks} pairs (n <= 5) and characters are constant on "
-        f"classes up to degree 8",
+        f"{tally(records)['modules']} pairs (n <= 5) and characters are "
+        f"constant on classes up to degree 8",
         time.perf_counter() - t0, budget=600,
     )
 
@@ -344,24 +279,8 @@ def test_criterion_08_isomorphism_classification():
 
 def test_criterion_09_tableaux_oracles():
     t0 = time.perf_counter()
-    bad = []
-    for n in range(9):
-        for ab in enumerate_p2(n):
-            if char_of(ab) != tabx.pieri_expand(ab):
-                bad.append(("pieri", ab))
-            shape = tuple(ab[0]) + (1,) * size(ab[1])
-            if tabx.count_signed_ssyt(shape, ab) != 1:
-                bad.append(("one-column completion", ab))
-        for lam in enumerate_partitions(n):
-            for alpha in enumerate_partitions(n):
-                plain = tabx.count_signed_ssyt(lam, (alpha, ()))
-                if plain != tabx.kostka_number(lam, alpha):
-                    bad.append(("plain", lam, alpha))
-                dual = tabx.count_signed_ssyt(lam, ((), alpha))
-                if dual != tabx.kostka_number(conjugate(lam), alpha):
-                    bad.append(("conjugate", lam, alpha))
     report(
-        9, bad,
+        9, failing(checks.tableaux(range(9))),
         "char_vector = pieri_expand, unit one-column counts, and both "
         "Kostka specializations up to degree 8",
         time.perf_counter() - t0, budget=120,
@@ -374,33 +293,12 @@ def test_criterion_09_tableaux_oracles():
 def test_criterion_10_second_prime():
     t0 = time.perf_counter()
     eng = engine(5)
-    labels, mat = modrep.assemble_matrix(6, 5, signed=True, engine=eng)
-    mat = np.asarray(mat)
-    bad = []
-    if len(labels) != 12:
-        bad.append(f"{len(labels)} labels, wanted 12")
-    if not (np.diag(mat) == 1).all() or np.triu(mat, 1).any():
-        bad.append("matrix is not lower unitriangular")
-    plain6 = np.asarray(modrep.assemble_matrix(6, 5, signed=False, engine=eng)[1])
-    plain1 = np.asarray(modrep.assemble_matrix(1, 5, signed=False, engine=eng)[1])
-    group0 = [i for i, (lam, mu) in enumerate(labels) if size(mu) == 0]
-    group1 = [i for i, (lam, mu) in enumerate(labels) if size(mu) == 1]
-    if group0 != list(range(11)) or group1 != [11]:
-        bad.append("label groups are not contiguous in |mu|")
-    elif (mat[np.ix_(group0, group0)] != plain6).any():
-        bad.append("|mu|=0 block differs from K6 at p=5")
-    elif (mat[np.ix_(group1, group1)] != plain1).any():
-        bad.append("|mu|=1 block differs from K1")
-    mismatches = 0
-    for ab in enumerate_p2(6):
-        dec = eng.decompose(ab)
-        for x in labels:
-            if reduction.signed_kostka(ab, x, eng) != dec.get(x, 0):
-                mismatches += 1
-    if mismatches:
-        bad.append(f"{mismatches} cross-engine disagreements at p=5")
+    labels = enumerate_p2p(6, 5)
+    bad = [] if len(labels) == 12 else [f"{len(labels)} labels, wanted 12"]
+    records = checks.blocks(6, 5, eng)
+    records += checks.cross_engine(enumerate_p2(6), labels, eng)
     report(
-        10, bad,
+        10, bad + failing(records),
         "p=5 matrix is unitriangular with blocks K6, K1 and the engines "
         "agree on every degree-6 entry",
         time.perf_counter() - t0,

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from skostka import cli, modrep, reduction
+from skostka import cli, modrep, reduction, tabx
 from skostka.combinat import enumerate_p2p, total_key
 
 P = 3
@@ -392,6 +393,120 @@ def test_verify_fixture_needs_published_degree(capsys):
         ["verify", "--suite", "fixtures", "--n", "5", "--p", "3"], capsys
     )
     assert code == 1 and "n=6" in err
+
+
+@pytest.mark.parametrize("suite", ["tableaux", "blocks", "iso", "all"])
+def test_verify_rejects_negative_degree(capsys, suite):
+    code, out, err = run(["verify", "--suite", suite, "--n", "-1"], capsys)
+    assert code == 1 and "--n must be nonnegative" in err
+    assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# every verify suite reports a planted wrong value as [FAIL] with exit 2
+
+
+def assert_fails(argv, line, capsys):
+    code, out, _ = run(["verify", *argv], capsys)
+    assert code == 2
+    assert line in out.splitlines()
+
+
+def test_verify_fixtures_fail_on_altered_entry(capsys, monkeypatch):
+    # the engine side is the reference itself, so nothing is computed
+    ref = cli.load_fixture()
+    labels = [cli.parse_label(s, 3) for s in ref["labels"]]
+    matrix = np.array(ref["matrix"])
+    monkeypatch.setattr(
+        modrep, "assemble_matrix", lambda *a, **k: (labels, matrix.copy())
+    )
+    altered = json.loads(json.dumps(ref))
+    altered["matrix"][5][2] += 1
+    monkeypatch.setattr(cli, "load_fixture", lambda: altered)
+    code, out, _ = run(["verify", "--suite", "fixtures"], capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        "[pass] fixtures: reference label order",
+        "[FAIL] fixtures: reference matrix entries",
+        "1/2 checks passed",
+    ]
+
+
+def test_verify_reduction_fails_on_wrong_entry(capsys, monkeypatch):
+    real = reduction.signed_kostka
+    target = (((2, 1), ()), ((2, 1), ()))
+
+    def planted(ab, x, oracle):
+        return real(ab, x, oracle) + ((ab, x) == target)
+
+    monkeypatch.setattr(reduction, "signed_kostka", planted)
+    assert_fails(
+        ["--suite", "reduction", "--n", "3"],
+        "[FAIL] reduction: cross-engine row 2,1|-",
+        capsys,
+    )
+
+
+def test_verify_blocks_fail_on_wrong_entry(capsys, monkeypatch):
+    real = modrep.assemble_matrix
+
+    def planted(n, p, signed=True, engine=None, seed=0):
+        labels, mat = real(n, p, signed=signed, engine=engine, seed=seed)
+        if signed:
+            mat = mat.copy()
+            mat[1, 0] += 1
+        return labels, mat
+
+    monkeypatch.setattr(modrep, "assemble_matrix", planted)
+    assert_fails(
+        ["--suite", "blocks", "--n", "3"],
+        "[FAIL] blocks: diagonal block |mu|=0 is the plain Kronecker product",
+        capsys,
+    )
+
+
+def test_verify_rowcut_fails_on_raised_bound(capsys, monkeypatch):
+    real = reduction.rowcut_lower_bound
+
+    def planted(ab, x, r, s, oracle):
+        return real(ab, x, r, s, oracle) + (ab == ((3,), ()))
+
+    monkeypatch.setattr(reduction, "rowcut_lower_bound", planted)
+    assert_fails(
+        ["--suite", "rowcut", "--n", "3"],
+        "[FAIL] rowcut: row cuts for (3|-)",
+        capsys,
+    )
+
+
+def test_verify_iso_fails_on_flipped_verdict(capsys, monkeypatch):
+    real = tabx.iso_equivalent
+    flipped = {((2,), ()), ((1, 1), ())}
+
+    def planted(ab, cd):
+        return real(ab, cd) != ({ab, cd} == flipped)
+
+    monkeypatch.setattr(tabx, "iso_equivalent", planted)
+    assert_fails(
+        ["--suite", "iso", "--n", "2"],
+        "[FAIL] iso: classification at degree 2 matches the module level",
+        capsys,
+    )
+
+
+def test_verify_tableaux_fails_on_wrong_pieri(capsys, monkeypatch):
+    real = tabx.pieri_expand
+
+    def planted(ab):
+        out = real(ab)
+        return {**out, (9,): 1} if ab == ((1,), (1,)) else out
+
+    monkeypatch.setattr(tabx, "pieri_expand", planted)
+    assert_fails(
+        ["--suite", "tableaux", "--n", "2"],
+        "[FAIL] tableaux: character vector equals the Pieri expansion at degree 2",
+        capsys,
+    )
 
 
 def test_bad_flag_exits_one(capsys):

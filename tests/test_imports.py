@@ -1,11 +1,14 @@
-"""The package loads neither scipy nor sympy: both are test-only oracles."""
+"""The public API, and the package loads neither scipy nor sympy: both
+are test-only oracles."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import skostka
+from skostka import modrep
 
 SRC = str(Path(skostka.__file__).resolve().parents[1])
 
@@ -24,3 +27,60 @@ def test_cli_import_loads_neither_scipy_nor_sympy():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC = [
+    "DimensionCapError",
+    "DirectEngine",
+    "IntegrityError",
+    "assemble_matrix",
+    "build_module",
+    "char_vector",
+    "cmp_total",
+    "combinat",
+    "count_signed_ssyt",
+    "decompose_labelled",
+    "enumerate_lambda",
+    "enumerate_lambda_supp",
+    "enumerate_p2",
+    "enumerate_p2p",
+    "gfp",
+    "hom_basis",
+    "iso_equivalent",
+    "modrep",
+    "modules_isomorphic",
+    "mullineux",
+    "p_adic_expansion",
+    "pieri_expand",
+    "product_formula",
+    "projective_oracle",
+    "radical",
+    "reduction",
+    "rowcut_lower_bound",
+    "sign_twist_label",
+    "signed_kostka",
+    "tabx",
+    "total_key",
+]
+
+
+def test_public_api_resolves():
+    assert sorted(skostka.__all__) == PUBLIC
+    namespace = {}
+    exec("from skostka import *", namespace)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(skostka, name)
+
+
+def test_fitting_splitting_is_the_only_decomposition():
+    # the Wedderburn-component and idempotent-lifting route is gone from
+    # the package namespace, from modrep and from its quotient algebra
+    removed = re.compile(
+        "wedder|idempot|eigen_split|residue_degree|center_rows|component_data"
+        "|matrix_power",
+        re.IGNORECASE,
+    )
+    for mod in (skostka, modrep):
+        assert [n for n in dir(mod) if removed.search(n)] == []
+    public = [n for n in vars(modrep._Quotient) if not n.startswith("_")]
+    assert public == ["coords", "rep", "mul"]

@@ -159,19 +159,22 @@ def test_certificate_matches_reference_every_pair_up_to_degree_five():
 
 
 def shared_class_summands():
-    """The summands of M(4,2) and M(4,1,1) cut out by the idempotent
-    stack: non-whole lifts, two of them isomorphic across parents."""
+    """The Fitting leaves of M(4,2) and M(4,1,1) at p = 3: non-whole
+    summands of dimensions 6, 9 and 6, 9, 15, the two of dimension 6
+    isomorphic across parents."""
     p = 3
     out = []
     for ab in (((4, 2), ()), ((4, 1, 1), ())):
         m = modrep.build_module(ab, p)
-        recs = modrep.split_idempotents(modrep.hom_basis(m, m), m, p)
-        out += [modrep.idempotent_summand(m, r["idempotent"]) for r in recs]
+        end = modrep._hom_orbits(m, m)
+        rng = np.random.default_rng(0)
+        out += modrep.decompose_summands(m, end, p, rng)
     return out
 
 
 def test_certificate_matches_reference_on_summands():
     summands = shared_class_summands()
+    assert sorted(s.dim for s in summands) == [6, 6, 9, 9, 15]
     assert not any(s.whole for s in summands)
     for a in summands:
         for b in summands:
