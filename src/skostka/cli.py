@@ -353,8 +353,8 @@ def cmd_tableaux(args):
 
 
 def cmd_iso(args):
-    ab = parse_pair(args.pair1)
-    cd = parse_pair(args.pair2)
+    ab = tuple(map(wp, parse_pair(args.pair1)))
+    cd = tuple(map(wp, parse_pair(args.pair2)))
     if size(ab[0]) + size(ab[1]) != size(cd[0]) + size(cd[1]):
         raise UsageError("the two pairs must have equal total size")
     combinatorial = tabx.iso_equivalent(ab, cd)
@@ -362,8 +362,8 @@ def cmd_iso(args):
     if args.modular_check is not None:
         p = args.modular_check
         check_prime(p)
-        u = modrep.build_module((wp(ab[0]), wp(ab[1])), p)
-        v = modrep.build_module((wp(cd[0]), wp(cd[1])), p)
+        u = modrep.build_module(ab, p)
+        v = modrep.build_module(cd, p)
         modular = modrep.modules_isomorphic(u, v, seed=args.seed)
         print(
             "module-level: "

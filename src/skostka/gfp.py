@@ -206,12 +206,6 @@ def inverse(a, p):
     return r[:, n:]
 
 
-def column_space_basis(a, p):
-    """Pivot columns of a: a basis of the column space, as columns."""
-    _, pivots = rref(a, p)
-    return np.asarray(a, dtype=np.int64)[:, list(pivots)]
-
-
 def is_invertible(a, p):
     """Whether a is a square matrix of full rank.
 

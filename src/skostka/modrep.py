@@ -20,14 +20,9 @@ sweep step must expose exactly one new class, so a misidentification
 cannot pass silently.
 
 Two modules or summands are compared by modules_isomorphic: dimension,
-trace fingerprint, a random invertible intertwiner, then a certificate
-on the compositions u -> v -> u, and last matching of indecomposable
-leaves. The certificate works in coordinates: End(u) embeds in End of
-the parent module, and each basis element of that algebra has a cell
-carrying +1 times it, so reading a product at those cells gives its
-coefficients. Which compositions and which products of the ideal they
-span are independent is decided on those short vectors, in one chunked
-elimination, and only the independent ones are formed as matrices.
+trace fingerprint, a random invertible intertwiner, and last matching of
+indecomposable leaves by the same test. A True answer is exact; a False
+that reaches the random maps is Monte Carlo.
 """
 
 import weakref
@@ -54,7 +49,6 @@ DIM_CAP = 2520
 MAX_NONSPLIT_ROUNDS = 30
 MAX_NONSPLIT_ROUNDS_BIG = 12
 ISO_RANDOM_TRIES = 24
-ISO_SPAN_PRODUCT_CAP = 4096
 
 
 class DimensionCapError(RuntimeError):
@@ -207,7 +201,6 @@ class HomBasis:
         self.shape = shape
         self.index = index
         self.num = num
-        self._anchors = None
 
     def element(self, coeffs, p):
         v = np.asarray(coeffs, dtype=np.int64) % p
@@ -220,16 +213,6 @@ class HomBasis:
     def matrices(self, p):
         eye = np.eye(self.num, dtype=np.int64)
         return [self.element(eye[i], p) for i in range(self.num)]
-
-    def anchors(self):
-        """(rows, cols): for each basis element k, the first cell that
-        carries +1 times it. Every cell lies in one orbit, so an element
-        read at these cells gives its coefficients."""
-        if self._anchors is None:
-            plus = np.flatnonzero(self.index < self.num)
-            _, first = np.unique(self.index[plus], return_index=True)
-            self._anchors = np.unravel_index(plus[first], self.shape)
-        return self._anchors
 
 
 def _hom_orbits(m, n_mod):
@@ -693,13 +676,12 @@ def decompose_summands(module, end_basis, p, rng, start=None):
 # isomorphism testing
 
 
-def _between(x, a, b):
-    """The map b.R x a.C from the summand a to the summand b.
-
-    x is a reduced map between the parents; the product on the side of
-    a whole-module summand is a product with the identity, and skipped.
-    """
+def _random_intertwiner(a, b, hom, rng):
+    """A random equivariant map a -> b: b.R x a.C for a random x of the
+    ambient Hom basis between the parents. The product on the side of a
+    whole-module summand is a product with the identity, and skipped."""
     p = a.p
+    x = hom.sample(rng, p)
     if not b.whole:
         x = gfp.matmul(b.R, x, p)
     if not a.whole:
@@ -707,35 +689,22 @@ def _between(x, a, b):
     return x
 
 
-def _random_intertwiner(a, b, hom, rng):
-    """A random equivariant map a -> b through the ambient Hom basis."""
-    return _between(hom.sample(rng, a.p), a, b)
-
-
-def _summands_isomorphic(a, b, hom_ab, rng, tries=ISO_RANDOM_TRIES):
-    """Monte Carlo iso test for indecomposable summands, one-sided error.
+def _summands_isomorphic(a, b, hom_ab, rng):
+    """Monte Carlo iso test for summands, one-sided error.
 
     When a and b are isomorphic indecomposables a random element of
     Hom(a, b) is invertible with probability at least 1 - 1/p, so a
-    miss across all tries is negligible; a True answer is exact.
+    miss across all tries is negligible; a True answer is exact. For
+    decomposable a and b invertible maps can be rare, and a False only
+    says that none was drawn.
     """
     if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
     p = a.p
-    for _ in range(tries):
+    for _ in range(ISO_RANDOM_TRIES):
         if gfp.is_invertible(_random_intertwiner(a, b, hom_ab, rng), p):
             return True
     return False
-
-
-def _hom_span(a, b, hom_ab):
-    """Basis of Hom(a, b) as dense matrices, via the ambient Hom basis."""
-    p = a.p
-    flats = [_between(x, a, b).ravel() for x in hom_ab.matrices(p)]
-    if not flats:
-        return []
-    rr, pivots = gfp.rref(np.stack(flats) % p, p)
-    return [rr[i].reshape((b.dim, a.dim)) for i in range(len(pivots))]
 
 
 _end_cache = weakref.WeakKeyDictionary()
@@ -761,58 +730,6 @@ def _leaves_of(s, rng):
     return per_module[key]
 
 
-def _product_coords(lefts, rights, a):
-    """Coordinates of every product l r of maps in End(a), as an array
-    of shape (len(lefts), len(rights), num).
-
-    E in End(a) embeds in End(M) of the parent M as C E R, and reading
-    an element of End(M) at the anchor cells of its basis gives its
-    coefficients, so entry [i, j, k] is row r_k of C lefts[i] against
-    column c_k of rights[j] R: one batched contraction over the inner
-    dimension, exact under the 2**53 guard of gfp, and the map is
-    injective (R C E R C = E), so independence is read off exactly.
-    """
-    p = a.p
-    rows, cols = _end_of(a.parent).anchors()
-    left = np.stack(lefts)
-    right = np.stack(rights)
-    if a.whole:
-        left = left[:, rows, :]
-        right = right[:, :, cols]
-    else:
-        left = gfp.matmul(a.C[rows], left, p)
-        right = gfp.matmul(right, a.R[:, cols], p)
-    # batch over k: (num, |lefts|, inner) @ (num, inner, |rights|)
-    out = gfp._product(left.transpose(1, 0, 2), right.transpose(2, 1, 0), p)
-    return gfp._mod(out, p).transpose(1, 2, 0)
-
-
-def _compositions(xs, ys, a):
-    """Basis of the span of the compositions y x, x in xs and y in ys,
-    in End(a): the products independent of the ones before them, with x
-    in the outer and y in the inner loop. Only those are multiplied."""
-    coords = _product_coords(ys, xs, a).transpose(1, 0, 2)
-    picked = gfp.independent_rows(coords.reshape(-1, coords.shape[2]), a.p)
-    ny = len(ys)
-    return [gfp.matmul(ys[i % ny], xs[i // ny], a.p) for i in picked]
-
-
-def _nilpotent(ideal, a):
-    """Whether the span I of ideal, a basis of a two-sided ideal of
-    End(a), is nilpotent. The spans of I, I^2, I^4, ... each lie in the
-    one before; they shrink to zero exactly when I is nilpotent, and
-    otherwise stop shrinking at a nonzero span."""
-    power = ideal
-    while power:
-        coords = _product_coords(power, power, a)
-        picked = gfp.independent_rows(coords.reshape(-1, coords.shape[2]), a.p)
-        if len(picked) == len(power):
-            return False
-        k = len(power)
-        power = [gfp.matmul(power[i // k], power[i % k], a.p) for i in picked]
-    return True
-
-
 def _as_summand(u):
     if isinstance(u, Summand):
         return u
@@ -832,20 +749,17 @@ def modules_isomorphic(u, v, seed=0):
        so unequal fingerprints answer False;
     3. random invertible map: a random element of Hom(u, v) that is
        invertible answers True;
-    4. nilpotent certificate: when the composition space is small
-       enough to enumerate, the compositions u -> v -> u span a
-       two-sided ideal of End(u). A basis element that is invertible
-       answers True; a nilpotent ideal holds no invertible element and
-       answers False. Independence is decided on coordinates in End of
-       the parent module, so only the basis elements are ever formed;
-    5. leaf matching: a decomposable pair sharing a common summand
-       without being isomorphic escapes 3 and 4, as does any pair with
-       a large composition space. Each side is split into
-       indecomposable leaves, matched pairwise, and the answer follows
-       from unique decomposition.
+    4. leaf matching: every pair that 3 does not settle, the
+       non-isomorphic ones that pass 2 and the isomorphic decomposable
+       ones whose random maps were all singular. Each side is split into
+       indecomposable leaves, matched pairwise by 3, and the answer
+       follows from unique decomposition.
 
-    Non-isomorphic indecomposables with a small composition space always
-    fall to 2 or 4. Only paths 3 and 5 draw random numbers.
+    Only paths 3 and 4 draw random numbers. A True answer is exact: it
+    comes with an invertible intertwiner, on the whole or leaf by leaf.
+    A False from 1 or 2 is exact; a False from 4 is Monte Carlo, as the
+    leaves are accepted after rounds that refuse to split and matched by
+    random maps.
     """
     a = _as_summand(u)
     b = _as_summand(v)
@@ -853,23 +767,11 @@ def modules_isomorphic(u, v, seed=0):
         raise ValueError("iso test requires equal degree and prime")
     if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
-    p = a.p
     rng = np.random.default_rng(seed)
     same = a.parent is b.parent
     hom_ab = _end_of(a.parent) if same else _hom_orbits(a.parent, b.parent)
-    for _ in range(ISO_RANDOM_TRIES):
-        if gfp.is_invertible(_random_intertwiner(a, b, hom_ab, rng), p):
-            return True
-    xs = _hom_span(a, b, hom_ab)
-    ys = _hom_span(b, a, hom_ab if same else _hom_orbits(b.parent, a.parent))
-    if not xs or not ys:
-        return False
-    if len(xs) * len(ys) <= ISO_SPAN_PRODUCT_CAP:
-        comps = _compositions(xs, ys, a)
-        if any(gfp.is_invertible(c, p) for c in comps):
-            return True
-        if _nilpotent(comps, a):
-            return False
+    if _summands_isomorphic(a, b, hom_ab, rng):
+        return True
     leaves_a = _leaves_of(a, rng)
     leaves_b = _leaves_of(b, rng)
     if len(leaves_a) != len(leaves_b):
@@ -1131,11 +1033,10 @@ class DirectEngine:
     projective_signed.
     """
 
-    def __init__(self, p, seed=0, cap=DIM_CAP):
+    def __init__(self, p, seed=0):
         check_odd_prime(p)
         self.p = p
         self.seed = seed
-        self.cap = cap
         self.registry = {}
         self.modules = {}
         self.homs = {}
@@ -1145,7 +1046,7 @@ class DirectEngine:
     def module(self, ab):
         key = _canonical_pair(ab)
         if key not in self.modules:
-            self.modules[key] = build_module(key, self.p, self.cap)
+            self.modules[key] = build_module(key, self.p)
         return self.modules[key]
 
     def hom(self, ab, cd):
@@ -1196,10 +1097,10 @@ class DirectEngine:
         key = _canonical_pair(ab)
         n = size(key[0]) + size(key[1])
         dim = module_dimension(key)
-        if dim <= self.cap and n not in self.registry:
+        if dim <= DIM_CAP and n not in self.registry:
             dim = max(module_dimension(row) for row in self._label_rows(n)[1])
-        if dim > self.cap:
-            raise DimensionCapError(dim, self.cap)
+        if dim > DIM_CAP:
+            raise DimensionCapError(dim, DIM_CAP)
 
     def registry_for(self, n):
         """Class representatives for degree n, built label by label.

@@ -308,7 +308,7 @@ def test_criterion_10_second_prime():
 # --- 11: exhaustive combinatorial property suites --------------------------------
 
 
-def positive_compositions(n, m):
+def compositions_into(n, m):
     if m == 0:
         return [()] if n == 0 else []
     out = []
@@ -389,7 +389,7 @@ def suite_dominant_block():
             for k in range(1, len(lam) + 1):
                 lam_k = lam[k - 1]
                 for m in range(1, k + 1):
-                    for gamma in positive_compositions(n, m):
+                    for gamma in compositions_into(n, m):
                         if dominates(lam, wp(gamma)):
                             if not all(g >= lam_k for g in gamma):
                                 return f"block bound fails at {lam}, {gamma}"

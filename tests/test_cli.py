@@ -354,6 +354,13 @@ def test_iso_examples(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["isomorphic", "module-level: isomorphic"]
+    # parts in any order, as decompose and entry take them
+    code, out, _ = run(
+        ["iso", "--pair1", "1,2|-", "--pair2", "2,1|-", "--modular-check", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == ["isomorphic", "module-level: isomorphic"]
 
 
 def test_iso_disagreement_exit_code(capsys, monkeypatch):

@@ -243,7 +243,7 @@ def test_digit_cut_lemma():
                     assert want == got, (lam, r, i)
 
 
-def positive_compositions(n, m):
+def compositions_into(n, m):
     """Compositions of n into exactly m positive parts."""
     if m == 0:
         return [()] if n == 0 else []
@@ -262,7 +262,7 @@ def test_dominant_block_lemma():
             for k in range(1, len(lam) + 1):
                 lam_k = lam[k - 1]
                 for m in range(1, k + 1):
-                    for gamma in positive_compositions(n, m):
+                    for gamma in compositions_into(n, m):
                         if dominates(lam, wp(gamma)):
                             assert all(gj >= lam_k for gj in gamma), (lam, k, gamma)
 

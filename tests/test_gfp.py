@@ -3,7 +3,6 @@ import pytest
 
 from skostka.gfp import (
     Echelon,
-    column_space_basis,
     identity,
     inverse,
     is_invertible,
@@ -50,13 +49,6 @@ def test_rref_known():
     r, piv = rref(np.array([[0, 2, 1], [0, 1, 1]]), 3)
     assert piv == (1, 2)
     assert r.tolist() == [[0, 1, 0], [0, 0, 1]]
-
-
-def test_column_space_basis():
-    a = np.array([[1, 2, 0], [2, 4, 1]])
-    c = column_space_basis(a, 5)
-    assert c.shape == (2, 2)
-    assert rank(c, 5) == 2
 
 
 def test_randomized_algebra():

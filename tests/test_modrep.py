@@ -364,6 +364,22 @@ def test_radical_against_brute_force():
         assert len(modrep.radical(basis, P)) == brute_radical_dim(basis, P)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_independent_matches_reference(p):
+    """_independent keeps, reduced and in order, the matrices that raise
+    the rank of one Echelon they are offered to."""
+    rng = np.random.default_rng(10 + p)
+    mats = list(gfp.matmul(rng.integers(0, p, (150, 3)),
+                           rng.integers(0, p, (3, 16)), p).reshape(150, 4, 4))
+    mats += [np.zeros((4, 4), dtype=np.int64), mats[7]]
+    span = gfp.Echelon(p)
+    want = [m % p for m in mats if span.add(m.ravel())]
+    got = modrep._independent(iter(mats), p)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert modrep._independent([], p) == []
+
+
 # ---------------------------------------------------------------------------
 # Fitting leaves
 
@@ -421,15 +437,33 @@ def test_modules_isomorphic_trivial_vs_sign():
     assert not modrep.modules_isomorphic(triv, sgn)
 
 
-def test_full_module_classification_matches_part_counts():
-    for n in range(0, 5):
+def test_fingerprint_reject_needs_no_hom(monkeypatch):
+    """Equal dimensions, unequal fingerprints: False before any Hom
+    space is labelled."""
+    u = modrep.build_module(((4, 1), ()), 3)
+    v = modrep.build_module(((), (4, 1)), 3)
+    assert u.dim == v.dim
+    assert modrep._as_summand(u).fingerprint() != modrep._as_summand(v).fingerprint()
+
+    def refuse(*args):
+        raise AssertionError("Hom labelled after a fingerprint mismatch")
+
+    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    assert not modrep.modules_isomorphic(u, v)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_full_module_classification_matches_part_counts(seed):
+    # degree 5 holds the non-isomorphic pairs sharing a summand, which
+    # only leaf matching tells apart
+    for n in range(0, 6):
         pairs = enumerate_p2(n)
         mods = {ab: modrep.build_module(ab, P) for ab in pairs}
         for i, ab in enumerate(pairs):
             for cd in pairs[i:]:
                 want = tabx.iso_equivalent(ab, cd)
-                got = modrep.modules_isomorphic(mods[ab], mods[cd])
-                assert got == want, (ab, cd)
+                got = modrep.modules_isomorphic(mods[ab], mods[cd], seed=seed)
+                assert got == want, (ab, cd, seed)
 
 
 # ---------------------------------------------------------------------------
