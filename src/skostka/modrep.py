@@ -10,9 +10,12 @@ group action costs O(dim) instead of a matrix product.
 Decomposition runs a Fitting-style splitting tree. Random equivariant
 endomorphisms are sampled by sandwiching random elements of End(M),
 computed once per module by sign-aware orbit analysis of basis pairs,
-between the tracked inclusion/projection maps of each node; kernels of
-the coprime factors of a minimal polynomial split a node, and a node
-that refuses to split for many rounds is accepted as indecomposable.
+between the tracked inclusion/projection maps of each node. The
+generalized kernels of the coprime factors of a minimal polynomial
+split a node; they are cut out by Chinese-remainder projectors,
+polynomials in the endomorphism, half of the factors at a time, and
+each projector is checked to be idempotent. A node that refuses
+to split for many rounds is accepted as indecomposable.
 Summands are then matched against a registry of labelled classes built
 in the fixed total order, with loud integrity errors on any
 inconsistency: multiplicities must fill the module dimension and every
@@ -26,6 +29,7 @@ that reaches the random maps is Monte Carlo.
 """
 
 import weakref
+from functools import reduce
 from math import factorial, isqrt
 
 import numpy as np
@@ -335,8 +339,33 @@ def _poly_lcm(a, b, p):
         return np.zeros(0, dtype=np.int64)
     g = _poly_gcd(a, b, p)
     q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    assert len(r) == 0
+    if len(r):
+        raise IntegrityError("the gcd does not divide the product")
     return (q * gfp._inv_scalar(q[-1], p)) % p
+
+
+def _poly_prod(polys, p):
+    return reduce(lambda a, b: _poly_mul(a, b, p), polys)
+
+
+def _poly_invmod(a, f, p):
+    """b with a b = 1 modulo f and deg b < deg f (extended Euclid).
+
+    Keeps s a = r modulo f along the remainder sequence of f and a; the
+    last nonzero remainder is their gcd, a nonzero constant exactly when
+    a and f are coprime, and its s has degree below deg f. Raises
+    IntegrityError when they are not coprime.
+    """
+    r0 = _poly_trim(np.asarray(f, dtype=np.int64) % p)
+    r1 = _poly_divmod(np.asarray(a, dtype=np.int64) % p, r0, p)[1]
+    s0, s1 = np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
+    while len(r1):
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
+    if len(r0) != 1:
+        raise IntegrityError("no inverse modulo a polynomial sharing a factor")
+    return (s0 * gfp._inv_scalar(r0[0], p)) % p
 
 
 def _poly_eval_matrix(coeffs, z, p):
@@ -362,11 +391,12 @@ def _poly_eval_matrix(coeffs, z, p):
     for k, block in enumerate(reversed(blocks)):
         if k:
             out = gfp.matmul(out, zs, p)
-        if block[0]:
-            out[diag, diag] = (out[diag, diag] + int(block[0])) % p
+        # entries stay below s p^2 until the one reduction per block
         for e in range(1, len(block)):
             if block[e]:
-                out = gfp._mod(out + int(block[e]) * powers[e], p)
+                out += int(block[e]) * powers[e]
+        out[diag, diag] += int(block[0])
+        gfp._mod(out, p)
     return out
 
 
@@ -590,36 +620,66 @@ def _is_whole(C, R):
 def _split_once(z, p, rng):
     """Split along the coprime minpoly factors of z, or None.
 
-    The generalized kernels of the irreducible factors are invariant
-    under everything commuting with z, in particular under the group
-    action, so they cut the node into direct summands.
+    The minimal polynomial m = prod f_i^(m_i) of z, with k >= 2 coprime
+    parts f_i^(m_i), cuts the space into the generalized kernels
+    ker f_i(z)^(m_i). Each is invariant under everything commuting with
+    z, in particular under the group action, so they are direct
+    summands of the node. Returns [(C_i, R_i)] in factor order, with
+    R_i C_j = delta_ij I and z C_i = C_i (R_i z C_i); the kernels are
+    found by _projector_split.
     """
     m = matrix_minpoly(z, p, rng)
     factors = _factor_poly(m, p)
     if len(factors) < 2:
         return None
-    blocks = []
-    for f, mult in factors:
-        w = _poly_eval_matrix(f, z, p)
-        wm = w
-        for _ in range(mult - 1):
-            wm = gfp.matmul(wm, w, p)
-        basis = gfp.nullspace(wm, p)
-        if len(basis) == 0:
-            raise IntegrityError("minpoly factor with an empty kernel")
-        blocks.append(basis.T)
-    u = np.concatenate(blocks, axis=1)
-    if u.shape[1] != z.shape[0]:
-        raise IntegrityError("generalized kernels do not fill the space")
-    u_inv = gfp.inverse(u, p)
-    if u_inv is None:
-        raise IntegrityError("generalized kernels are not independent")
+    parts = [_poly_prod([f] * mult, p) for f, mult in factors]
+    return _projector_split(z, parts, p)
+
+
+def _projector_split(z, parts, p):
+    """Blocks of z along coprime parts whose product annihilates z.
+
+    The parts are cut into two halves with products g and h. The
+    polynomial e = h (h^-1 mod g) is 1 modulo g and 0 modulo h, so
+    E = e(z) is the projector onto the kernel of g(z) along that of
+    h(z) (Chinese remainders). One rref serves both halves. E = C R with
+    R the k nonzero rows of the rref and C = E[:, pivots], so E is
+    idempotent exactly when R C = I, which is checked. The kernel of E,
+    the image of I - E, has the basis N read off the rref, which is the
+    identity on the free columns; so (I - E)[free] gives coordinates on
+    it. As E commutes with z and R E = R, the first block R z C is
+    R z[:, pivots], and the second is z[free] N. Each half recurses on
+    its block; blocks come out in the order of the parts.
+    """
+    d = z.shape[0]
+    half = len(parts) // 2
+    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
+    proj = _poly_eval_matrix(_poly_mul(h, _poly_invmod(h, g, p), p), z, p)
+    r, pivots = gfp.rref(proj, p)
+    pivots = list(pivots)
+    k = len(pivots)
+    if k in (0, d):
+        raise IntegrityError("minpoly factor with an empty kernel")
+    C, R = proj[:, pivots], r[:k]
+    if not np.array_equal(gfp.matmul(R, C, p), np.eye(k, dtype=np.int64)):
+        raise IntegrityError("Chinese-remainder projector is not idempotent")
+    free = np.setdiff1d(np.arange(d), pivots)
+    N = np.zeros((d, d - k), dtype=np.int64)
+    N[free, np.arange(d - k)] = 1
+    N[pivots] = gfp._mod(-R[:, free], p)
+    comp = -proj[free]
+    comp[np.arange(d - k), free] += 1
+    gfp._mod(comp, p)
     out = []
-    start = 0
-    for b in blocks:
-        k = b.shape[1]
-        out.append((b, u_inv[start : start + k]))
-        start += k
+    for c, r, sub, left, right in (
+        (C, R, parts[:half], R, z[:, pivots]),
+        (N, comp, parts[half:], z[free], N),
+    ):
+        if len(sub) == 1:
+            out.append((c, r))
+            continue
+        for cc, rr in _projector_split(gfp.matmul(left, right, p), sub, p):
+            out.append((gfp.matmul(c, cc, p), gfp.matmul(rr, r, p)))
     return out
 
 
@@ -644,7 +704,7 @@ def decompose_summands(module, end_basis, p, rng, start=None):
     while queue:
         C, R = queue.pop()
         d = C.shape[1]
-        # samples and kernel bases are reduced, so the whole module
+        # samples and block bases are reduced, so the whole module
         # skips its products with the identity
         whole = _is_whole(C, R)
         split = None
@@ -655,7 +715,12 @@ def decompose_summands(module, end_basis, p, rng, start=None):
             for _ in range(rounds):
                 big = end_basis.sample(rng, p)
                 z = big if whole else gfp.matmul(gfp.matmul(R, big, p), C, p)
-                split = _split_once(z, p, rng)
+                try:
+                    split = _split_once(z, p, rng)
+                except IntegrityError as e:
+                    raise IntegrityError(
+                        f"splitting a node of dimension {d} of M{module.ab}: {e}"
+                    ) from e
                 if split is not None:
                     break
         if split is None:
@@ -668,7 +733,9 @@ def decompose_summands(module, end_basis, p, rng, start=None):
                 queue.append((gfp.matmul(C, b, p), gfp.matmul(r, R, p)))
     total = sum(leaf.dim for leaf in leaves)
     if total != dim:
-        raise IntegrityError(f"summand dimensions sum to {total}, not {dim}")
+        raise IntegrityError(
+            f"summand dimensions of M{module.ab} sum to {total}, not {dim}"
+        )
     return leaves
 
 

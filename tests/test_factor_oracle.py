@@ -1,15 +1,18 @@
-"""The GF(p) polynomial factorization against sympy's factor_list.
+"""The GF(p) polynomial factorization against sympy's factor_list, and
+the inverse modulo a polynomial against sympy's invert.
 
 sympy factored the minimal polynomials before the squarefree,
 distinct-degree and equal-degree steps replaced it, and stays here as
 the oracle: the monic irreducible factors and their multiplicities are
 unique, so every factor array and multiplicity, and their order, must
-agree with it exactly.
+agree with it exactly. An inverse modulo f of degree below deg f is
+unique too.
 """
 
 import numpy as np
 import pytest
-from sympy import Poly, Symbol
+from sympy import Poly, Symbol, invert
+from sympy.polys.polyerrors import NotInvertible
 
 from skostka import modrep
 
@@ -134,3 +137,65 @@ def test_equal_degree_products(p):
     a = irreducibles(rng, 2, p, 3)
     b = irreducibles(rng, 3, p, 2)
     check(mul(*a, *b, a[0], b[1], b[1], p=p), p)
+
+
+def ref_invmod(a, f, p):
+    """sympy's inverse of a modulo f, low degree first; None when a and
+    f share a factor."""
+    try:
+        inv = invert(
+            Poly([int(c) for c in reversed(a)], X, modulus=p),
+            Poly([int(c) for c in reversed(f)], X, modulus=p),
+        )
+    except NotInvertible:
+        return None
+    return modrep._poly_trim([int(c) % p for c in reversed(inv.all_coeffs())])
+
+
+def check_invmod(a, f, p):
+    want = ref_invmod(a, f, p)
+    if want is None:
+        with pytest.raises(modrep.IntegrityError):
+            modrep._poly_invmod(a, f, p)
+        return False
+    got = modrep._poly_invmod(a, f, p)
+    assert got.dtype == np.int64 and np.array_equal(got, want), (a, f, got, want)
+    assert len(got) < len(modrep._poly_trim(f))
+    return True
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_invmod(p):
+    rng = np.random.default_rng(500 + p)
+    inverted = 0
+    for _ in range(60):
+        f = random_poly(rng, int(rng.integers(1, 12)), p)
+        # unreduced input of any degree, above deg f included
+        a = rng.integers(-3 * p, 3 * p, int(rng.integers(1, 20)))
+        if modrep._poly_trim(modrep._poly_divmod(a % p, f, p)[1]).size:
+            inverted += check_invmod(a, f, p)
+    assert inverted > 30
+    # constants, and f of degree one
+    for c in range(1, p):
+        assert check_invmod([c], [1, 1], p)
+        assert check_invmod([c], random_poly(rng, 4, p), p)
+    # the CRT inverses of the splitting: a product of prime powers
+    # against the product of the others
+    fs = irreducibles(rng, 2, p, 3)
+    g = mul(power(fs[0], 2, p), fs[1], p=p)
+    h = mul(fs[2], np.array([1, 1]), power(np.array([0, 1]), 3, p), p=p)
+    assert check_invmod(h, g, p) and check_invmod(g, h, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_invmod_refuses_shared_factors(p):
+    rng = np.random.default_rng(600 + p)
+    for _ in range(20):
+        common = random_poly(rng, int(rng.integers(1, 4)), p)
+        a = mul(common, random_poly(rng, int(rng.integers(0, 5)), p), p=p)
+        f = mul(common, random_poly(rng, int(rng.integers(0, 5)), p), p=p)
+        assert not check_invmod(a, f, p)
+    x = np.array([0, 1], dtype=np.int64)
+    # zero modulo f, and a repeated factor met once
+    assert not check_invmod(mul(x, x, np.array([2, 1]), p=p), mul(x, x, p=p), p)
+    assert not check_invmod(x, power(x, 3, p), p)

@@ -252,6 +252,14 @@ def test_matrix_minpoly():
     assert m2.tolist() == [0, 0, 0, 1]
 
 
+def test_poly_lcm_checks_the_gcd(monkeypatch):
+    # a "gcd" that does not divide the product is refused loudly, also
+    # under python -O
+    monkeypatch.setattr(modrep, "_poly_gcd", lambda a, b, p: np.array([1, 1]))
+    with pytest.raises(modrep.IntegrityError, match="gcd"):
+        modrep._poly_lcm(np.array([0, 1]), np.array([2, 1]), P)
+
+
 def horner(coeffs, z, p):
     d = z.shape[0]
     out = np.zeros((d, d), dtype=np.int64)
@@ -411,6 +419,29 @@ def test_leaf_summand_equivariance():
     assert split > 50
 
 
+def test_split_integrity_error_names_module_and_node(monkeypatch):
+    """An IntegrityError inside the splitting tree says which module and
+    which node: planted on every node below the whole module."""
+    m = modrep.build_module(((2, 1, 1), ()), P)
+    real = modrep._split_once
+    seen = []
+
+    def planted(z, p, rng):
+        if z.shape[0] < m.dim:
+            seen.append(z.shape[0])
+            raise modrep.IntegrityError("planted fault")
+        return real(z, p, rng)
+
+    monkeypatch.setattr(modrep, "_split_once", planted)
+    with pytest.raises(modrep.IntegrityError) as info:
+        modrep.decompose_summands(
+            m, modrep._end_of(m), P, np.random.default_rng(0)
+        )
+    msg = str(info.value)
+    assert seen and f"dimension {seen[-1]} of M((2, 1, 1), ())" in msg
+    assert msg.endswith("planted fault")
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -450,6 +481,38 @@ def test_fingerprint_reject_needs_no_hom(monkeypatch):
 
     monkeypatch.setattr(modrep, "_hom_orbits", refuse)
     assert not modrep.modules_isomorphic(u, v)
+
+
+def test_leaf_count_mismatch_answers_false(monkeypatch):
+    """Unequal leaf counts answer False before any leaf pair is tried.
+
+    No question of degree <= 5 reaches that branch: over whole modules,
+    leaves and sums of up to three leaves of one module at p = 3 and 5,
+    every two summands with equal dimension and fingerprint have equal
+    leaf counts. So stubs drive it: the random maps of the whole
+    question are refused, and the second side lists one leaf twice.
+    Every leaf of the first side still has a partner, so only the count
+    can answer False; with equal counts the same stubs answer True.
+    """
+    m, leaves = fitting_leaves(((2, 1, 1), ()), P)
+    assert len(leaves) >= 2
+    real = modrep._summands_isomorphic
+    calls = []
+
+    def refuse_whole(a, b, hom, rng):
+        calls.append(a)
+        return len(calls) > 1 and real(a, b, hom, rng)
+
+    def ask(sides):
+        calls.clear()
+        monkeypatch.setattr(modrep, "_leaves_of", lambda s, rng: next(sides))
+        return modrep.modules_isomorphic(m, m)
+
+    monkeypatch.setattr(modrep, "_summands_isomorphic", refuse_whole)
+    assert not ask(iter([leaves, leaves + leaves[:1]]))
+    assert len(calls) == 1
+    assert ask(iter([leaves, leaves]))
+    assert len(calls) > len(leaves)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
