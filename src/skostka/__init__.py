@@ -28,7 +28,6 @@ from .modrep import (
     hom_basis,
     modules_isomorphic,
     projective_oracle,
-    radical,
 )
 from .reduction import (
     enumerate_lambda,
@@ -67,7 +66,6 @@ __all__ = [
     "pieri_expand",
     "product_formula",
     "projective_oracle",
-    "radical",
     "reduction",
     "rowcut_lower_bound",
     "sign_twist_label",

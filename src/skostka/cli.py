@@ -358,13 +358,17 @@ def cmd_iso(args):
     if size(ab[0]) + size(ab[1]) != size(cd[0]) + size(cd[1]):
         raise UsageError("the two pairs must have equal total size")
     combinatorial = tabx.iso_equivalent(ab, cd)
-    print("isomorphic" if combinatorial else "not isomorphic")
+    modular = None
     if args.modular_check is not None:
+        # a bad prime or an oversized module is refused before any
+        # verdict is printed
         p = args.modular_check
         check_prime(p)
         u = modrep.build_module(ab, p)
         v = modrep.build_module(cd, p)
         modular = modrep.modules_isomorphic(u, v, seed=args.seed)
+    print("isomorphic" if combinatorial else "not isomorphic")
+    if modular is not None:
         print(
             "module-level: "
             + ("isomorphic" if modular else "not isomorphic")

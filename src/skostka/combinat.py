@@ -36,11 +36,6 @@ def wp(seq) -> tuple:
     return tuple(sorted((a for a in seq if a > 0), reverse=True))
 
 
-def concat(a, b) -> tuple:
-    """a # b: juxtapose two weakly decreasing sequences and re-sort."""
-    return wp(tuple(a) + tuple(b))
-
-
 def size(seq) -> int:
     return sum(seq)
 
@@ -226,14 +221,6 @@ def rho_of(lam, mu, p: int) -> tuple:
     return tuple(counts)
 
 
-def rho_partition(counts, p: int) -> tuple:
-    """The partition ((p^i)^{n_i}) realised by a tuple of counts."""
-    parts = []
-    for i, n in enumerate(counts):
-        parts.extend([p**i] * n)
-    return wp(parts)
-
-
 # ---------------------------------------------------------------------------
 # horizontal row cuts
 
@@ -254,25 +241,6 @@ def bottom_cut(a, r: int) -> tuple:
 def admits_horizontal_cut(a, lam, r: int) -> bool:
     """|top r rows of a| == |top r rows of lam|."""
     return sum(top_cut(a, r)) == sum(top_cut(lam, r))
-
-
-# ---------------------------------------------------------------------------
-# p-core via the abacus
-
-def p_core(lam, p: int) -> tuple:
-    """Remove rim p-hooks until none remain (computed on beta-numbers)."""
-    check_odd_prime(p)
-    if not is_partition(lam):
-        raise ValueError("p_core needs a partition")
-    L = len(lam)
-    beta = [lam[i] + (L - 1 - i) for i in range(L)]
-    newbeta = []
-    for r in range(p):
-        m = sum(1 for b in beta if b % p == r)
-        newbeta.extend(r + p * k for k in range(m))
-    newbeta.sort(reverse=True)
-    core = [newbeta[i] - (len(newbeta) - 1 - i) for i in range(len(newbeta))]
-    return wp(core)
 
 
 # ---------------------------------------------------------------------------

@@ -175,24 +175,6 @@ def nullspace(a, p):
     return _mod(basis * scale[:, None], p)
 
 
-def solve(a, b, p):
-    """One solution of a x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    a = normalize(a, p)
-    b = normalize(b, p)
-    m, n = a.shape
-    aug = np.concatenate([a, b.reshape(m, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = r[row, n]
-    return x
-
-
 def inverse(a, p):
     """Inverse of a square matrix, or None if singular."""
     a = normalize(a, p)
@@ -240,51 +222,13 @@ def is_invertible(a, p):
     return True
 
 
-def independent_rows(a, p):
-    """Indices of the rows of a that are independent of the rows before
-    them: the in-order greedy basis of the row space, the rows that
-    Echelon.add would accept one by one.
-
-    The rows are taken PANEL at a time. The basis found so far is kept
-    in reduced echelon form, so one product reduces a chunk against it;
-    the reduced rows then meet the earlier span only in 0, and the pivot
-    columns of the rref of the chunk's transpose are the chunk's new
-    independent rows. Their own rref joins the basis, which one more
-    product clears at the new pivot columns. The scan stops once the
-    basis fills the row space.
-    """
-    a = normalize(a, p)
-    m, n = a.shape
-    picked = []
-    basis = np.zeros((0, n), dtype=np.int64)
-    pivots = []
-    for s in range(0, m, PANEL):
-        if len(pivots) == n:
-            break
-        chunk = a[s : s + PANEL]
-        if pivots:
-            chunk = _mod(chunk - _product(chunk[:, pivots], basis, p), p)
-        _, found = rref(chunk.T, p)
-        if not found:
-            continue
-        picked.extend(s + i for i in found)
-        new, cols = rref(chunk[list(found)], p)
-        cols = list(cols)
-        if pivots:
-            basis = _mod(basis - _product(basis[:, cols], new, p), p)
-        basis = np.concatenate([basis, new])
-        pivots.extend(cols)
-    return picked
-
-
 class Echelon:
     """Incrementally built reduced row echelon basis over GF(p).
 
     Every stored row stays reduced against all the others, so testing
     or absorbing one more vector costs a single vector-matrix product
     instead of a fresh elimination of the whole stack. Useful when a
-    span is grown one candidate at a time, as in ideal membership
-    checks; a whole family known at once goes through independent_rows.
+    span is grown one candidate at a time.
 
     The rows live in a buffer whose capacity doubles when it fills, so
     absorbing a vector does not copy the rows already stored.

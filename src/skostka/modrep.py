@@ -116,21 +116,16 @@ class SignedPermModule:
         self.perms = perms
         self.signs = signs
 
-    def generator_matrix(self, i):
-        a = np.zeros((self.dim, self.dim), dtype=np.int64)
-        a[self.perms[i], np.arange(self.dim)] = self.signs[i] % self.p
-        return a
 
-
-def build_module(ab, p, cap=DIM_CAP):
+def build_module(ab, p):
     """Construct M(alpha|beta) over GF(p) with its generator actions."""
     check_odd_prime(p)
     alpha, beta = tuple(ab[0]), tuple(ab[1])
     if any(x < 0 for x in alpha + beta):
         raise ValueError("negative entries in the content pair")
     dim = module_dimension((alpha, beta))
-    if dim > cap:
-        raise DimensionCapError(dim, cap)
+    if dim > DIM_CAP:
+        raise DimensionCapError(dim, DIM_CAP)
     n = size(alpha) + size(beta)
     r = len(alpha)
     words = _multiset_words(alpha + beta)
@@ -850,225 +845,6 @@ def modules_isomorphic(u, v, seed=0):
                 unused.pop(i)
                 break
         else:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# algebra structure: the Jacobson radical
-
-
-def _independent(mats, p):
-    """Subset of mats forming a basis of their span, keeping order."""
-    mats = [np.asarray(m, dtype=np.int64) % p for m in mats]
-    if not mats:
-        return []
-    keep = gfp.independent_rows(np.stack([m.ravel() for m in mats]), p)
-    return [mats[i] for i in keep]
-
-
-def _combine(rows, mats, p):
-    """Matrices formed by coefficient rows over a matrix list."""
-    out = []
-    shape = mats[0].shape
-    for row in rows:
-        acc = np.zeros(shape, dtype=np.int64)
-        for c, m in zip(row, mats):
-            if c:
-                acc = (acc + int(c) * m) % p
-        out.append(acc)
-    return out
-
-
-def _lift_power_trace(x, y, k, p):
-    """tr((xy)^(p^k)) of the integer lifts, reduced mod p^(k+1)."""
-    mod = p ** (k + 1)
-    w = np.matmul(x % mod, y % mod) % mod
-    out = np.eye(w.shape[0], dtype=np.int64)
-    q = p**k
-    while q:
-        if q & 1:
-            out = np.matmul(out, w) % mod
-        w = np.matmul(w, w) % mod
-        q >>= 1
-    return int(np.trace(out) % mod)
-
-
-def _trace_chain(basis, p, d):
-    """Iterated kernels of p-adically lifted trace forms; contains the radical.
-
-    Step k keeps the x of the previous piece with tr((xy)^(p^k)) = 0
-    mod p^(k+1) for every y of the previous piece, traces taken on
-    integer lifts. A radical x passes every step with any lift: xy is
-    nilpotent mod p, so every elementary symmetric function of the lift
-    is divisible by p and the Waring expansion of the power sum has
-    p-adic valuation at least k+1 in each term. The divided trace is
-    only biadditive when both arguments satisfy the previous
-    conditions, which is why the second argument shrinks along with the
-    first. The certification in radical() checks the reverse inclusion.
-    """
-    cur = basis
-    k = 0
-    while p**k <= d and cur:
-        unit = p**k
-        gram = np.zeros((len(cur), len(cur)), dtype=np.int64)
-        for i, x in enumerate(cur):
-            for j, y in enumerate(cur):
-                t = _lift_power_trace(x, y, k, p)
-                if t % unit:
-                    raise IntegrityError("trace value off the p-adic grid")
-                gram[i, j] = (t // unit) % p
-        null = gfp.nullspace(gram, p)
-        cur = _independent(_combine(null, cur, p), p) if len(null) else []
-        k += 1
-    return cur
-
-
-def radical(mats, p):
-    """Basis of the Jacobson radical of the algebra spanned by mats.
-
-    mats must span a subalgebra of a matrix algebra over GF(p), closed
-    under products and containing the identity in its span. The
-    candidate from the trace chain is certified before returning: it
-    must be a two-sided ideal, nilpotent, and the chain must vanish on
-    the quotient; together these pin it as exactly the radical.
-    """
-    check_odd_prime(p)
-    basis = _independent(list(mats), p)
-    if not basis:
-        return []
-    d = basis[0].shape[0]
-    rad = _trace_chain(basis, p, d)
-    rad_span = gfp.Echelon(p)
-    for r in rad:
-        rad_span.add(r.ravel())
-    for a in basis:
-        for r in rad:
-            for prod in (gfp.matmul(a, r, p), gfp.matmul(r, a, p)):
-                if not rad_span.contains(prod.ravel()):
-                    raise IntegrityError("radical candidate is not an ideal")
-    power = rad
-    while power:
-        square = _independent(
-            (gfp.matmul(x, r, p) for x in power for r in power), p
-        )
-        if len(square) == len(power):
-            raise IntegrityError("radical candidate is not nilpotent")
-        power = square
-    quot = _Quotient(basis, rad, p)
-    if quot.dim:
-        if p**quot.dim <= 30000:
-            if not _quotient_semisimple_brute(quot):
-                raise IntegrityError(
-                    "quotient by the candidate is not semisimple"
-                )
-        else:
-            left = _independent(_left_tables(quot), p)
-            if _trace_chain(left, p, quot.dim):
-                raise IntegrityError(
-                    "quotient by the candidate is not semisimple"
-                )
-    return rad
-
-
-class _Quotient:
-    """The algebra modulo a spanned ideal, through chosen representatives."""
-
-    def __init__(self, basis, rad, p):
-        self.p = p
-        d = basis[0].shape[0]
-        self._d = d
-        flat_rad = [m.ravel() for m in rad]
-        span = gfp.Echelon(p)
-        for v in flat_rad:
-            span.add(v)
-        reps = [m % p for m in basis if span.add(m.ravel())]
-        self.reps = reps
-        self.dim = len(reps)
-        self.n_rad = len(flat_rad)
-        all_rows = flat_rad + [m.ravel() for m in reps]
-        self._stack_t = (
-            (np.vstack(all_rows) % p).T
-            if all_rows
-            else np.zeros((d * d, 0), dtype=np.int64)
-        )
-
-    def coords(self, m):
-        """Coordinates in the representative part, radical part dropped."""
-        sol = gfp.solve(self._stack_t, np.asarray(m).ravel() % self.p, self.p)
-        if sol is None:
-            raise IntegrityError("element outside the algebra span")
-        return sol[self.n_rad :] % self.p
-
-    def rep(self, coords):
-        out = np.zeros((self._d, self._d), dtype=np.int64)
-        for c, m in zip(coords, self.reps):
-            if c:
-                out = (out + int(c) * m) % self.p
-        return out
-
-    def mul(self, ca, cb):
-        return self.coords(gfp.matmul(self.rep(ca), self.rep(cb), self.p))
-
-
-def _left_tables(q):
-    """Left multiplication operators of the quotient basis."""
-    eye = np.eye(q.dim, dtype=np.int64)
-    tables = []
-    for i in range(q.dim):
-        cols = [q.mul(eye[i], eye[j]) for j in range(q.dim)]
-        tables.append(np.stack(cols, axis=1) % q.p)
-    return tables
-
-
-def _right_tables(q):
-    eye = np.eye(q.dim, dtype=np.int64)
-    tables = []
-    for j in range(q.dim):
-        cols = [q.mul(eye[i], eye[j]) for i in range(q.dim)]
-        tables.append(np.stack(cols, axis=1) % q.p)
-    return tables
-
-
-def _quotient_semisimple_brute(q):
-    """Exactly decide whether the quotient has zero radical.
-
-    Enumerates every element up to scalars in multiplication-table
-    coordinates; the radical is nonzero precisely when some nonzero
-    element generates a nilpotent two-sided ideal. Used only when
-    p^dim is small enough to sweep.
-    """
-    p = q.p
-    left = _left_tables(q)
-    right = _right_tables(q)
-    for coeffs in np.ndindex(*(p,) * q.dim):
-        vec = np.array(coeffs, dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        if len(nz) == 0 or vec[nz[0]] != 1:
-            continue
-        ideal = [vec]
-        while True:
-            new = list(ideal)
-            for v in ideal:
-                for tab in left:
-                    new.append(tab @ v % p)
-                for tab in right:
-                    new.append(tab @ v % p)
-            new = _independent(new, p)
-            if len(new) == len(ideal):
-                break
-            ideal = new
-        power = ideal
-        for _ in range(len(ideal) + 1):
-            if not power:
-                break
-            nxt = []
-            for z in power:
-                lz = sum(int(c) * tab for c, tab in zip(z, left)) % p
-                for w in ideal:
-                    nxt.append(lz @ w % p)
-            power = _independent(nxt, p)
-        if not power:
             return False
     return True
 

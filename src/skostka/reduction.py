@@ -424,75 +424,3 @@ def nonzero_witness(ab, x, p):
     return bool(enumerate_lambda_supp((alpha, ()), (lam, ()), p)) and bool(
         enumerate_lambda_supp((beta, ()), (scale(p, mu), ()), p)
     )
-
-
-def steinberg_sum(ab, x, oracle):
-    """The reduction sum taken over the full level-tuple set.
-
-    Factors are evaluated as zero on any size or dominance failure; the
-    result equals signed_kostka(ab, x), which sums over the supported
-    subset only.
-    """
-    p = oracle.p
-    alpha, beta = tuple(ab[0]), tuple(ab[1])
-    lam, mu = tuple(x[0]), tuple(x[1])
-    counts = rho_of(lam, mu, p)
-    lam_digits = p_adic_expansion(lam, p)
-    mu_digits = p_adic_expansion(mu, p)
-    lam0 = lam_digits[0] if lam_digits else ()
-
-    def base(gd, dd, target):
-        if sum(gd) + sum(dd) != size(target):
-            return 0
-        g, d = wp(gd), wp(dd)
-        if not dominates_pair((target, ()), (g, d)):
-            return 0
-        return oracle.projective_signed((g, d), target)
-
-    def plain(gd, target):
-        if sum(gd) != size(target):
-            return 0
-        g = wp(gd)
-        if size(target) and not dominates(target, g):
-            return 0
-        return oracle.projective_signed((g, ()), target)
-
-    total = 0
-    for gam, dlt in enumerate_lambda((alpha, beta), counts, p):
-        term = base(gam[0], dlt[0], lam0) if counts else 1
-        for i in range(1, len(counts)):
-            if term == 0:
-                break
-            li = lam_digits[i] if i < len(lam_digits) else ()
-            mi = mu_digits[i - 1] if i - 1 < len(mu_digits) else ()
-            term *= plain(gam[i], li)
-            if term:
-                term *= plain(dlt[i], mi)
-        total += term
-    return total
-
-
-class DictOracle:
-    """Oracle backed by an explicit table of base multiplicities.
-
-    values maps ((alpha, beta), lam0) with both sides wp-normalized to an
-    integer. Intended for tests against published values.
-    """
-
-    def __init__(self, p, values):
-        check_odd_prime(p)
-        self.p = p
-        self.values = dict(values)
-
-    def projective_signed(self, ab, lam0):
-        alpha, beta = wp(ab[0]), wp(ab[1])
-        lam0 = tuple(lam0)
-        if not is_p_restricted(lam0, self.p) and lam0 != ():
-            raise ValueError("base label must be p-restricted")
-        if size(alpha) + size(beta) != size(lam0):
-            return 0
-        if not dominates_pair((lam0, ()), (alpha, beta)):
-            return 0
-        if alpha == lam0 and beta == ():
-            return 1
-        return self.values[((alpha, beta), lam0)]

@@ -372,6 +372,29 @@ def test_iso_disagreement_exit_code(capsys, monkeypatch):
     assert code == 2 and "disagree" in err
 
 
+def test_iso_refusals_print_no_verdict(capsys):
+    # a bad prime or an oversized module is refused before the
+    # combinatorial verdict is printed
+    code, out, err = run(
+        ["iso", "--pair1", "2,1|1", "--pair2", "2,1,1|-", "--modular-check", "9"],
+        capsys,
+    )
+    assert code == 1 and out == "" and "odd prime" in err
+    code, out, err = run(
+        [
+            "iso",
+            "--pair1",
+            "1,1,1,1,1,1,1|-",
+            "--pair2",
+            "2,1,1,1,1,1|-",
+            "--modular-check",
+            "3",
+        ],
+        capsys,
+    )
+    assert code == 3 and out == "" and "5040" in err
+
+
 def test_verify_small_suites(capsys):
     code, out, _ = run(
         ["verify", "--suite", "tableaux", "--n", "4", "--p", "3"], capsys

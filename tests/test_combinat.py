@@ -8,7 +8,6 @@ from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
     cmp_total,
-    concat,
     conjugate,
     digit,
     dominates,
@@ -21,12 +20,10 @@ from skostka.combinat import (
     is_partition,
     mullineux,
     p_adic_expansion,
-    p_core,
     partitions_of,
     pointwise_add,
     pointwise_sub,
     rho_of,
-    rho_partition,
     scale,
     top_cut,
     total_key,
@@ -93,7 +90,8 @@ def p_core_bruteforce(lam, p):
 def test_wp_and_concat():
     assert wp((0, 3, 1, 3)) == (3, 3, 1)
     assert wp(()) == ()
-    assert concat((3, 1), (2, 2)) == (3, 2, 2, 1)
+    # a # b, the juxtaposition of two partitions, re-sorted
+    assert wp((3, 1) + (2, 2)) == (3, 2, 2, 1)
     with pytest.raises(ValueError):
         wp((1, -1))
 
@@ -195,9 +193,7 @@ def test_restricted_reading():
 
 def test_rho_of():
     assert rho_of((2, 2, 1, 1), (2, 1), 3) == (6, 3)
-    assert rho_partition((6, 3), 3) == (3, 3, 3, 1, 1, 1, 1, 1, 1)
     assert rho_of((6,), (), 3) == (0, 2)
-    assert rho_partition((0, 2), 3) == (3, 3)
     assert rho_of((), (), 3) == ()
 
 
@@ -270,24 +266,10 @@ def test_dominant_block_lemma():
 # --- p-core ------------------------------------------------------------------
 
 
-def test_p_core_examples():
-    assert p_core((2, 2, 1, 1), 3) == (2, 2, 1, 1)
-    assert p_core((4, 1, 1), 3) == ()
-    assert p_core((6,), 3) == ()
-    assert p_core((), 3) == ()
-
-
-def test_p_core_bruteforce():
-    for p in (3, 5):
-        for n in range(0, 11):
-            for lam in partitions_of(n):
-                assert p_core(lam, p) == p_core_bruteforce(lam, p), (lam, p)
-
-
 def test_core_vs_digit_predicate_disagree():
     # (4,1,1) at p=3: empty 3-core but nonempty zeroth digit
     lam = (4, 1, 1)
-    assert p_core(lam, 3) == ()
+    assert p_core_bruteforce(lam, 3) == ()
     assert digit(lam, 3, 0) == (1, 1, 1) != ()
 
 

@@ -10,7 +10,6 @@ from skostka.gfp import (
     nullspace,
     rank,
     rref,
-    solve,
 )
 
 
@@ -23,16 +22,6 @@ def test_nullspace_1x2():
     ns = nullspace(np.array([[1, 1]]), 3)
     assert ns.shape == (1, 2)
     assert tuple(ns[0]) == (1, 2)
-
-
-def test_solve_scalar():
-    x = solve(np.array([[2]]), np.array([1]), 3)
-    assert x is not None and x[0] == 2
-
-
-def test_solve_inconsistent():
-    a = np.array([[1, 1], [1, 1]])
-    assert solve(a, np.array([1, 2]), 5) is None
 
 
 def test_inverse_singular():
@@ -77,11 +66,6 @@ def test_randomized_algebra():
                 assert np.array_equal(matmul(sq, inv, p), identity(k))
             else:
                 assert rank(sq, p) < k
-            x = rng.integers(0, p, size=m)
-            bvec = matmul(a, x, p)
-            y = solve(a, bvec, p)
-            assert y is not None
-            assert np.array_equal(matmul(a, y, p), bvec)
 
 
 def test_echelon_matches_stack_rank():

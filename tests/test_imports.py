@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import skostka
-from skostka import modrep
+from skostka import gfp, modrep
 
 SRC = str(Path(skostka.__file__).resolve().parents[1])
 
@@ -54,7 +54,6 @@ PUBLIC = [
     "pieri_expand",
     "product_formula",
     "projective_oracle",
-    "radical",
     "reduction",
     "rowcut_lower_bound",
     "sign_twist_label",
@@ -73,14 +72,15 @@ def test_public_api_resolves():
 
 
 def test_fitting_splitting_is_the_only_decomposition():
-    # the Wedderburn-component and idempotent-lifting route is gone from
-    # the package namespace, from modrep and from its quotient algebra
+    # the Wedderburn-component and idempotent-lifting route and the
+    # Jacobson-radical stack are gone from the package namespace and from
+    # modrep, and so are the GF(p) routines only the radical stack used
     removed = re.compile(
         "wedder|idempot|eigen_split|residue_degree|center_rows|component_data"
-        "|matrix_power",
+        "|matrix_power|radical|quotient|trace_chain|lift_power_trace"
+        "|independent|combine|left_tables|right_tables",
         re.IGNORECASE,
     )
     for mod in (skostka, modrep):
         assert [n for n in dir(mod) if removed.search(n)] == []
-    public = [n for n in vars(modrep._Quotient) if not n.startswith("_")]
-    assert public == ["coords", "rep", "mul"]
+    assert [n for n in dir(gfp) if re.search("solve|independent_rows", n)] == []

@@ -19,14 +19,11 @@ def engine(p=P):
     return _ENGINES[p]
 
 
-def eijs(n):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            m = np.zeros((n, n), dtype=np.int64)
-            m[i, j] = 1
-            out.append(m)
-    return out
+def generator_matrix(m, i):
+    """The dense matrix of generator i acting on the basis words of m."""
+    a = np.zeros((m.dim, m.dim), dtype=np.int64)
+    a[m.perms[i], np.arange(m.dim)] = m.signs[i] % m.p
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +57,7 @@ def test_same_d_block_transposition_negates():
     m = modrep.build_module(((), (3,)), P)
     assert m.dim == 1
     for i in range(2):
-        a = m.generator_matrix(i)
+        a = generator_matrix(m, i)
         assert a.tolist() == [[P - 1]]
 
 
@@ -92,7 +89,7 @@ def test_generator_relations_exhaustive():
 def test_generator_matrix_matches_word_encoding():
     m = modrep.build_module(((2, 1), (1,)), P)
     for i in range(m.n - 1):
-        a = m.generator_matrix(i)
+        a = generator_matrix(m, i)
         for j in range(m.dim):
             col = np.zeros(m.dim, dtype=np.int64)
             col[m.perms[i][j]] = m.signs[i][j] % P
@@ -100,14 +97,11 @@ def test_generator_matrix_matches_word_encoding():
 
 
 def test_dimension_cap():
-    with pytest.raises(modrep.DimensionCapError):
-        modrep.build_module(((1,) * 8, ()), P, cap=20000)
-    err = None
-    try:
-        modrep.build_module(((1,) * 6, ()), P, cap=100)
-    except modrep.DimensionCapError as e:
-        err = e
-    assert err is not None and err.dim == 720 and err.cap == 100
+    # M(1^7) has dimension 5040, over the cap, and is refused before any
+    # basis word is built
+    with pytest.raises(modrep.DimensionCapError) as info:
+        modrep.build_module(((1,) * 7, ()), P)
+    assert info.value.dim == 5040 and info.value.cap == modrep.DIM_CAP
 
 
 def test_even_prime_rejected():
@@ -137,8 +131,8 @@ def test_hom_basis_elements_intertwine():
     assert basis
     for x in basis:
         for g in range(m.n - 1):
-            a = m.generator_matrix(g)
-            b = n_mod.generator_matrix(g)
+            a = generator_matrix(m, g)
+            b = generator_matrix(n_mod, g)
             assert (gfp.matmul(x, a, P) == gfp.matmul(b, x, P)).all()
 
 
@@ -208,7 +202,7 @@ def hom_dim_kernel(m, n_mod):
     da, db = m.dim, n_mod.dim
     basis = np.eye(da * db, dtype=np.int64)
     for g in range(len(m.perms)):
-        a_g, b_g = m.generator_matrix(g), n_mod.generator_matrix(g)
+        a_g, b_g = generator_matrix(m, g), generator_matrix(n_mod, g)
         mats = basis.reshape(-1, db, da)
         images = np.stack(
             [(gfp.matmul(b_g, x, p) - gfp.matmul(x, a_g, p)) % p for x in mats]
@@ -296,99 +290,6 @@ def test_poly_eval_matrix_against_horner(p):
 
 
 # ---------------------------------------------------------------------------
-# the Jacobson radical
-
-
-def test_radical_dimension_fixtures():
-    full = eijs(2)
-    assert modrep.radical(full, P) == []
-    upper = [full[0], full[1], full[3]]
-    assert len(modrep.radical(upper, P)) == 1
-    m = modrep.build_module(((1, 1, 1), ()), P)
-    rad = modrep.radical(modrep.hom_basis(m, m), P)
-    assert len(rad) == 4
-
-
-def brute_radical_dim(basis, p):
-    """Largest nilpotent ideal by sweeping all elements, for tiny algebras."""
-    stack_t = np.stack([b.ravel() for b in basis]).T % p
-
-    def coords(m):
-        c = gfp.solve(stack_t, m.ravel() % p, p)
-        assert c is not None
-        return c
-
-    k = len(basis)
-    left = []
-    right = []
-    for i in range(k):
-        lcols = [coords(gfp.matmul(basis[i], basis[j], p)) for j in range(k)]
-        rcols = [coords(gfp.matmul(basis[j], basis[i], p)) for j in range(k)]
-        left.append(np.stack(lcols, axis=1) % p)
-        right.append(np.stack(rcols, axis=1) % p)
-    found = []
-    for coeffs in np.ndindex(*(p,) * k):
-        vec = np.array(coeffs, dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        if len(nz) == 0 or vec[nz[0]] != 1:
-            continue
-        ideal = [vec]
-        while True:
-            new = list(ideal)
-            for v in ideal:
-                for t in left:
-                    new.append(t @ v % p)
-                for t in right:
-                    new.append(t @ v % p)
-            new = modrep._independent(new, p)
-            if len(new) == len(ideal):
-                break
-            ideal = new
-        power = ideal
-        for _ in range(len(ideal) + 1):
-            if not power:
-                break
-            nxt = []
-            for z in power:
-                lz = sum(int(c) * t for c, t in zip(z, left)) % p
-                for w in ideal:
-                    nxt.append(lz @ w % p)
-            power = modrep._independent(nxt, p)
-        if not power:
-            found.append(vec)
-    return len(modrep._independent(found, p)) if found else 0
-
-
-def test_radical_against_brute_force():
-    cases = [
-        [m for k, m in enumerate(eijs(2))],
-        [eijs(2)[0], eijs(2)[1], eijs(2)[3]],
-    ]
-    for ab in [((2, 1), ()), ((2, 2), ()), ((2,), (2,)), ((1, 1), (1,))]:
-        m = modrep.build_module(ab, P)
-        cases.append(modrep.hom_basis(m, m))
-    for mats in cases:
-        basis = modrep._independent(mats, P)
-        assert len(modrep.radical(basis, P)) == brute_radical_dim(basis, P)
-
-
-@pytest.mark.parametrize("p", (3, 5, 7))
-def test_independent_matches_reference(p):
-    """_independent keeps, reduced and in order, the matrices that raise
-    the rank of one Echelon they are offered to."""
-    rng = np.random.default_rng(10 + p)
-    mats = list(gfp.matmul(rng.integers(0, p, (150, 3)),
-                           rng.integers(0, p, (3, 16)), p).reshape(150, 4, 4))
-    mats += [np.zeros((4, 4), dtype=np.int64), mats[7]]
-    span = gfp.Echelon(p)
-    want = [m % p for m in mats if span.add(m.ravel())]
-    got = modrep._independent(iter(mats), p)
-    assert len(got) == len(want) == 3
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert modrep._independent([], p) == []
-
-
-# ---------------------------------------------------------------------------
 # Fitting leaves
 
 
@@ -412,7 +313,7 @@ def test_leaf_summand_equivariance():
                     eye = np.eye(s.dim, dtype=np.int64)
                     assert (gfp.matmul(s.R, s.C, p) == eye).all(), (p, ab)
                     for g in range(len(m.perms)):
-                        ac = gfp.matmul(m.generator_matrix(g), s.C, p)
+                        ac = gfp.matmul(generator_matrix(m, g), s.C, p)
                         restricted = gfp.matmul(s.R, ac, p)
                         assert (ac == gfp.matmul(s.C, restricted, p)).all()
                     split += not s.whole
