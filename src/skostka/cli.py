@@ -459,6 +459,16 @@ def resolve_signed(args):
     return not args.plain
 
 
+def seed_value(text):
+    """argparse type of --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -479,7 +489,7 @@ def build_parser():
     m.add_argument(
         "--engine", choices=["direct", "reduction", "both"], default="direct"
     )
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=seed_value, default=0)
     m.add_argument("--cache-dir")
     m.set_defaults(func=cmd_matrix)
 
@@ -492,14 +502,14 @@ def build_parser():
     e.add_argument(
         "--method", choices=["reduction", "direct", "both"], default="reduction"
     )
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=seed_value, default=0)
     e.set_defaults(func=cmd_entry)
 
     d = sub.add_parser("decompose", help="print the labelled summands")
     d.add_argument("--p", type=int, required=True)
     d.add_argument("--alpha", required=True)
     d.add_argument("--beta", required=True)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=seed_value, default=0)
     d.set_defaults(func=cmd_decompose)
 
     t = sub.add_parser("tableaux", help="count signed tableaux")
@@ -513,7 +523,7 @@ def build_parser():
     i.add_argument("--pair1", required=True)
     i.add_argument("--pair2", required=True)
     i.add_argument("--modular-check", type=int, default=None, metavar="P")
-    i.add_argument("--seed", type=int, default=0)
+    i.add_argument("--seed", type=seed_value, default=0)
     i.set_defaults(func=cmd_iso)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -524,7 +534,7 @@ def build_parser():
     )
     v.add_argument("--n", type=int, default=6)
     v.add_argument("--p", type=int, default=3)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=seed_value, default=0)
     v.set_defaults(func=cmd_verify)
 
     return parser

@@ -23,13 +23,14 @@ sweep step must expose exactly one new class, so a misidentification
 cannot pass silently.
 
 Two modules or summands are compared by modules_isomorphic: dimension,
-trace fingerprint, a random invertible intertwiner, and last matching of
-indecomposable leaves by the same test. A True answer is exact; a False
-that reaches the random maps is Monte Carlo.
+the fixed-point dimensions of p-regular elements, a random invertible
+intertwiner, and last matching of indecomposable leaves by the same
+test. A True answer is exact, and so is a False from the first two; a
+False that reaches the random maps is Monte Carlo.
 """
 
 import weakref
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, isqrt
 
 import numpy as np
@@ -162,20 +163,46 @@ def _word_action(module, word):
     return perm, sign
 
 
-def _fingerprint_words(n):
-    """A fixed list of generator-index words used as trace probes."""
-    words = [tuple(range(k)) for k in range(1, n)]
-    for extra in (
-        (0, 2),
-        (0, 2, 4),
-        (0, 1, 3),
-        (0, 1, 3, 4),
-        (0, 2, 4, 6),
-        (0, 1, 3, 5),
-    ):
-        if extra and all(i < n - 1 for i in extra):
-            words.append(extra)
-    return words
+@lru_cache(maxsize=None)
+def _regular_class_words(n, p):
+    """One generator-index word per p-regular class of S_n but 1.
+
+    A class is a cycle type: a partition of n with no part divisible by
+    p. Its word multiplies the adjacent transpositions along runs of
+    consecutive points, one run of length k per part k, and so is a
+    product of disjoint cycles of that type.
+    """
+    words = []
+    for shape in enumerate_partitions(n):
+        if max(shape, default=1) == 1 or any(part % p == 0 for part in shape):
+            continue
+        word, start = [], 0
+        for part in shape:
+            word += range(start, start + part - 1)
+            start += part
+        words.append(tuple(word))
+    return tuple(words)
+
+
+def _fixed_dim(perm, sign):
+    """dim ker(g - 1) for the monomial action g: e_j -> sign[j] e_perm[j].
+
+    Each cycle of perm spans a g-invariant block, on which g to the
+    cycle length is the product of the signs around the cycle: +1 fixes
+    one line, and -1 fixes nothing as p is odd. So the answer is the
+    number of cycles whose sign product is +1. Every point walks its
+    cycle once, keeping the running sign product and the smallest point
+    passed; a cycle is counted at its smallest point.
+    """
+    idx = np.arange(len(perm))
+    cur, prod, low = perm, sign, perm
+    closed = np.where(cur == idx, prod, 0)
+    while not closed.all():
+        prod = prod * sign[cur]
+        cur = perm[cur]
+        low = np.minimum(low, cur)
+        closed = np.where((closed == 0) & (cur == idx), prod, closed)
+    return int(np.count_nonzero((low == idx) & (closed == 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +612,36 @@ class Summand:
         self._fp = None
 
     def fingerprint(self):
-        """Iso invariant: the dimension and traces of fixed word actions.
+        """Iso invariant: the dimension, and dim Fix(g) for one g of
+        each p-regular class but 1.
 
-        The trace of a word action on the summand equals the trace of
-        the monomial parent action against the projector C R, which
-        costs O(dim parent) per word once the projector is formed.
+        g has order prime to p, so it acts semisimply, and as every
+        class of S_n is rational these fixed-point dimensions determine
+        the Brauer character (by Moebius inversion over the cyclic
+        subgroups). So unequal fingerprints prove two summands
+        non-isomorphic, and equal ones agree in the trace mod p of
+        every group element. A whole module counts the +1 cycles of each
+        monomial action. A proper summand takes d - rank(g_x - 1) with
+        g_x = R P C; the signed row gather of C is the action of g^-1,
+        which fixes what g fixes, and all classes share one product.
         """
         if self._fp is None:
-            p = self.p
-            proj = self.C if self.whole else gfp.matmul(self.C, self.R, p)
-            traces = [int(np.trace(proj) % p)]
-            for word in _fingerprint_words(self.n):
-                perm, sign = _word_action(self.parent, word)
-                val = proj[np.arange(len(perm)), perm]
-                traces.append(int(np.dot(sign, val) % p))
-            self._fp = (self.dim, tuple(traces))
+            parent, p, d = self.parent, self.p, self.dim
+            actions = [
+                _word_action(parent, w) for w in _regular_class_words(self.n, p)
+            ]
+            fixed = []
+            if self.whole:
+                fixed = [_fixed_dim(perm, sign) for perm, sign in actions]
+            elif actions:
+                gathers = [sign[:, None] * self.C[perm] for perm, sign in actions]
+                g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
+                eye = np.eye(d, dtype=np.int64)
+                fixed = [
+                    d - gfp.rank(g_x[:, k * d : (k + 1) * d] - eye, p)
+                    for k in range(len(actions))
+                ]
+            self._fp = (d, tuple(fixed))
         return self._fp
 
 
@@ -792,6 +834,13 @@ def _leaves_of(s, rng):
     return per_module[key]
 
 
+def _check_seed(seed):
+    """Refuse a negative seed, which numpy's SeedSequence rejects only
+    once random numbers are first drawn."""
+    if seed < 0:
+        raise ValueError(f"the seed must be non-negative, got {seed}")
+
+
 def _as_summand(u):
     if isinstance(u, Summand):
         return u
@@ -807,15 +856,17 @@ def modules_isomorphic(u, v, seed=0):
     The paths, in order:
 
     1. dimension: unequal dimensions answer False;
-    2. fingerprint: traces of fixed group elements are iso invariants,
-       so unequal fingerprints answer False;
+    2. fingerprint: the dimensions of the fixed spaces of one element
+       of each p-regular class, which fix the Brauer character, are iso
+       invariants, so unequal fingerprints answer False;
     3. random invertible map: a random element of Hom(u, v) that is
        invertible answers True;
     4. leaf matching: every pair that 3 does not settle, the
-       non-isomorphic ones that pass 2 and the isomorphic decomposable
-       ones whose random maps were all singular. Each side is split into
-       indecomposable leaves, matched pairwise by 3, and the answer
-       follows from unique decomposition.
+       non-isomorphic ones that pass 2 (none among whole modules of
+       degree <= 6) and the isomorphic decomposable ones whose random
+       maps were all singular. Each side is split into indecomposable
+       leaves, matched pairwise by 3, and the answer follows from
+       unique decomposition.
 
     Only paths 3 and 4 draw random numbers. A True answer is exact: it
     comes with an invertible intertwiner, on the whole or leaf by leaf.
@@ -823,6 +874,7 @@ def modules_isomorphic(u, v, seed=0):
     leaves are accepted after rounds that refuse to split and matched by
     random maps.
     """
+    _check_seed(seed)
     a = _as_summand(u)
     b = _as_summand(v)
     if a.n != b.n or a.p != b.p:
@@ -878,6 +930,7 @@ class DirectEngine:
 
     def __init__(self, p, seed=0):
         check_odd_prime(p)
+        _check_seed(seed)
         self.p = p
         self.seed = seed
         self.registry = {}

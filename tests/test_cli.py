@@ -539,6 +539,27 @@ def test_verify_tableaux_fails_on_wrong_pieri(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "matrix --n 2 --p 3 --signed --engine direct --seed -5",
+        "entry --p 3 --alpha 1,1,1 --beta 3 --lambda 2,2,1,1 --mu - "
+        "--method reduction --seed -1",
+        "decompose --alpha 2,1 --beta - --p 3 --seed -1",
+        # equal fingerprints: the question gets as far as drawing random maps
+        "iso --pair1 2,1|- --pair2 2,1|- --modular-check 3 --seed -1",
+        "verify --suite iso --n 3 --p 3 --seed -1",
+    ],
+    ids=["matrix", "entry", "decompose", "iso", "verify"],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv.split())
+    out, err = capsys.readouterr()
+    assert e.value.code == cli.EXIT_USAGE and out == ""
+    assert "argument --seed: expected a non-negative integer" in err
+
+
 def test_bad_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["matrix", "--n", "2", "--p", "3", "--badflag"])

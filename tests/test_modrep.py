@@ -416,10 +416,91 @@ def test_leaf_count_mismatch_answers_false(monkeypatch):
     assert len(calls) > len(leaves)
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_fingerprint_separates_whole_modules(p):
+    """Over every module of degree <= 6, equal fingerprints exactly when
+    the modules are isomorphic."""
+    for n in range(0, 7):
+        pairs = enumerate_p2(n)
+        fps = [
+            modrep._as_summand(modrep.build_module(ab, p)).fingerprint()
+            for ab in pairs
+        ]
+        for i, ab in enumerate(pairs):
+            for j in range(i, len(pairs)):
+                want = tabx.iso_equivalent(ab, pairs[j])
+                assert (fps[i] == fps[j]) == want, (p, ab, pairs[j])
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_fingerprint_routes_agree(p):
+    """The rank route of a proper summand agrees with the cycle count of
+    the whole module: each module of degree <= 4 is also taken as a
+    summand whose inclusion is a permutation matrix."""
+    for n in range(2, 5):
+        for ab in enumerate_p2(n):
+            m = modrep.build_module(ab, p)
+            if m.dim == 1:
+                continue
+            perm = np.roll(np.eye(m.dim, dtype=np.int64), 1, axis=0)
+            s = modrep.Summand(m, perm, perm.T.copy())
+            assert not s.whole
+            assert s.fingerprint() == modrep._as_summand(m).fingerprint(), ab
+
+
+def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
+    """M(3,1,1) and M(1,1|3) share dimension 20 and their traces mod 3,
+    but not their fixed points: False with no Hom and no leaves."""
+    u = modrep.build_module(((3, 1, 1), ()), P)
+    v = modrep.build_module(((1, 1), (3,)), P)
+    assert u.dim == v.dim == 20
+
+    def refuse(*args):
+        raise AssertionError("reached past the fingerprint")
+
+    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    monkeypatch.setattr(modrep, "_leaves_of", refuse)
+    assert not modrep.modules_isomorphic(u, v)
+
+
+def test_leaf_matching_answers_false(monkeypatch):
+    """With the fingerprint cut down to the dimension, the same pair
+    goes through the random maps to leaf matching, which answers False."""
+    u = modrep.build_module(((3, 1, 1), ()), P)
+    v = modrep.build_module(((1, 1), (3,)), P)
+    real = modrep._leaves_of
+    calls = []
+
+    def leaves(s, rng):
+        calls.append(s)
+        return real(s, rng)
+
+    monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
+    monkeypatch.setattr(modrep, "_leaves_of", leaves)
+    assert not modrep.modules_isomorphic(u, v)
+    assert len(calls) == 2
+
+
+def test_negative_seed_refused(monkeypatch):
+    m = modrep.build_module(((2, 1), ()), P)
+
+    def refuse(*args):
+        raise AssertionError("work done before the seed was checked")
+
+    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    monkeypatch.setattr(modrep.Summand, "fingerprint", refuse)
+    with pytest.raises(ValueError, match="non-negative"):
+        modrep.modules_isomorphic(m, m, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        modrep.DirectEngine(P, seed=-1)
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_full_module_classification_matches_part_counts(seed):
-    # degree 5 holds the non-isomorphic pairs sharing a summand, which
-    # only leaf matching tells apart
+    # degree 5 holds the non-isomorphic pairs sharing a summand, such as
+    # M(3,1,1) and M(1,1|3) at p = 3, which the fixed-point fingerprint
+    # tells apart; test_leaf_matching_answers_false covers leaf matching
+    # on such a pair
     for n in range(0, 6):
         pairs = enumerate_p2(n)
         mods = {ab: modrep.build_module(ab, P) for ab in pairs}
