@@ -15,7 +15,6 @@ from pathlib import Path
 from . import checks, modrep, reduction, tabx
 from .checks import format_label
 from .combinat import (
-    check_odd_prime,
     enumerate_p2,
     enumerate_p2p,
     enumerate_partitions,
@@ -447,8 +446,10 @@ def cmd_verify(args):
 
 
 def check_prime(p):
+    """An odd prime that the direct engine can work over, else a usage
+    error."""
     try:
-        check_odd_prime(p)
+        modrep.check_prime(p)
     except ValueError as e:
         raise UsageError(str(e))
 

@@ -3,10 +3,16 @@
 Matrices are numpy int64 arrays with entries reduced mod p, passed around
 together with the modulus.
 
-Products go through float64 BLAS. That is exact while every inner product
-stays below 2**53, i.e. while inner_dim * (p-1)**2 < 2**53; the sizes used
-in this package are far below that bound, and the guard falls back to
-int64 arithmetic otherwise.
+A product runs through BLAS in the narrowest dtype in which it is exact,
+as in FFLAS-FFPACK. With entries in [0, p) and inner dimension k, every
+partial sum of an inner product is an integer of size at most
+k * (p-1)**2. A float with a t-bit significand represents every integer
+below 2**t exactly, and the sum or product of two such integers is
+rounded to itself when it stays below 2**t. So while k * (p-1)**2 <
+2**24 every step of a float32 product is exact, whatever order, blocking
+or fused multiply-add the BLAS kernel uses; float64 takes over below
+2**53, and int64 arithmetic below 2**63. Past that `product_dtype`
+raises instead of letting int64 wrap.
 
 `rref` is blocked Gauss-Jordan elimination, with its trailing updates
 done by BLAS products as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
@@ -15,8 +21,8 @@ nonzero row) on a copy of a panel of PANEL columns, which finds the
 panel's pivot rows and their pivot columns. The pivot rows are then
 multiplied by the inverse S^-1 of their block S at the pivot columns, and
 every other row with a nonzero in those columns is cleared by one product
-with them. Both products have inner dimension at most PANEL, so they stay
-exact under the guard above, and the Python loop only ever runs over a
+with them. Both products have inner dimension at most PANEL, so they run in
+float32 for every p below 2**9, and the Python loop only ever runs over a
 panel. A matrix at most two panels wide, and the last two panels' width
 of a wider one, run the pivot loop in place: there the products would
 cost more than they save.
@@ -51,13 +57,33 @@ def identity(k):
     return np.eye(k, dtype=np.int64)
 
 
+# every integer of absolute value below these is exact in the dtype, and
+# so is every sum and product of two of them that stays below it
+_EXACT_BELOW = ((np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**63))
+
+
+def product_dtype(inner, p):
+    """The narrowest dtype in which a product of inner dimension inner,
+    with entries in [0, p), is exact; OverflowError past int64."""
+    bound = inner * (p - 1) ** 2
+    for dtype, below in _EXACT_BELOW:
+        if bound < below:
+            return dtype
+    raise OverflowError(
+        f"a GF({p}) product of inner dimension {inner} would leave the "
+        f"exact range of int64"
+    )
+
+
 def _product(a, b, p):
-    """a @ b over the integers, for entries in [0, p): exact, unreduced."""
+    """a @ b over the integers, for entries in [0, p): exact, unreduced.
+
+    An operand already in the product's dtype is used without a copy."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[-1] * (p - 1) ** 2 < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a.astype(np.int64) @ b.astype(np.int64)
+    dtype = product_dtype(a.shape[-1], p)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64, copy=False)
 
 
 def matmul(a, b, p):

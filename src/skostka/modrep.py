@@ -51,6 +51,10 @@ from .combinat import (
 # 1260), so 2520^2 cells come to about 0.7 GB.
 HOM_BYTES_PER_CELL = 110
 DIM_CAP = 2520
+# The largest p for which every engine product is exact in float64: their
+# inner dimensions are at most DIM_CAP and their entries below p, so
+# DIM_CAP (p-1)^2 < 2^53. is_invertible's (p-1) p^2 then fits int64.
+PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
 MAX_NONSPLIT_ROUNDS = 30
 MAX_NONSPLIT_ROUNDS_BIG = 12
 ISO_RANDOM_TRIES = 24
@@ -72,6 +76,16 @@ class DimensionCapError(RuntimeError):
 
 class IntegrityError(RuntimeError):
     """Raised when decomposition bookkeeping reaches an impossible state."""
+
+
+def check_prime(p):
+    """Refuse p unless it is an odd prime at most PRIME_CAP."""
+    check_odd_prime(p)
+    if p > PRIME_CAP:
+        raise ValueError(
+            f"p = {p} is above {PRIME_CAP}: GF(p) products of modules up to "
+            f"dimension {DIM_CAP} would leave the exact range of float64"
+        )
 
 
 def module_dimension(ab):
@@ -120,7 +134,7 @@ class SignedPermModule:
 
 def build_module(ab, p):
     """Construct M(alpha|beta) over GF(p) with its generator actions."""
-    check_odd_prime(p)
+    check_prime(p)
     alpha, beta = tuple(ab[0]), tuple(ab[1])
     if any(x < 0 for x in alpha + beta):
         raise ValueError("negative entries in the content pair")
@@ -220,7 +234,9 @@ class HomBasis:
     [v_0, ..., v_{num-1}, -v_0, ..., -v_{num-1}, 0] built from the
     coefficients v of an element: k when the cell carries +1 times
     basis element k, num + k when it carries -1 times it, and 2 num
-    when the cell is forced to zero. An element is then one gather.
+    when the cell is forced to zero. An element is then one gather, made
+    in gfp.product_dtype of its larger side, so that its products on
+    either side take it without a copy.
     """
 
     def __init__(self, shape, index, num):
@@ -230,15 +246,20 @@ class HomBasis:
 
     def element(self, coeffs, p):
         v = np.asarray(coeffs, dtype=np.int64) % p
-        table = np.concatenate((v, (-v) % p, [0]))
+        dtype = gfp.product_dtype(max(self.shape), p)
+        table = np.empty(2 * self.num + 1, dtype=dtype)
+        table[: self.num] = v
+        table[self.num : -1] = (-v) % p
+        table[-1] = 0
         return table[self.index].reshape(self.shape)
 
     def sample(self, rng, p):
         return self.element(rng.integers(0, p, self.num), p)
 
     def matrices(self, p):
+        """The basis elements as int64 matrices."""
         eye = np.eye(self.num, dtype=np.int64)
-        return [self.element(eye[i], p) for i in range(self.num)]
+        return [self.element(eye[i], p).astype(np.int64) for i in range(self.num)]
 
 
 def _hom_orbits(m, n_mod):
@@ -317,53 +338,66 @@ def hom_basis(m, n_mod):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p), coefficient arrays ordered low degree first
+# polynomials over GF(p), coefficient lists of Python ints in [0, p), low
+# degree first, with no trailing zeros; [] is the zero polynomial
+
 
 def _poly_trim(c):
-    c = np.asarray(c, dtype=np.int64)
-    nz = np.nonzero(c)[0]
-    return c[: nz[-1] + 1] if len(nz) else c[:0]
+    """The list c without its trailing zeros."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
 
 
 def _poly_mul(a, b, p):
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return _poly_trim(np.convolve(a, b) % p)
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _poly_trim([x % p for x in out])
 
 
 def _poly_divmod(a, b, p):
-    a = _poly_trim(a).copy()
+    a = _poly_trim(a)
     b = _poly_trim(b)
-    if len(b) == 0:
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv = gfp._inv_scalar(b[-1], p)
-    q = np.zeros(max(len(a) - len(b) + 1, 0), dtype=np.int64)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = (a[-1] * inv) % p
-        q[k] = c
-        a[k : k + len(b)] = (a[k : k + len(b)] - c * b) % p
-        a = _poly_trim(a)
-    return q, a
+    inv = pow(b[-1], p - 2, p)
+    db = len(b) - 1
+    low = b[:db]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % p
+        if c:
+            q[k] = c
+            a[k : k + db] = [(x - c * y) % p for x, y in zip(a[k : k + db], low)]
+    return q, _poly_trim(a[:db])
 
 
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(a), _poly_trim(b)
-    while len(b):
+    while b:
         a, b = b, _poly_divmod(a, b, p)[1]
-    if len(a):
-        a = (a * gfp._inv_scalar(a[-1], p)) % p
-    return a
+    return _poly_monic(a, p) if a else a
 
 
 def _poly_lcm(a, b, p):
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
+    if not a or not b:
+        return []
     g = _poly_gcd(a, b, p)
     q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    if len(r):
+    if r:
         raise IntegrityError("the gcd does not divide the product")
-    return (q * gfp._inv_scalar(q[-1], p)) % p
+    return _poly_monic(q, p)
 
 
 def _poly_prod(polys, p):
@@ -373,115 +407,144 @@ def _poly_prod(polys, p):
 def _poly_invmod(a, f, p):
     """b with a b = 1 modulo f and deg b < deg f (extended Euclid).
 
-    Keeps s a = r modulo f along the remainder sequence of f and a; the
-    last nonzero remainder is their gcd, a nonzero constant exactly when
-    a and f are coprime, and its s has degree below deg f. Raises
-    IntegrityError when they are not coprime.
+    a and f may be unreduced integer sequences. Keeps s a = r modulo f
+    along the remainder sequence of f and a; the last nonzero remainder
+    is their gcd, a nonzero constant exactly when a and f are coprime,
+    and its s has degree below deg f. Raises IntegrityError when they
+    are not coprime.
     """
-    r0 = _poly_trim(np.asarray(f, dtype=np.int64) % p)
-    r1 = _poly_divmod(np.asarray(a, dtype=np.int64) % p, r0, p)[1]
-    s0, s1 = np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
-    while len(r1):
+    r0 = _poly_trim([int(x) % p for x in f])
+    r1 = _poly_divmod([int(x) % p for x in a], r0, p)[1]
+    s0, s1 = [], [1]
+    while r1:
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
     if len(r0) != 1:
         raise IntegrityError("no inverse modulo a polynomial sharing a factor")
-    return (s0 * gfp._inv_scalar(r0[0], p)) % p
+    inv = pow(r0[0], p - 2, p)
+    return [x * inv % p for x in s0]
 
 
-def _poly_eval_matrix(coeffs, z, p):
+class _Powers:
+    """z, z^2, ... over GF(p), each product taken once, when first asked.
+
+    z is reduced and held in the dtype of its products, so that neither
+    the powers nor a Krylov step converts it again.
+    """
+
+    def __init__(self, z, p):
+        z = gfp.normalize(z, p)
+        self.p = p
+        self.z = z.astype(gfp.product_dtype(z.shape[0], p), copy=False)
+        self._table = [None, z]
+
+    def __len__(self):
+        return len(self._table)
+
+    def __getitem__(self, k):
+        while len(self._table) <= k:
+            self._table.append(gfp.matmul(self._table[-1], self.z, self.p))
+        return self._table[k]
+
+
+def _poly_eval_matrix(coeffs, powers):
     """coeffs(z) by square-root blocking, few matrix products.
 
-    The coefficients are cut into blocks of s; each block is summed from
-    the powers z, ..., z^(s-1), and the blocks are combined by Horner's
-    rule in z^s. No product is taken with the identity or with zero.
+    powers is the _Powers table of z. The coefficients are cut into
+    blocks of s, at least the square root of their number and at most
+    the powers the table already holds; each block is summed from the
+    powers z, ..., z^(s-1), and the blocks are combined by Horner's rule
+    in z^s. No product is taken with the identity or with zero.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    d = z.shape[0]
+    p = powers.p
+    coeffs = [int(c) % p for c in coeffs]
+    d = powers.z.shape[0]
     out = np.zeros((d, d), dtype=np.int64)
-    if len(coeffs) == 0:
+    if not coeffs:
         return out
-    s = isqrt(len(coeffs) - 1) + 1
-    powers = [None, gfp.normalize(z, p)]
-    for _ in range(s - 2):
-        powers.append(gfp.matmul(powers[-1], z, p))
+    s = max(isqrt(len(coeffs) - 1) + 1, min(len(powers) - 1, len(coeffs)))
     blocks = [coeffs[i : i + s] for i in range(0, len(coeffs), s)]
-    if len(blocks) > 1:
-        zs = gfp.matmul(powers[-1], z, p)
     diag = np.arange(d)
     for k, block in enumerate(reversed(blocks)):
         if k:
-            out = gfp.matmul(out, zs, p)
+            out = gfp.matmul(out, powers[s], p)
         # entries stay below s p^2 until the one reduction per block
         for e in range(1, len(block)):
             if block[e]:
-                out += int(block[e]) * powers[e]
-        out[diag, diag] += int(block[0])
+                out += block[e] * powers[e]
+        out[diag, diag] += block[0]
         gfp._mod(out, p)
     return out
 
 
 def _vector_minpoly(z, v, p):
-    """Monic minimal polynomial of z on the Krylov space of v."""
+    """Monic minimal polynomial of z on the Krylov space of v.
+
+    Reduces z^k v against the reduced earlier vectors, keeping with each
+    the coefficient list of the polynomial in z that produced it from v.
+    z is best given in the dtype of its products, as _Powers holds it,
+    so that no Krylov step converts it.
+    """
     d = z.shape[0]
     rows = []
     cur = np.asarray(v, dtype=np.int64) % p
-    combo = np.zeros(d + 2, dtype=np.int64)
-    combo[0] = 1
-    for _ in range(d + 1):
-        red = cur.copy()
-        cmb = combo.copy()
+    for k in range(d + 1):
+        red = cur
+        cmb = [0] * k + [1]
         for lead, row, rc in rows:
-            c = red[lead]
+            c = int(red[lead])
             if c:
                 red = (red - c * row) % p
-                cmb = (cmb - c * rc) % p
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            poly = _poly_trim(cmb)
-            return (poly * gfp._inv_scalar(poly[-1], p)) % p
+                cmb = _poly_sub(cmb, [c * x for x in rc], p)
+        nz = np.flatnonzero(red)
+        if not nz.size:
+            return _poly_monic(cmb, p)
         lead = int(nz[0])
-        inv = gfp._inv_scalar(red[lead], p)
-        rows.append((lead, (red * inv) % p, (cmb * inv) % p))
+        inv = pow(int(red[lead]), p - 2, p)
+        rows.append((lead, (red * inv) % p, [x * inv % p for x in cmb]))
         cur = gfp.matmul(z, cur[:, None], p)[:, 0]
-        combo = np.roll(combo, 1)
-        combo[0] = 0
     raise IntegrityError("Krylov iteration failed to close")
 
 
-def matrix_minpoly(z, p, rng):
-    """Monic minimal polynomial of the matrix z over GF(p)."""
+def matrix_minpoly(z, p, rng, powers=None):
+    """Monic minimal polynomial of the matrix z over GF(p).
+
+    The powers of z that the check m(z) = 0 takes are kept in powers,
+    the _Powers table of z, when one is given.
+    """
     d = z.shape[0]
     if d == 0:
-        return np.array([1], dtype=np.int64)
-    m = np.array([1], dtype=np.int64)
+        return [1]
+    if powers is None:
+        powers = _Powers(z, p)
+    m = [1]
     for _ in range(6):
         v = rng.integers(0, p, d)
         if not v.any():
             v[int(rng.integers(0, d))] = 1
-        m = _poly_lcm(m, _vector_minpoly(z, v, p), p)
-        if len(m) > 1 and not _poly_eval_matrix(m, z, p).any():
+        m = _poly_lcm(m, _vector_minpoly(powers.z, v, p), p)
+        if len(m) > 1 and not _poly_eval_matrix(m, powers).any():
             return m
     for j in range(d):
         v = np.zeros(d, dtype=np.int64)
         v[j] = 1
-        m = _poly_lcm(m, _vector_minpoly(z, v, p), p)
-        if not _poly_eval_matrix(m, z, p).any():
+        m = _poly_lcm(m, _vector_minpoly(powers.z, v, p), p)
+        if not _poly_eval_matrix(m, powers).any():
             return m
     raise IntegrityError("minimal polynomial did not annihilate the matrix")
 
 
 def _poly_sub(a, b, p):
-    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return _poly_trim(out % p)
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def _poly_powmod(a, e, f, p):
     """a^e modulo f, by repeated squaring."""
-    out = np.ones(1, dtype=np.int64)
+    out = [1]
     a = _poly_divmod(a, f, p)[1]
     while e:
         if e & 1:
@@ -504,7 +567,7 @@ def _squarefree(f, p):
     GF(p).
     """
     out = []
-    c = _poly_gcd(f, _poly_trim((f[1:] * np.arange(1, len(f))) % p), p)
+    c = _poly_gcd(f, _poly_trim([i * x % p for i, x in enumerate(f)][1:]), p)
     w = _poly_divmod(f, c, p)[0]
     mult = 1
     while len(w) > 1:
@@ -527,7 +590,7 @@ def _distinct_degree(f, p):
     x^(p^d) - x, and those of smaller degree are gone by step d.
     """
     out = []
-    x = np.array([0, 1], dtype=np.int64)
+    x = [0, 1]
     h = x
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
@@ -553,10 +616,9 @@ def _equal_degree(f, d, p, rng):
     if len(f) - 1 == d:
         return [f]
     e = (p**d - 1) // 2
-    one = np.ones(1, dtype=np.int64)
     while True:
-        a = _poly_trim(rng.integers(0, p, len(f) - 1))
-        g = _poly_gcd(f, _poly_sub(_poly_powmod(a, e, f, p), one, p), p)
+        a = _poly_trim(rng.integers(0, p, len(f) - 1).tolist())
+        g = _poly_gcd(f, _poly_sub(_poly_powmod(a, e, f, p), [1], p), p)
         if 1 < len(g) < len(f):
             return _equal_degree(g, d, p, rng) + _equal_degree(
                 _poly_divmod(f, g, p)[0], d, p, rng
@@ -564,7 +626,7 @@ def _equal_degree(f, d, p, rng):
 
 
 def _factor_poly(coeffs, p):
-    """Irreducible factorization [(coeff array, multiplicity)], sorted.
+    """Irreducible factorization [(coefficient list, multiplicity)], sorted.
 
     The factors are monic, each listed once, and sorted by degree and
     then by coefficients; constants have no factors. Squarefree, then
@@ -572,10 +634,10 @@ def _factor_poly(coeffs, p):
     step draws from its own fixed generator: the factors are unique, so
     the answer does not depend on the draws.
     """
-    f = _poly_trim(np.asarray(coeffs, dtype=np.int64) % p)
+    f = _poly_trim([int(c) % p for c in coeffs])
     if len(f) < 2:
         return []
-    f = (f * gfp._inv_scalar(f[-1], p)) % p
+    f = _poly_monic(f, p)
     if len(f) == 2:
         return [(f, 1)]
     rng = np.random.default_rng(0)
@@ -585,7 +647,7 @@ def _factor_poly(coeffs, p):
         for h, d in _distinct_degree(g, p)
         for q in _equal_degree(h, d, p, rng)
     ]
-    out.sort(key=lambda fm: (len(fm[0]), [int(x) for x in fm[0]]))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
 
@@ -621,19 +683,20 @@ class Summand:
         subgroups). So unequal fingerprints prove two summands
         non-isomorphic, and equal ones agree in the trace mod p of
         every group element. A whole module counts the +1 cycles of each
-        monomial action. A proper summand takes d - rank(g_x - 1) with
-        g_x = R P C; the signed row gather of C is the action of g^-1,
-        which fixes what g fixes, and all classes share one product.
+        monomial action, once per module. A proper summand takes
+        d - rank(g_x - 1) with g_x = R P C; the signed row gather of C is
+        the action of g^-1, which fixes what g fixes, and all classes
+        share one product.
         """
-        if self._fp is None:
-            parent, p, d = self.parent, self.p, self.dim
+        if self._fp is None and self.whole:
+            self._fp = _whole_fingerprint(self.parent)
+        elif self._fp is None:
+            p, d = self.p, self.dim
             actions = [
-                _word_action(parent, w) for w in _regular_class_words(self.n, p)
+                _word_action(self.parent, w) for w in _regular_class_words(self.n, p)
             ]
             fixed = []
-            if self.whole:
-                fixed = [_fixed_dim(perm, sign) for perm, sign in actions]
-            elif actions:
+            if actions:
                 gathers = [sign[:, None] * self.C[perm] for perm, sign in actions]
                 g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
                 eye = np.eye(d, dtype=np.int64)
@@ -643,6 +706,20 @@ class Summand:
                 ]
             self._fp = (d, tuple(fixed))
         return self._fp
+
+
+_whole_fp_cache = weakref.WeakKeyDictionary()
+
+
+def _whole_fingerprint(module):
+    """Summand.fingerprint of the whole module, computed once per module."""
+    if module not in _whole_fp_cache:
+        actions = [
+            _word_action(module, w) for w in _regular_class_words(module.n, module.p)
+        ]
+        fixed = tuple(_fixed_dim(perm, sign) for perm, sign in actions)
+        _whole_fp_cache[module] = (module.dim, fixed)
+    return _whole_fp_cache[module]
 
 
 def _is_whole(C, R):
@@ -663,17 +740,31 @@ def _split_once(z, p, rng):
     z, in particular under the group action, so they are direct
     summands of the node. Returns [(C_i, R_i)] in factor order, with
     R_i C_j = delta_ij I and z C_i = C_i (R_i z C_i); the kernels are
-    found by _projector_split.
+    found by _projector_split. The first projector is evaluated from the
+    powers of z that the minimal polynomial's check took, and the table
+    is dropped before the elimination.
     """
-    m = matrix_minpoly(z, p, rng)
+    powers = _Powers(z, p)
+    m = matrix_minpoly(z, p, rng, powers)
     factors = _factor_poly(m, p)
     if len(factors) < 2:
         return None
     parts = [_poly_prod([f] * mult, p) for f, mult in factors]
-    return _projector_split(z, parts, p)
+    proj = _crt_projector(parts, powers)
+    del powers
+    return _projector_split(z, parts, p, proj)
 
 
-def _projector_split(z, parts, p):
+def _crt_projector(parts, powers):
+    """E = e(z) for the first cut of _projector_split, from the _Powers
+    table of z."""
+    p = powers.p
+    half = len(parts) // 2
+    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
+    return _poly_eval_matrix(_poly_mul(h, _poly_invmod(h, g, p), p), powers)
+
+
+def _projector_split(z, parts, p, proj=None):
     """Blocks of z along coprime parts whose product annihilates z.
 
     The parts are cut into two halves with products g and h. The
@@ -686,12 +777,13 @@ def _projector_split(z, parts, p):
     identity on the free columns; so (I - E)[free] gives coordinates on
     it. As E commutes with z and R E = R, the first block R z C is
     R z[:, pivots], and the second is z[free] N. Each half recurses on
-    its block; blocks come out in the order of the parts.
+    its block; blocks come out in the order of the parts. E is formed by
+    _crt_projector unless given.
     """
     d = z.shape[0]
     half = len(parts) // 2
-    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
-    proj = _poly_eval_matrix(_poly_mul(h, _poly_invmod(h, g, p), p), z, p)
+    if proj is None:
+        proj = _crt_projector(parts, _Powers(z, p))
     r, pivots = gfp.rref(proj, p)
     pivots = list(pivots)
     k = len(pivots)
@@ -879,6 +971,7 @@ def modules_isomorphic(u, v, seed=0):
     b = _as_summand(v)
     if a.n != b.n or a.p != b.p:
         raise ValueError("iso test requires equal degree and prime")
+    check_prime(a.p)
     if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
     rng = np.random.default_rng(seed)
@@ -929,7 +1022,7 @@ class DirectEngine:
     """
 
     def __init__(self, p, seed=0):
-        check_odd_prime(p)
+        check_prime(p)
         _check_seed(seed)
         self.p = p
         self.seed = seed
@@ -1101,7 +1194,7 @@ def assemble_matrix(n, p, signed=True, engine=None, seed=0):
     module. Labels are (lam, mu) pairs; for the plain matrix mu is
     empty and the rows are the modules M(lam|empty).
     """
-    check_odd_prime(p)
+    check_prime(p)
     if engine is None:
         engine = DirectEngine(p, seed=seed)
     if signed:

@@ -565,3 +565,30 @@ def test_bad_flag_exits_one(capsys):
         cli.main(["matrix", "--n", "2", "--p", "3", "--badflag"])
     assert e.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "matrix --n 4 --p 1000000007 --signed --engine direct",
+        "matrix --n 4 --p 1890593 --engine reduction",
+        "entry --p 1000000007 --alpha 2,1 --beta - --lambda 3 --mu -",
+        "decompose --p 1000000007 --alpha 2,1 --beta -",
+        "iso --pair1 2,1|- --pair2 3|- --modular-check 1000000007",
+        "verify --suite blocks --n 3 --p 1000000007",
+    ],
+)
+def test_prime_above_cap_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    """A prime at which the engine's products would leave the exact
+    range exits 1 before any module is built or anything is cached."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the prime was checked")
+
+    monkeypatch.setattr(modrep, "build_module", refuse)
+    monkeypatch.setattr(modrep.DirectEngine, "__init__", refuse)
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, out, err = run(argv.split(), capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "exact range" in err
+    assert not any(tmp_path.iterdir())

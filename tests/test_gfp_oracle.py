@@ -1,8 +1,10 @@
-"""The blocked GF(p) elimination against the unblocked pivot loop.
+"""The blocked GF(p) elimination against the unblocked pivot loop, and
+products against Python integers.
 
 The reference functions below are the column-by-column elimination and
 the loops built on it, kept as the oracle: the reduced row echelon form
-is unique, so every result must agree with them bit for bit.
+is unique, so every result must agree with them bit for bit. Products
+are checked on each side of every boundary of the dtype ladder.
 """
 
 import numpy as np
@@ -201,3 +203,63 @@ def test_echelon_rows_match_rref(p):
                 continue
             order = np.argsort(ech.pivots)
             assert same(ech.rows[order], r[: len(piv)])
+
+
+# ---------------------------------------------------------------------------
+# products: the dtype ladder against Python integers
+
+# (p, k, dtype): a product of inner dimension k over GF(p) with every entry
+# p - 1 has inner product k (p-1)^2, one inner dimension below and above
+# each rung boundary: 256 * 256^2 = 2^24, 8 * (p-1)^2 just passes 2^53,
+# and 10 * (p-1)^2 passes 2^63
+LADDER = [
+    (257, 255, np.float32),
+    (257, 256, np.float64),
+    (257, 257, np.float64),
+    (33554467, 7, np.float64),
+    (33554467, 8, np.int64),
+    (33554467, 9, np.int64),
+    (1000000007, 9, np.int64),
+]
+
+
+def python_product(a, b, p):
+    (m, k), n = a.shape, b.shape[1]
+    a, b = a.tolist(), b.tolist()
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize("p, k, dtype", LADDER)
+def test_matmul_exact_at_rung_boundaries(p, k, dtype):
+    assert gfp.product_dtype(k, p) is dtype
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    b = np.full((k, 1), p - 1, dtype=np.int64)
+    got = gfp.matmul(a, b, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == python_product(a, b, p) == [[k % p]]
+    # an operand already in the product's dtype gives the same result
+    assert np.array_equal(gfp.matmul(a.astype(dtype), b.astype(dtype), p), got)
+
+
+@pytest.mark.parametrize("p", PRIMES + (257,))
+def test_matmul_random_against_python(p):
+    rng = np.random.default_rng(p)
+    for m, k, n in [(1, 1, 1), (3, 0, 4), (5, 7, 2), (40, 65, 33), (2, 300, 3)]:
+        a = rng.integers(0, p, (m, k))
+        b = rng.integers(0, p, (k, n))
+        assert gfp.matmul(a, b, p).tolist() == python_product(a, b, p)
+
+
+def test_matmul_refuses_past_int64():
+    p = 1000000007
+    assert gfp.product_dtype(9, p) is np.int64
+    with pytest.raises(OverflowError):
+        gfp.product_dtype(10, p)
+    a = np.full((12, 12), p - 1, dtype=np.int64)
+    with pytest.raises(OverflowError, match="exact range"):
+        gfp.matmul(a, a, p)
+    with pytest.raises(OverflowError):
+        gfp.matmul(np.full((1, 10), p - 1), np.full((10, 1), p - 1), p)

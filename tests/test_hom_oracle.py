@@ -14,7 +14,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from skostka import modrep
+from skostka import gfp, modrep
 from skostka.combinat import enumerate_p2
 
 PRIMES = (3, 5, 7)
@@ -74,6 +74,12 @@ def same(x, y):
     return x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
 
 
+def same_element(x, y, p):
+    """x, gathered in the dtype of its products, has the entries of y."""
+    dtype = gfp.product_dtype(max(x.shape), p)
+    return x.dtype == dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
 def module_pairs():
     for n in range(MAX_DEGREE + 1):
         labels = enumerate_p2(n)
@@ -105,7 +111,7 @@ def test_hom_encoding_against_orbit_coeff(p):
         for coeffs in draws:
             got = hom.element(coeffs, p)
             want = ref_element(orbit, coeff, shape, coeffs, p)
-            assert same(got, want), (ab, cd, coeffs)
+            assert same_element(got, want, p), (ab, cd, coeffs)
         got = hom.matrices(p)
         eye = np.eye(num, dtype=np.int64)
         assert len(got) == num
@@ -132,7 +138,7 @@ def test_sample_matches_reference_draw():
     orbit, coeff, num = ref_hom_orbits(m, m)
     got = hom.sample(np.random.default_rng(11), p)
     coeffs = np.random.default_rng(11).integers(0, p, num)
-    assert same(got, ref_element(orbit, coeff, hom.shape, coeffs, p))
+    assert same_element(got, ref_element(orbit, coeff, hom.shape, coeffs, p), p)
 
 
 def ref_index(orbit, coeff, num):

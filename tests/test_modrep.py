@@ -111,6 +111,37 @@ def test_even_prime_rejected():
         modrep.DirectEngine(2)
 
 
+def test_prime_above_cap_refused():
+    """Products of inner dimension DIM_CAP stay exact in float64 exactly
+    up to PRIME_CAP; a larger prime is refused before any work."""
+    from sympy import nextprime, prevprime
+
+    cap = modrep.PRIME_CAP
+    assert modrep.DIM_CAP * (cap - 1) ** 2 < 2**53 <= modrep.DIM_CAP * cap**2
+    assert (cap - 1) * cap**2 < 2**63
+    largest = prevprime(cap + 1)
+    # the float64 rung at the largest prime: semisimple, so M(2,1) is
+    # the sum of its two Specht modules
+    assert gfp.product_dtype(3, largest) is np.float64
+    assert modrep.decompose_labelled(((2, 1), ()), largest) == {
+        ((3,), ()): 1,
+        ((2, 1), ()): 1,
+    }
+    small = modrep.build_module(((1, 1), ()), P)
+    for p in (nextprime(cap), 1000000007):
+        with pytest.raises(ValueError, match="exact range"):
+            modrep.DirectEngine(p)
+        with pytest.raises(ValueError, match="exact range"):
+            modrep.build_module(((1, 1), ()), p)
+        with pytest.raises(ValueError, match="exact range"):
+            modrep.assemble_matrix(2, p)
+        forged = modrep.SignedPermModule(
+            small.ab, p, small.words, small.perms, small.signs
+        )
+        with pytest.raises(ValueError, match="exact range"):
+            modrep.modules_isomorphic(forged, forged)
+
+
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -237,21 +268,21 @@ def test_matrix_minpoly():
     z = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=np.int64)
     m = modrep.matrix_minpoly(z, P, rng)
     # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2 = x^3 + 2x^2 + 2x + 1 mod 3
-    assert m.tolist() == [1, 2, 2, 1]
+    assert m == [1, 2, 2, 1]
     factors = modrep._factor_poly(m, P)
     assert sorted((len(f) - 1, mult) for f, mult in factors) == [(1, 1), (1, 2)]
     nil = np.zeros((4, 4), dtype=np.int64)
     nil[0, 1] = nil[1, 2] = 1
     m2 = modrep.matrix_minpoly(nil, P, rng)
-    assert m2.tolist() == [0, 0, 0, 1]
+    assert m2 == [0, 0, 0, 1]
 
 
 def test_poly_lcm_checks_the_gcd(monkeypatch):
     # a "gcd" that does not divide the product is refused loudly, also
     # under python -O
-    monkeypatch.setattr(modrep, "_poly_gcd", lambda a, b, p: np.array([1, 1]))
+    monkeypatch.setattr(modrep, "_poly_gcd", lambda a, b, p: [1, 1])
     with pytest.raises(modrep.IntegrityError, match="gcd"):
-        modrep._poly_lcm(np.array([0, 1]), np.array([2, 1]), P)
+        modrep._poly_lcm([0, 1], [2, 1], P)
 
 
 def horner(coeffs, z, p):
@@ -279,14 +310,15 @@ def test_poly_eval_matrix_against_horner(p):
             for c in polys:
                 want = horner(c, z, p)
                 for mat in (z, z_wide):
-                    got = modrep._poly_eval_matrix(c, mat, p)
+                    got = modrep._poly_eval_matrix(c, modrep._Powers(mat, p))
                     assert got.dtype == np.int64 and got.shape == (d, d)
                     assert np.array_equal(got, want), (d, c.tolist())
     # the empty (zero) polynomial, a constant and a linear one, by hand
     z = np.array([[0, 1], [2, 1]], dtype=np.int64)
-    assert modrep._poly_eval_matrix([], z, p).tolist() == [[0, 0], [0, 0]]
-    assert modrep._poly_eval_matrix([2], z, p).tolist() == [[2, 0], [0, 2]]
-    assert modrep._poly_eval_matrix([1, 1], z, p).tolist() == [[1, 1], [2, 2]]
+    powers = modrep._Powers(z, p)
+    assert modrep._poly_eval_matrix([], powers).tolist() == [[0, 0], [0, 0]]
+    assert modrep._poly_eval_matrix([2], powers).tolist() == [[2, 0], [0, 2]]
+    assert modrep._poly_eval_matrix([1, 1], powers).tolist() == [[1, 1], [2, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +350,30 @@ def test_leaf_summand_equivariance():
                         assert (ac == gfp.matmul(s.C, restricted, p)).all()
                     split += not s.whole
     assert split > 50
+
+
+def float64_product(a, b, p):
+    """The product before the dtype ladder: both operands in float64."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape[-1] * (p - 1) ** 2 < 2**53
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("ab", [((1,) * 5, ()), ((2, 1, 1, 1), ())])
+def test_leaves_bit_identical_with_float64_products(ab, p, monkeypatch):
+    """Products in float32 give every leaf the bytes that products in
+    float64 give it: the same draws, splits and bases."""
+
+    def leaf_bytes():
+        _, leaves = fitting_leaves(ab, p, seed=11)
+        return [(s.C.dtype, s.C.shape, s.C.tobytes(), s.R.tobytes()) for s in leaves]
+
+    assert gfp.product_dtype(modrep.module_dimension(ab), p) is np.float32
+    want = leaf_bytes()
+    monkeypatch.setattr(gfp, "_product", float64_product)
+    got = leaf_bytes()
+    assert got == want and len(want) > 2
 
 
 def test_split_integrity_error_names_module_and_node(monkeypatch):
@@ -446,6 +502,30 @@ def test_fingerprint_routes_agree(p):
             s = modrep.Summand(m, perm, perm.T.copy())
             assert not s.whole
             assert s.fingerprint() == modrep._as_summand(m).fingerprint(), ab
+
+
+def test_whole_fingerprint_computed_once_per_module(monkeypatch):
+    """modules_isomorphic wraps each module in a new whole summand per
+    question; its fingerprint is counted once per module, and the cache
+    does not keep the module alive."""
+    import gc
+    import weakref
+
+    calls = []
+    fixed_dim = modrep._fixed_dim
+    monkeypatch.setattr(
+        modrep, "_fixed_dim", lambda *args: calls.append(1) or fixed_dim(*args)
+    )
+    mods = [modrep.build_module(ab, P) for ab in enumerate_p2(4)]
+    classes = len(modrep._regular_class_words(4, P))
+    for u in mods:
+        for v in mods:
+            modrep.modules_isomorphic(u, v)
+    assert len(calls) == classes * len(mods)
+    ref = weakref.ref(mods[0])
+    del mods, u, v
+    gc.collect()
+    assert ref() is None
 
 
 def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
