@@ -17,9 +17,8 @@ from .checks import format_label
 from .combinat import (
     enumerate_p2,
     enumerate_p2p,
-    enumerate_partitions,
     is_partition,
-    scale,
+    label_rows,
     size,
     total_key,
     wp,
@@ -146,13 +145,6 @@ def cache_dir(flag_value=None):
     return root / "skostka"
 
 
-def matrix_labels(n, p, signed):
-    """The labels of the degree-n matrix, in the fixed total order."""
-    if signed:
-        return enumerate_p2p(n, p)
-    return [(lam, ()) for lam in enumerate_partitions(n)]
-
-
 def cache_path(directory, n, p, signed):
     kind = "signed" if signed else "plain"
     return Path(directory) / f"kpm_{kind}_n{n}_p{p}.json"
@@ -175,7 +167,8 @@ def load_cache(path, n, p, signed, engine):
         return None
     if engine is not None and obj.get("engine") != engine:
         return None
-    if obj.get("labels") != [format_label(x, p) for x in matrix_labels(n, p, signed)]:
+    labels = label_rows(n, p, signed)[0]
+    if obj.get("labels") != [format_label(x, p) for x in labels]:
         return None
     try:
         return KostkaMatrix.from_json(obj)
@@ -226,8 +219,7 @@ def compute_matrix(n, p, signed, engine_name, seed):
     if engine_name == "direct":
         labels, mat = modrep.assemble_matrix(n, p, signed=signed, engine=eng)
         return labels, mat.tolist()
-    labels = matrix_labels(n, p, signed)
-    rows = [(lam, scale(p, mu)) for lam, mu in labels]
+    labels, rows = label_rows(n, p, signed)
     grid = [
         [reduction.signed_kostka(ab, x, eng) for x in labels] for ab in rows
     ]
@@ -390,8 +382,7 @@ def suite_fixtures(n, p, seed):
 
 
 def suite_reduction(n, p, seed):
-    labels = enumerate_p2p(n, p)
-    rows = [(lam, scale(p, mu)) for lam, mu in labels]
+    labels, rows = label_rows(n, p)
     return checks.cross_engine(rows, labels, direct_engine(p, seed))
 
 

@@ -381,3 +381,17 @@ def enumerate_p2p(n: int, p: int) -> list:
         s += 1
     out.sort(key=total_key)
     return out
+
+
+def label_rows(n: int, p: int, signed: bool = True) -> tuple:
+    """(labels, rows) of the degree-n matrix, in the fixed total order.
+
+    The signed labels are the pairs (lambda, mu) of enumerate_p2p, and
+    the row of (lambda, mu) is the module M(lambda | p mu). The plain
+    labels are (lambda, ()) for the partitions of n, each its own row.
+    """
+    if signed:
+        labels = enumerate_p2p(n, p)
+    else:
+        labels = [(lam, ()) for lam in enumerate_partitions(n)]
+    return labels, [(lam, scale(p, mu)) for lam, mu in labels]

@@ -9,8 +9,8 @@ group action costs O(dim) instead of a matrix product.
 
 Decomposition runs a Fitting-style splitting tree. Random equivariant
 endomorphisms are sampled by sandwiching random elements of End(M),
-computed once per module by sign-aware orbit analysis of basis pairs,
-between the tracked inclusion/projection maps of each node. The
+whose basis is read once per module off the contingency tables of basis
+pairs, between the tracked inclusion/projection maps of each node. The
 generalized kernels of the coprime factors of a minimal polynomial
 split a node; they are cut out by Chinese-remainder projectors,
 polynomials in the endomorphism, half of the factors at a time, and
@@ -29,8 +29,7 @@ test. A True answer is exact, and so is a False from the first two; a
 False that reaches the random maps is Monte Carlo.
 """
 
-import weakref
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial, isqrt
 
 import numpy as np
@@ -38,18 +37,17 @@ import numpy as np
 from . import gfp
 from .combinat import (
     check_odd_prime,
-    enumerate_p2p,
     enumerate_partitions,
     is_p_restricted,
-    scale,
+    label_rows,
     size,
     wp,
 )
 
 # Labelling the Hom orbits of End(M) peaks at about HOM_BYTES_PER_CELL
-# bytes per cell (101-109 measured by ru_maxrss at dimensions 720 and
-# 1260), so 2520^2 cells come to about 0.7 GB.
-HOM_BYTES_PER_CELL = 110
+# bytes per cell (26-28 measured by ru_maxrss at dimensions 720 and
+# 1260), so 2520^2 cells come to about 0.2 GB.
+HOM_BYTES_PER_CELL = 30
 DIM_CAP = 2520
 # The largest p for which every engine product is exact in float64: their
 # inner dimensions are at most DIM_CAP and their entries below p, so
@@ -130,6 +128,18 @@ class SignedPermModule:
         self.dim = len(words)
         self.perms = perms
         self.signs = signs
+
+    @cached_property
+    def end(self):
+        """End(M) as a HomBasis, labelled once per module."""
+        return _hom_orbits(self, self)
+
+    @cached_property
+    def summand(self):
+        """The whole module as a Summand, C = R = I, whose fingerprint
+        and leaves are then computed once per module."""
+        eye = np.eye(self.dim, dtype=np.int64)
+        return Summand(self, eye, eye)
 
 
 def build_module(ab, p):
@@ -229,8 +239,10 @@ class HomBasis:
     An intertwiner X (dim N rows, dim M columns) must satisfy
     X[k', j'] = signN[k] * signM[j] * X[k, j] whenever the generator
     action carries the cell (k, j) to (k', j'), so the space has one
-    basis element per sign-consistent orbit of cells, num in all. Each
-    cell stores one signed gather index into the table
+    basis element per orbit of cells that is not forced to zero, num in
+    all, numbered by their first cells in row-major order and +1 there
+    (_hom_orbits reads them off contingency tables). Each cell stores
+    one signed gather index into the table
     [v_0, ..., v_{num-1}, -v_0, ..., -v_{num-1}, 0] built from the
     coefficients v of an element: k when the cell carries +1 times
     basis element k, num + k when it carries -1 times it, and 2 num
@@ -262,74 +274,80 @@ class HomBasis:
         return [self.element(eye[i], p).astype(np.int64) for i in range(self.num)]
 
 
-def _hom_orbits(m, n_mod):
-    """HomBasis of the intertwiners m -> n_mod.
+def _key_digits(ab, cd):
+    """(base, digits) of the Hom-orbit keys of M(ab) -> M(cd): one digit
+    per pair of colours, each below one more than the smaller largest
+    part."""
+    a, c = ab[0] + ab[1], cd[0] + cd[1]
+    return 1 + min(max(a, default=0), max(c, default=0)), len(a) * len(c)
 
-    The nodes are the cells of the grid in two sign layers, 2 cells
-    in all: generator g carries node (cell, layer) to (image cell, layer
-    flipped when the sign of the cell under g is -1). Each generator is
-    an involution on the nodes, so its orbits are the connected
-    components of an undirected graph. They are labelled by min-label
-    propagation with pointer jumping (Shiloach and Vishkin): every node
-    takes the smallest label among itself and its images, then follows
-    its label's label, until nothing changes. Labels only decrease, and
-    the fixed point labels every node by the smallest node of its
-    component; ranking those roots numbers the components by their
-    smallest node. A component meeting both layers of one cell forces
-    that orbit to zero, otherwise the two layers of an orbit are mirror
-    components and one basis element survives.
+
+def _pair_tables(module):
+    """The words of the module as a (dim, n) int64 array, and per word,
+    over the point pairs i < j, whether the two points share a c-colour,
+    share a d-colour, or are inverted, as float32 0/1 tables."""
+    words = np.array(module.words, dtype=np.int64).reshape(module.dim, module.n)
+    i, j = np.triu_indices(module.n, 1)
+    a, b = words[:, i], words[:, j]
+    same = a == b
+    r = len(module.ab[0])
+    tables = [x.astype(np.float32) for x in (same & (a < r), same & (a >= r), a > b)]
+    return [words] + tables
+
+
+def _hom_orbits(m, n_mod):
+    """HomBasis of the intertwiners m -> n_mod, in closed form.
+
+    A cell pairs a word u of n_mod (its row) with a word v of m. Its
+    S_n-orbit is its contingency table t[a][b] = #{i : u_i = a, v_i =
+    b}: Hom between permutation modules is spanned by double cosets of
+    Young subgroups (James, LNM 682). The table's digits (_key_digits)
+    key the orbit, in one int64 product of per-word tables. The
+    stabilizer of the cell permutes the points within each table entry,
+    so the orbit is forced to zero when two points share a c-colour on
+    one side and a d-colour on the other. Otherwise the cell carries
+    (-1)^inv, up to one sign per orbit, where inv counts the inversions
+    of v among the points sharing a d-colour of u and those of u among
+    the points sharing a d-colour of v; both are float32 products of
+    point-pair tables, exact as their entries are at most n(n-1).
+
+    Row 0 meets every orbit, as S_n moves every word to the first, so
+    each row holds the keys of row 0 permuted, and sorting each row by
+    key carries row 0's orbits to it. Orbits are numbered by their first
+    cell in row-major order, in row 0, with sign +1 there.
     """
     if m.n != n_mod.n or m.p != n_mod.p:
         raise ValueError("hom requires equal degree and prime")
-    dn, dm = n_mod.dim, m.dim
-    cells = dn * dm
-    if not m.perms:
-        return HomBasis((dn, dm), np.arange(cells), cells)
-    # the labelling runs on the narrowest node type; the stored index is
-    # intp, which a gather takes without converting it
-    dt = np.int32 if 2 * cells <= np.iinfo(np.int32).max else np.int64
-    acts = []
-    for g in range(len(m.perms)):
-        image = (
-            n_mod.perms[g].astype(dt)[:, None] * dm + m.perms[g].astype(dt)
-        ).ravel()
-        flip = (n_mod.signs[g][:, None] != m.signs[g][None, :]).ravel()
-        flip = flip.astype(dt) * cells
-        acts.append(np.concatenate((image + flip, image + (cells - flip))))
-    nodes = np.arange(2 * cells, dtype=dt)
-    lab = nodes
-    while True:
-        new = lab
-        for act in acts:
-            new = np.minimum(new, new[act])
-        jumped = new[new]
-        while not np.array_equal(jumped, new):
-            new, jumped = jumped, jumped[jumped]
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    # free the generator actions before the components are ranked
-    del acts, new, jumped
-    comp = (np.cumsum(lab == nodes, dtype=dt) - 1)[lab]
-    cp = comp[:cells]
-    cm = comp[cells:]
-    ncomp = int(comp.max()) + 1
-    mirror = np.empty(ncomp, dtype=dt)
-    mirror[cp] = cm
-    mirror[cm] = cp
-    ids = np.arange(ncomp, dtype=dt)
-    keep = ids[ids < mirror]
-    remap = np.full(ncomp, -1, dtype=dt)
-    remap[keep] = np.arange(len(keep), dtype=dt)
-    num = len(keep)
-    direct = remap[cp]
-    via_mirror = remap[mirror[cp]]
-    index = np.where(
-        direct >= 0,
-        direct,
-        np.where(via_mirror >= 0, num + via_mirror, 2 * num),
-    ).astype(np.intp)
-    return HomBasis((dn, dm), index, num)
+    base, digits = _key_digits(m.ab, n_mod.ab)
+    if base**digits >= 2**63:
+        raise OverflowError(
+            f"the Hom-orbit keys of M{m.ab} -> M{n_mod.ab} need {digits} "
+            f"digits in base {base}, beyond int64"
+        )
+    U, cu, du, gu = _pair_tables(n_mod)
+    V, cv, dv, gv = _pair_tables(m)
+    colours = len(m.ab[0]) + len(m.ab[1])
+    key = (base ** (colours * U)) @ (base**V).T
+    zero = (np.hstack((cu[:1], du[:1])) @ np.hstack((dv, cv)).T)[0] > 0
+    odd = (np.hstack((du, gu)) @ np.hstack((gv, dv)).T).astype(np.intp) & 1
+    # orbits as the distinct keys of row 0, then in each row by key order
+    _, first, orbit = np.unique(key[0], return_index=True, return_inverse=True)
+    order = np.argsort(key, axis=1)
+    del key
+    cell = np.empty(order.shape, dtype=np.intp)
+    np.put_along_axis(cell, order, orbit[order[0]], axis=1)
+    del order
+    ranked = np.argsort(first)
+    ranked = ranked[~zero[first[ranked]]]
+    num = len(ranked)
+    # the index of an orbit's cell by the parity of its inv
+    table = np.full((len(first), 2), 2 * num, dtype=np.intp)
+    sign0 = odd[0, first[ranked]]
+    table[ranked, sign0] = np.arange(num)
+    table[ranked, 1 - sign0] = num + np.arange(num)
+    cell *= 2
+    cell += odd
+    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num)
 
 
 def hom_basis(m, n_mod):
@@ -672,6 +690,7 @@ class Summand:
         self.p = parent.p
         self.n = parent.n
         self._fp = None
+        self._leaves = None
 
     def fingerprint(self):
         """Iso invariant: the dimension, and dim Fix(g) for one g of
@@ -683,20 +702,19 @@ class Summand:
         subgroups). So unequal fingerprints prove two summands
         non-isomorphic, and equal ones agree in the trace mod p of
         every group element. A whole module counts the +1 cycles of each
-        monomial action, once per module. A proper summand takes
-        d - rank(g_x - 1) with g_x = R P C; the signed row gather of C is
-        the action of g^-1, which fixes what g fixes, and all classes
-        share one product.
+        monomial action. A proper summand takes d - rank(g_x - 1) with
+        g_x = R P C; the signed row gather of C is the action of g^-1,
+        which fixes what g fixes, and all classes share one product.
         """
-        if self._fp is None and self.whole:
-            self._fp = _whole_fingerprint(self.parent)
-        elif self._fp is None:
+        if self._fp is None:
             p, d = self.p, self.dim
             actions = [
                 _word_action(self.parent, w) for w in _regular_class_words(self.n, p)
             ]
             fixed = []
-            if actions:
+            if self.whole:
+                fixed = [_fixed_dim(perm, sign) for perm, sign in actions]
+            elif actions:
                 gathers = [sign[:, None] * self.C[perm] for perm, sign in actions]
                 g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
                 eye = np.eye(d, dtype=np.int64)
@@ -707,19 +725,13 @@ class Summand:
             self._fp = (d, tuple(fixed))
         return self._fp
 
-
-_whole_fp_cache = weakref.WeakKeyDictionary()
-
-
-def _whole_fingerprint(module):
-    """Summand.fingerprint of the whole module, computed once per module."""
-    if module not in _whole_fp_cache:
-        actions = [
-            _word_action(module, w) for w in _regular_class_words(module.n, module.p)
-        ]
-        fixed = tuple(_fixed_dim(perm, sign) for perm, sign in actions)
-        _whole_fp_cache[module] = (module.dim, fixed)
-    return _whole_fp_cache[module]
+    def leaves(self, rng):
+        """The indecomposable leaves of the summand, split once."""
+        if self._leaves is None:
+            self._leaves = decompose_summands(
+                self.parent, self.parent.end, self.p, rng, start=(self.C, self.R)
+            )
+        return self._leaves
 
 
 def _is_whole(C, R):
@@ -827,7 +839,7 @@ def decompose_summands(module, end_basis, p, rng, start=None):
         start = (eye, eye)
     dim = start[0].shape[1]
     if end_basis.num == 1 and dim == module.dim:
-        return [Summand(module, eye, eye)]
+        return [module.summand]
     queue = [start]
     leaves = []
     while queue:
@@ -853,7 +865,7 @@ def decompose_summands(module, end_basis, p, rng, start=None):
                 if split is not None:
                     break
         if split is None:
-            leaves.append(Summand(module, C, R))
+            leaves.append(module.summand if whole else Summand(module, C, R))
             continue
         for b, r in split:
             if whole:
@@ -886,7 +898,8 @@ def _random_intertwiner(a, b, hom, rng):
 
 
 def _summands_isomorphic(a, b, hom_ab, rng):
-    """Monte Carlo iso test for summands, one-sided error.
+    """Monte Carlo iso test for summands of equal dimension and
+    fingerprint, one-sided error.
 
     When a and b are isomorphic indecomposables a random element of
     Hom(a, b) is invertible with probability at least 1 - 1/p, so a
@@ -894,8 +907,6 @@ def _summands_isomorphic(a, b, hom_ab, rng):
     decomposable a and b invertible maps can be rare, and a False only
     says that none was drawn.
     """
-    if a.dim != b.dim or a.fingerprint() != b.fingerprint():
-        return False
     p = a.p
     for _ in range(ISO_RANDOM_TRIES):
         if gfp.is_invertible(_random_intertwiner(a, b, hom_ab, rng), p):
@@ -903,27 +914,19 @@ def _summands_isomorphic(a, b, hom_ab, rng):
     return False
 
 
-_end_cache = weakref.WeakKeyDictionary()
-_leaf_cache = weakref.WeakKeyDictionary()
+def _first_isomorphic(x, candidates, hom_to, rng):
+    """Index of the first candidate isomorphic to the summand x, or None.
 
-
-def _end_of(module):
-    """End(module) as a HomBasis, labelled once per module."""
-    if module not in _end_cache:
-        _end_cache[module] = _hom_orbits(module, module)
-    return _end_cache[module]
-
-
-def _leaves_of(s, rng):
-    """Indecomposable leaves of a summand, cached on the parent module."""
-    parent = s.parent
-    key = (s.C.shape, s.C.tobytes(), s.R.tobytes())
-    per_module = _leaf_cache.setdefault(parent, {})
-    if key not in per_module:
-        per_module[key] = decompose_summands(
-            parent, _end_of(parent), parent.p, rng, start=(s.C, s.R)
-        )
-    return per_module[key]
+    Candidates of another dimension or fingerprint are passed over
+    without a draw; hom_to(y) gives the ambient Hom basis from the parent
+    of x to that of y, and is asked only of the others.
+    """
+    for i, y in enumerate(candidates):
+        if x.dim != y.dim or x.fingerprint() != y.fingerprint():
+            continue
+        if _summands_isomorphic(x, y, hom_to(y), rng):
+            return i
+    return None
 
 
 def _check_seed(seed):
@@ -937,8 +940,7 @@ def _as_summand(u):
     if isinstance(u, Summand):
         return u
     if isinstance(u, SignedPermModule):
-        eye = np.eye(u.dim, dtype=np.int64)
-        return Summand(u, eye, eye)
+        return u.summand
     raise TypeError("expected a SignedPermModule or a Summand")
 
 
@@ -976,21 +978,19 @@ def modules_isomorphic(u, v, seed=0):
         return False
     rng = np.random.default_rng(seed)
     same = a.parent is b.parent
-    hom_ab = _end_of(a.parent) if same else _hom_orbits(a.parent, b.parent)
+    hom_ab = a.parent.end if same else _hom_orbits(a.parent, b.parent)
     if _summands_isomorphic(a, b, hom_ab, rng):
         return True
-    leaves_a = _leaves_of(a, rng)
-    leaves_b = _leaves_of(b, rng)
+    leaves_a = a.leaves(rng)
+    leaves_b = b.leaves(rng)
     if len(leaves_a) != len(leaves_b):
         return False
     unused = list(leaves_b)
     for x in leaves_a:
-        for i, y in enumerate(unused):
-            if _summands_isomorphic(x, y, hom_ab, rng):
-                unused.pop(i)
-                break
-        else:
+        i = _first_isomorphic(x, unused, lambda y: hom_ab, rng)
+        if i is None:
             return False
+        unused.pop(i)
     return True
 
 
@@ -1060,23 +1060,17 @@ class DirectEngine:
         module = self.module(key)
         end = self.hom(key, key)
         rng = self._rng_for(key, 1)
-        leaves = decompose_summands(module, end, self.p, rng)
-        groups = []
-        for leaf in leaves:
-            for rep, members in groups:
-                if _summands_isomorphic(leaf, rep, end, rng):
-                    members.append(leaf)
-                    break
+        reps, counts = [], []
+        for leaf in decompose_summands(module, end, self.p, rng):
+            i = _first_isomorphic(leaf, reps, lambda rep: end, rng)
+            if i is None:
+                reps.append(leaf)
+                counts.append(1)
             else:
-                groups.append((leaf, [leaf]))
-        out = [(rep, len(members)) for rep, members in groups]
+                counts[i] += 1
+        out = list(zip(reps, counts))
         self.leaf_groups[key] = out
         return out
-
-    def _label_rows(self, n):
-        """The labels of degree n and their modules, the registry rows."""
-        labels = enumerate_p2p(n, self.p)
-        return labels, [(lam, scale(self.p, mu)) for lam, mu in labels]
 
     def check_cap(self, ab):
         """Refuse, before building anything, a module that decompose
@@ -1087,7 +1081,7 @@ class DirectEngine:
         n = size(key[0]) + size(key[1])
         dim = module_dimension(key)
         if dim <= DIM_CAP and n not in self.registry:
-            dim = max(module_dimension(row) for row in self._label_rows(n)[1])
+            dim = max(module_dimension(row) for row in label_rows(n, self.p)[1])
         if dim > DIM_CAP:
             raise DimensionCapError(dim, DIM_CAP)
 
@@ -1100,7 +1094,7 @@ class DirectEngine:
         """
         if n in self.registry:
             return self.registry[n]
-        labels, rows = self._label_rows(n)
+        labels, rows = label_rows(n, self.p)
         self.check_cap(rows[0])
         classes = []
         for (lam, mu), row_ab in zip(labels, rows):
@@ -1122,14 +1116,12 @@ class DirectEngine:
         rng = np.random.default_rng(
             [self.seed, 77, rep.dim, *rep.fingerprint()[1]]
         )
-        for idx, cls in enumerate(classes):
-            other = cls["rep"]
-            if rep.dim != other.dim or rep.fingerprint() != other.fingerprint():
-                continue
-            hom = self.hom(row_ab, other.parent.ab)
-            if _summands_isomorphic(rep, other, hom, rng):
-                return idx
-        return None
+        return _first_isomorphic(
+            rep,
+            [cls["rep"] for cls in classes],
+            lambda other: self.hom(row_ab, other.parent.ab),
+            rng,
+        )
 
     def decompose(self, ab):
         """Labelled multiset {(lam, mu): multiplicity} of M(ab)."""
@@ -1197,12 +1189,7 @@ def assemble_matrix(n, p, signed=True, engine=None, seed=0):
     check_prime(p)
     if engine is None:
         engine = DirectEngine(p, seed=seed)
-    if signed:
-        labels = enumerate_p2p(n, p)
-        rows = [(lam, scale(p, mu)) for lam, mu in labels]
-    else:
-        labels = [(lam, ()) for lam in enumerate_partitions(n)]
-        rows = list(labels)
+    labels, rows = label_rows(n, p, signed)
     mat = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for i, ab in enumerate(rows):
         dec = engine.decompose(ab)

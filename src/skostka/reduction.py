@@ -372,7 +372,7 @@ def rowcut_lower_bound(ab, x, r, s, oracle):
     )
 
 
-def principal_part_formula(ab, p, oracle=None):
+def principal_part_formula(ab, p, oracle):
     """Positive multiplicities of the labels with empty zeroth digit.
 
     For |alpha| + |beta| = n divisible by p, returns the map sending each
@@ -384,8 +384,6 @@ def principal_part_formula(ab, p, oracle=None):
     n = size(alpha) + size(beta)
     if n % p:
         raise ValueError("degree must be divisible by p")
-    if oracle is None:
-        raise ValueError("an oracle is required")
     out = {}
     for lam, mu in enumerate_p2p(n, p):
         if digit(lam, p, 0) != () or p * size(mu) != size(beta):

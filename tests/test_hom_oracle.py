@@ -1,12 +1,12 @@
 """The Hom-orbit bases of HomBasis against a scipy reference.
 
-The reference below is the earlier construction, kept as the oracle:
+The reference below is an earlier construction, kept as the oracle:
 scipy's connected components of the two-layer cell graph give each cell
 a basis element orbit[cell] (-1 when forced to zero) and a sign
 coeff[cell] in {+1, -1, 0}, and an element is (vals[orbit] * coeff) % p.
-The module labels the same components by min-label propagation and
-stores one signed gather index per cell. Every index, every element and
-every basis matrix must agree with the reference bit for bit.
+The module reads the same orbits off contingency tables in closed form
+and stores one signed gather index per cell. Every index, every element
+and every basis matrix must agree with the reference bit for bit.
 """
 
 import numpy as np
@@ -157,6 +157,23 @@ def test_end_index_degree_five():
     for ab in enumerate_p2(5):
         m = modrep.build_module(ab, 3)
         assert_index_matches(m, m)
+
+
+def test_cross_index_degree_five():
+    """Every ordered pair of distinct degree-5 modules."""
+    mods = [modrep.build_module(ab, 3) for ab in enumerate_p2(5)]
+    for m in mods:
+        for n_mod in mods:
+            if m is not n_mod:
+                assert_index_matches(m, n_mod)
+
+
+def test_end_index_degree_six():
+    """End of every degree-6 module but M(1^6), which the next test takes."""
+    for ab in enumerate_p2(6):
+        if ab != ((1,) * 6, ()):
+            m = modrep.build_module(ab, 3)
+            assert_index_matches(m, m)
 
 
 def test_end_index_regular_degree_six():

@@ -259,6 +259,30 @@ def test_hom_dim_against_naive_kernel():
         assert modrep._hom_orbits(m, n_mod).num == hom_dim_kernel(m, n_mod)
 
 
+def test_orbit_keys_fit_int64_within_cap():
+    """Every pair of modules of one degree <= 10 within DIM_CAP keys its
+    Hom orbits below 2^63; the largest key range is End(M(4,1^4)), five
+    colours whose table entries are below 5."""
+    largest, cap = 0, modrep.DIM_CAP
+    for n in range(11):
+        mods = [ab for ab in enumerate_p2(n) if modrep.module_dimension(ab) <= cap]
+        for ab in mods:
+            for cd in mods:
+                base, digits = modrep._key_digits(ab, cd)
+                largest = max(largest, base**digits)
+    assert largest == 5**25 < 2**63
+
+
+def test_orbit_key_overflow_raises(monkeypatch):
+    """Past the cap, M(5,1^4) would key End with 25 digits in base 6,
+    beyond int64: the labelling raises instead of wrapping."""
+    monkeypatch.setattr(modrep, "DIM_CAP", 3024)
+    m = modrep.build_module(((5, 1, 1, 1, 1), ()), P)
+    assert modrep._key_digits(m.ab, m.ab) == (6, 25) and 6**25 >= 2**63
+    with pytest.raises(OverflowError, match="beyond int64"):
+        modrep._hom_orbits(m, m)
+
+
 # ---------------------------------------------------------------------------
 # minimal polynomials and factorization
 
@@ -391,9 +415,7 @@ def test_split_integrity_error_names_module_and_node(monkeypatch):
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     with pytest.raises(modrep.IntegrityError) as info:
-        modrep.decompose_summands(
-            m, modrep._end_of(m), P, np.random.default_rng(0)
-        )
+        modrep.decompose_summands(m, m.end, P, np.random.default_rng(0))
     msg = str(info.value)
     assert seen and f"dimension {seen[-1]} of M((2, 1, 1), ())" in msg
     assert msg.endswith("planted fault")
@@ -462,7 +484,7 @@ def test_leaf_count_mismatch_answers_false(monkeypatch):
 
     def ask(sides):
         calls.clear()
-        monkeypatch.setattr(modrep, "_leaves_of", lambda s, rng: next(sides))
+        monkeypatch.setattr(modrep.Summand, "leaves", lambda s, rng: next(sides))
         return modrep.modules_isomorphic(m, m)
 
     monkeypatch.setattr(modrep, "_summands_isomorphic", refuse_whole)
@@ -505,9 +527,9 @@ def test_fingerprint_routes_agree(p):
 
 
 def test_whole_fingerprint_computed_once_per_module(monkeypatch):
-    """modules_isomorphic wraps each module in a new whole summand per
-    question; its fingerprint is counted once per module, and the cache
-    does not keep the module alive."""
+    """modules_isomorphic takes each module as its whole summand, whose
+    fingerprint is counted once per module and does not keep the module
+    alive."""
     import gc
     import weakref
 
@@ -539,7 +561,7 @@ def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
         raise AssertionError("reached past the fingerprint")
 
     monkeypatch.setattr(modrep, "_hom_orbits", refuse)
-    monkeypatch.setattr(modrep, "_leaves_of", refuse)
+    monkeypatch.setattr(modrep.Summand, "leaves", refuse)
     assert not modrep.modules_isomorphic(u, v)
 
 
@@ -548,7 +570,7 @@ def test_leaf_matching_answers_false(monkeypatch):
     goes through the random maps to leaf matching, which answers False."""
     u = modrep.build_module(((3, 1, 1), ()), P)
     v = modrep.build_module(((1, 1), (3,)), P)
-    real = modrep._leaves_of
+    real = modrep.Summand.leaves
     calls = []
 
     def leaves(s, rng):
@@ -556,9 +578,26 @@ def test_leaf_matching_answers_false(monkeypatch):
         return real(s, rng)
 
     monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
-    monkeypatch.setattr(modrep, "_leaves_of", leaves)
+    monkeypatch.setattr(modrep.Summand, "leaves", leaves)
     assert not modrep.modules_isomorphic(u, v)
     assert len(calls) == 2
+
+
+def test_module_freed_after_leaf_matching(monkeypatch):
+    """The End basis, whole summand and leaves that a question keeps on
+    the modules do not keep them alive once the caller drops them."""
+    import gc
+    import weakref
+
+    u = modrep.build_module(((3, 1, 1), ()), P)
+    v = modrep.build_module(((1, 1), (3,)), P)
+    monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
+    assert not modrep.modules_isomorphic(u, v)
+    assert u.summand._leaves and v.summand._leaves
+    refs = [weakref.ref(u), weakref.ref(v)]
+    del u, v
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_negative_seed_refused(monkeypatch):

@@ -81,7 +81,7 @@ def test_end_samples_degree_five(p):
     for n in range(6):
         for ab in enumerate_p2(n):
             m = modrep.build_module(ab, p)
-            end = modrep._end_of(m)
+            end = m.end
             splits += compare(end.sample(rng, p), p, seed=m.dim) > 1
     assert splits > 40
 
@@ -94,7 +94,7 @@ def test_end_samples_on_nodes(p):
     nodes = 0
     for ab in [ab for n in (4, 5) for ab in enumerate_p2(n)]:
         m = modrep.build_module(ab, p)
-        end = modrep._end_of(m)
+        end = m.end
         top = None
         for _ in range(5):
             top = modrep._split_once(end.sample(rng, p), p, rng)
