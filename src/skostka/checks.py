@@ -60,12 +60,14 @@ def fixtures(ref, engine):
 
 
 def cross_engine(pairs, labels, engine):
-    """The reduction engine against the direct decomposition, per pair."""
+    """The reduction engine against the direct decomposition, per pair;
+    each failure is (label, direct value, reduction value)."""
     out = []
     for ab in pairs:
         dec = engine.decompose(ab)
         sk = reduction.signed_kostka
-        bad = [x for x in labels if sk(ab, x, engine) != dec.get(x, 0)]
+        cells = [(x, dec.get(x, 0), sk(ab, x, engine)) for x in labels]
+        bad = [cell for cell in cells if cell[1] != cell[2]]
         name = f"cross-engine row {format_pair(ab)}"
         out.append(Record(name, bad, Counter(entries=len(labels))))
     return out

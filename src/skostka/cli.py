@@ -228,20 +228,19 @@ def compute_matrix(n, p, signed, engine_name, seed):
 
 def build_kostka_matrix(n, p, signed, engine_name, seed):
     """KostkaMatrix for the flags; "both" cross-checks the two engines."""
+    first = "direct" if engine_name == "both" else engine_name
+    labels, grid = compute_matrix(n, p, signed, first, seed)
     if engine_name == "both":
-        labels, direct = compute_matrix(n, p, signed, "direct", seed)
-        _, reduced = compute_matrix(n, p, signed, "reduction", seed)
-        for i, lab_i in enumerate(labels):
-            for j, lab_j in enumerate(labels):
-                if direct[i][j] != reduced[i][j]:
-                    raise MismatchError(
-                        f"engines disagree at row {format_label(lab_i, p)} "
-                        f"column {format_label(lab_j, p)}: "
-                        f"direct {direct[i][j]}, reduction {reduced[i][j]}"
-                    )
-        grid = direct
-    else:
-        labels, grid = compute_matrix(n, p, signed, engine_name, seed)
+        rows = label_rows(n, p, signed)[1]
+        records = checks.cross_engine(rows, labels, direct_engine(p, seed))
+        for row, record in zip(labels, records):
+            if record.failures:
+                x, direct, reduced = record.failures[0]
+                raise MismatchError(
+                    f"engines disagree at row {format_label(row, p)} "
+                    f"column {format_label(x, p)}: "
+                    f"direct {direct}, reduction {reduced}"
+                )
     strings = [format_label(l, p) for l in labels]
     return KostkaMatrix(n, p, signed, strings, grid)
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import functools
 from itertools import count
 
-Seq = tuple  # finitely supported sequence of nonneg ints, as a tuple
-
 
 def check_odd_prime(p: int) -> None:
     if p < 3 or p == 2:

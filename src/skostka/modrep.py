@@ -16,11 +16,12 @@ split a node; they are cut out by Chinese-remainder projectors,
 polynomials in the endomorphism, half of the factors at a time, and
 each projector is checked to be idempotent. A node that refuses
 to split for many rounds is accepted as indecomposable.
-Summands are then matched against a registry of labelled classes built
-in the fixed total order, with loud integrity errors on any
-inconsistency: multiplicities must fill the module dimension and every
-sweep step must expose exactly one new class, so a misidentification
-cannot pass silently.
+Each module is split and labelled once, against a registry of classes
+built by sweeping the label rows in the fixed total order; the sweep
+records each row's labelled decomposition. Loud integrity errors guard
+every inconsistency: multiplicities must fill the module dimension and
+every sweep step must expose exactly one new class, so a
+misidentification cannot pass silently.
 
 Two modules or summands are compared by modules_isomorphic: dimension,
 the fixed-point dimensions of p-regular elements, a random invertible
@@ -54,7 +55,6 @@ DIM_CAP = 2520
 # DIM_CAP (p-1)^2 < 2^53. is_invertible's (p-1) p^2 then fits int64.
 PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
 MAX_NONSPLIT_ROUNDS = 30
-MAX_NONSPLIT_ROUNDS_BIG = 12
 ISO_RANDOM_TRIES = 24
 
 
@@ -729,7 +729,7 @@ class Summand:
         """The indecomposable leaves of the summand, split once."""
         if self._leaves is None:
             self._leaves = decompose_summands(
-                self.parent, self.parent.end, self.p, rng, start=(self.C, self.R)
+                self.parent, rng, start=(self.C, self.R)
             )
         return self._leaves
 
@@ -824,16 +824,18 @@ def _projector_split(z, parts, p, proj=None):
     return out
 
 
-def decompose_summands(module, end_basis, p, rng, start=None):
+def decompose_summands(module, rng, start=None):
     """The indecomposable summands of the module, as Summand objects.
 
-    Monte Carlo in the choice of endomorphisms: a node is accepted as
-    indecomposable after a fixed number of non-splitting rounds. All
-    downstream bookkeeping re-checks dimensions and label counts, so a
-    premature accept cannot pass silently through the labelled
-    decomposition. An optional (C, R) starting node restricts the
-    splitting to that summand of the module.
+    Endomorphisms are drawn from module.end; Monte Carlo in that choice:
+    a node is accepted as indecomposable after MAX_NONSPLIT_ROUNDS
+    non-splitting rounds. The engine labels each module's leaves once,
+    in the registry sweep or in decompose, and re-checks dimensions and
+    label counts there, so a premature accept cannot pass silently. An
+    optional (C, R) starting node restricts the splitting to that
+    summand of the module.
     """
+    p, end_basis = module.p, module.end
     eye = np.eye(module.dim, dtype=np.int64)
     if start is None:
         start = (eye, eye)
@@ -850,10 +852,7 @@ def decompose_summands(module, end_basis, p, rng, start=None):
         whole = _is_whole(C, R)
         split = None
         if d > 1:
-            rounds = (
-                MAX_NONSPLIT_ROUNDS if d <= 128 else MAX_NONSPLIT_ROUNDS_BIG
-            )
-            for _ in range(rounds):
+            for _ in range(MAX_NONSPLIT_ROUNDS):
                 big = end_basis.sample(rng, p)
                 z = big if whole else gfp.matmul(gfp.matmul(R, big, p), C, p)
                 try:
@@ -1015,10 +1014,11 @@ class DirectEngine:
     """Ground-truth engine decomposing modules into labelled summands.
 
     Maintains, per degree, a registry of indecomposable classes built
-    by sweeping the label modules in the fixed total order; every
-    module is then expressed in those classes. Exposes the oracle
-    interface of the combinatorial engine: attribute p and method
-    projective_signed.
+    by sweeping the label modules in the fixed total order, which also
+    records their decompositions; every other module is then expressed
+    in those classes, each module split and labelled once. Exposes the
+    oracle interface of the combinatorial engine: attribute p and
+    method projective_signed.
     """
 
     def __init__(self, p, seed=0):
@@ -1030,7 +1030,6 @@ class DirectEngine:
         self.modules = {}
         self.homs = {}
         self.decomps = {}
-        self.leaf_groups = {}
 
     def module(self, ab):
         key = _canonical_pair(ab)
@@ -1039,38 +1038,12 @@ class DirectEngine:
         return self.modules[key]
 
     def hom(self, ab, cd):
+        """Hom basis between the canonical modules; End(M) on the diagonal."""
         key = (_canonical_pair(ab), _canonical_pair(cd))
         if key not in self.homs:
-            self.homs[key] = _hom_orbits(
-                self.module(key[0]), self.module(key[1])
-            )
+            m, n_mod = self.module(key[0]), self.module(key[1])
+            self.homs[key] = m.end if m is n_mod else _hom_orbits(m, n_mod)
         return self.homs[key]
-
-    def _rng_for(self, key, salt):
-        alpha, beta = key
-        return np.random.default_rng(
-            [self.seed, salt, len(alpha), *alpha, 999983, len(beta), *beta]
-        )
-
-    def _grouped_leaves(self, ab):
-        """Summands of M(ab) grouped into iso classes: [(rep, count)]."""
-        key = _canonical_pair(ab)
-        if key in self.leaf_groups:
-            return self.leaf_groups[key]
-        module = self.module(key)
-        end = self.hom(key, key)
-        rng = self._rng_for(key, 1)
-        reps, counts = [], []
-        for leaf in decompose_summands(module, end, self.p, rng):
-            i = _first_isomorphic(leaf, reps, lambda rep: end, rng)
-            if i is None:
-                reps.append(leaf)
-                counts.append(1)
-            else:
-                counts[i] += 1
-        out = list(zip(reps, counts))
-        self.leaf_groups[key] = out
-        return out
 
     def check_cap(self, ab):
         """Refuse, before building anything, a module that decompose
@@ -1090,63 +1063,87 @@ class DirectEngine:
 
         Every label row is checked against the cap before the sweep
         starts, so a degree that cannot be done is refused before any
-        module is built.
+        module is built. Each row holds exactly one summand of no earlier
+        class, once, by unitriangularity; the sweep records the row's
+        labelled decomposition, so decompose answers it from the cache.
         """
         if n in self.registry:
             return self.registry[n]
         labels, rows = label_rows(n, self.p)
         self.check_cap(rows[0])
         classes = []
-        for (lam, mu), row_ab in zip(labels, rows):
-            unmatched = []
-            for rep, count in self._grouped_leaves(row_ab):
-                if self._match_registry(rep, classes, row_ab) is None:
-                    unmatched.append((rep, count))
+        for label, row_ab in zip(labels, rows):
+            key = _canonical_pair(row_ab)
+            counts, unmatched = self._label(key, classes)
             if len(unmatched) != 1 or unmatched[0][1] != 1:
                 raise IntegrityError(
-                    f"sweep at label {(lam, mu)}: expected exactly one new "
+                    f"sweep at label {label}: expected exactly one new "
                     f"class of multiplicity 1, found "
                     f"{[(r.dim, c) for r, c in unmatched]}"
                 )
-            classes.append({"label": (lam, mu), "rep": unmatched[0][0]})
+            classes.append({"label": label, "rep": unmatched[0][0]})
+            counts[label] = 1
+            self._record(key, counts, classes)
         self.registry[n] = classes
         return classes
 
-    def _match_registry(self, rep, classes, row_ab):
+    def _label(self, key, classes):
+        """Split M(key), group its leaves by isomorphism and match each
+        group to the classes: ({label: multiplicity}, [(rep, count)] of
+        the groups matching none)."""
+        alpha, beta = key
+        end = self.hom(key, key)
         rng = np.random.default_rng(
-            [self.seed, 77, rep.dim, *rep.fingerprint()[1]]
+            [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
         )
-        return _first_isomorphic(
-            rep,
-            [cls["rep"] for cls in classes],
-            lambda other: self.hom(row_ab, other.parent.ab),
-            rng,
-        )
+        reps, counts = [], []
+        for leaf in decompose_summands(self.module(key), rng):
+            i = _first_isomorphic(leaf, reps, lambda rep: end, rng)
+            if i is None:
+                reps.append(leaf)
+                counts.append(1)
+            else:
+                counts[i] += 1
+        labelled, unmatched = {}, []
+        for rep, count in zip(reps, counts):
+            i = _first_isomorphic(
+                rep,
+                [cls["rep"] for cls in classes],
+                lambda other: self.hom(key, other.parent.ab),
+                np.random.default_rng(
+                    [self.seed, 77, rep.dim, *rep.fingerprint()[1]]
+                ),
+            )
+            if i is None:
+                unmatched.append((rep, count))
+            else:
+                label = classes[i]["label"]
+                labelled[label] = labelled.get(label, 0) + count
+        return labelled, unmatched
+
+    def _record(self, key, counts, classes):
+        """Check that the multiplicities fill M(key), then cache them."""
+        dims = {cls["label"]: cls["rep"].dim for cls in classes}
+        if sum(m * dims[l] for l, m in counts.items()) != module_dimension(key):
+            raise IntegrityError("labelled multiplicities do not fill M")
+        self.decomps[key] = counts
 
     def decompose(self, ab):
         """Labelled multiset {(lam, mu): multiplicity} of M(ab)."""
-        alpha, beta = wp(ab[0]), wp(ab[1])
-        key = _canonical_pair((alpha, beta))
-        if key in self.decomps:
-            return dict(self.decomps[key])
-        self.check_cap(key)
-        n = size(alpha) + size(beta)
-        classes = self.registry_for(n)
-        out = {}
-        for rep, count in self._grouped_leaves(key):
-            idx = self._match_registry(rep, classes, key)
-            if idx is None:
-                raise IntegrityError(
-                    f"a summand of M{key} of dimension {rep.dim} matches "
-                    f"no registered class at degree {n}"
-                )
-            label = classes[idx]["label"]
-            out[label] = out.get(label, 0) + count
-        dims = {cls["label"]: cls["rep"].dim for cls in classes}
-        if sum(m * dims[l] for l, m in out.items()) != module_dimension(key):
-            raise IntegrityError("labelled multiplicities do not fill M")
-        self.decomps[key] = out
-        return dict(out)
+        key = _canonical_pair(ab)
+        if key not in self.decomps:
+            self.check_cap(key)
+            n = size(key[0]) + size(key[1])
+            classes = self.registry_for(n)
+            if key not in self.decomps:  # the sweep records label rows
+                counts, unmatched = self._label(key, classes)
+                if unmatched:
+                    raise IntegrityError(
+                        f"a summand of M{key} of dimension {unmatched[0][0].dim} "
+                        f"matches no registered class at degree {n}"
+                    )
+                self._record(key, counts, classes)
+        return dict(self.decomps[key])
 
     def class_representative(self, n, label):
         for cls in self.registry_for(n):

@@ -243,6 +243,14 @@ def _pad(seq, k):
     return tuple(seq[:k]) + (0,) * (k - len(seq))
 
 
+def _check_cuts(alpha, beta, lam, pmu, r, s):
+    """Raise unless (alpha, lam) admits a cut at r and (beta, p*mu) at s."""
+    if not admits_horizontal_cut(alpha, lam, r):
+        raise ValueError("the (alpha, lam) cut is not admitted")
+    if not admits_horizontal_cut(beta, pmu, s):
+        raise ValueError("the (beta, p*mu) cut is not admitted")
+
+
 def iota_embed(s_tuple, t_tuple, u_tuple, ab, x, r, s, p):
     """Assemble a supported tuple for (alpha|beta) vs (lam|p*mu) from cut pieces.
 
@@ -255,10 +263,7 @@ def iota_embed(s_tuple, t_tuple, u_tuple, ab, x, r, s, p):
     alpha, beta = tuple(ab[0]), tuple(ab[1])
     lam, mu = tuple(x[0]), tuple(x[1])
     pmu = scale(p, mu)
-    if not admits_horizontal_cut(alpha, lam, r):
-        raise ValueError("the (alpha, lam) cut is not admitted")
-    if not admits_horizontal_cut(beta, pmu, s):
-        raise ValueError("the (beta, p*mu) cut is not admitted")
+    _check_cuts(alpha, beta, lam, pmu, r, s)
     counts = rho_of(lam, mu, p)
     levels = len(counts)
     lam_digits = p_adic_expansion(lam, p)
@@ -301,10 +306,7 @@ def product_formula(ab, x, r, s, oracle):
     pmu = scale(p, mu)
     if size(beta) != p * size(mu):
         raise ValueError("requires |beta| = p|mu|")
-    if not admits_horizontal_cut(alpha, lam, r):
-        raise ValueError("the (alpha, lam) cut is not admitted")
-    if not admits_horizontal_cut(beta, pmu, s):
-        raise ValueError("the (beta, p*mu) cut is not admitted")
+    _check_cuts(alpha, beta, lam, pmu, r, s)
     return (
         kostka(top_cut(alpha, r), top_cut(lam, r), oracle)
         * kostka(top_cut(beta, s), top_cut(pmu, s), oracle)
@@ -357,10 +359,7 @@ def rowcut_lower_bound(ab, x, r, s, oracle):
     alpha, beta = tuple(ab[0]), tuple(ab[1])
     lam, mu = tuple(x[0]), tuple(x[1])
     pmu = scale(p, mu)
-    if not admits_horizontal_cut(alpha, lam, r):
-        raise ValueError("the (alpha, lam) cut is not admitted")
-    if not admits_horizontal_cut(beta, pmu, s):
-        raise ValueError("the (beta, p*mu) cut is not admitted")
+    _check_cuts(alpha, beta, lam, pmu, r, s)
     return (
         kostka(top_cut(alpha, r), top_cut(lam, r), oracle)
         * kostka(top_cut(beta, s), top_cut(pmu, s), oracle)

@@ -176,6 +176,29 @@ def test_matrix_engines_agree(tmp_path, capsys):
     ] == "direct"
 
 
+def plant_one_off(monkeypatch, target):
+    """reduction.signed_kostka one too large at the (pair, label) target."""
+    real = reduction.signed_kostka
+
+    def planted(ab, x, oracle):
+        return real(ab, x, oracle) + ((ab, x) == target)
+
+    monkeypatch.setattr(reduction, "signed_kostka", planted)
+
+
+def test_matrix_engines_disagree(tmp_path, capsys, monkeypatch):
+    plant_one_off(monkeypatch, (((2, 1), ()), ((2, 1), ())))
+    argv = ["matrix", "--n", "3", "--p", "3", "--signed", "--engine", "both",
+            "--cache-dir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "mismatch: engines disagree at row 2,1|- column 2,1|-: "
+        "direct 1, reduction 2"
+    ]
+    assert not cli.cache_path(tmp_path, 3, P, True).exists()
+
+
 def test_matrix_plain(tmp_path, capsys):
     code, out, _ = run(
         ["matrix", "--n", "3", "--p", "3", "--plain",
@@ -223,6 +246,19 @@ def test_entry_both_agree(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["1", "engines agree"]
+
+
+def test_entry_both_disagree(capsys, monkeypatch):
+    plant_one_off(monkeypatch, (((2, 1), (3,)), ((2, 1), (1,))))
+    code, out, err = run(
+        ["entry", "--p", "3", "--alpha", "2,1", "--beta", "3",
+         "--lambda", "2,1", "--mu", "1", "--method", "both"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "mismatch: engines disagree: direct 1, reduction 2"
+    ]
 
 
 def test_entry_size_mismatch(capsys):
@@ -463,13 +499,7 @@ def test_verify_fixtures_fail_on_altered_entry(capsys, monkeypatch):
 
 
 def test_verify_reduction_fails_on_wrong_entry(capsys, monkeypatch):
-    real = reduction.signed_kostka
-    target = (((2, 1), ()), ((2, 1), ()))
-
-    def planted(ab, x, oracle):
-        return real(ab, x, oracle) + ((ab, x) == target)
-
-    monkeypatch.setattr(reduction, "signed_kostka", planted)
+    plant_one_off(monkeypatch, (((2, 1), ()), ((2, 1), ())))
     assert_fails(
         ["--suite", "reduction", "--n", "3"],
         "[FAIL] reduction: cross-engine row 2,1|-",

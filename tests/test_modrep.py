@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skostka import gfp, modrep, reduction, tabx
-from skostka.combinat import enumerate_p2, enumerate_p2p, size, wp
+from skostka.combinat import enumerate_p2, enumerate_p2p, label_rows, size, wp
 
 P = 3
 
@@ -352,8 +352,7 @@ def test_poly_eval_matrix_against_horner(p):
 def fitting_leaves(ab, p, seed=0):
     """(module, leaves of decompose_summands) for M(ab)."""
     m = modrep.build_module(ab, p)
-    end = modrep._hom_orbits(m, m)
-    return m, modrep.decompose_summands(m, end, p, np.random.default_rng(seed))
+    return m, modrep.decompose_summands(m, np.random.default_rng(seed))
 
 
 def test_leaf_summand_equivariance():
@@ -415,7 +414,7 @@ def test_split_integrity_error_names_module_and_node(monkeypatch):
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     with pytest.raises(modrep.IntegrityError) as info:
-        modrep.decompose_summands(m, m.end, P, np.random.default_rng(0))
+        modrep.decompose_summands(m, np.random.default_rng(0))
     msg = str(info.value)
     assert seen and f"dimension {seen[-1]} of M((2, 1, 1), ())" in msg
     assert msg.endswith("planted fault")
@@ -726,6 +725,34 @@ def test_decomposition_seed_sweep(p):
             first = decs
         for ab in pairs:
             assert decs[ab] == first[ab], (p, seed, ab)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_sweep_records_label_rows(p, monkeypatch):
+    """The registry sweep records each label row's decomposition, so
+    decompose answers a label row with no split and no iso draw."""
+    eng = modrep.DirectEngine(p)
+    eng.registry_for(5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a label row was split or matched again")
+
+    monkeypatch.setattr(modrep, "_summands_isomorphic", refuse)
+    monkeypatch.setattr(modrep, "decompose_summands", refuse)
+    labels, rows = label_rows(5, p)
+    for i, (label, row) in enumerate(zip(labels, rows)):
+        dec = eng.decompose(row)
+        assert dec[label] == 1, (p, label)
+        assert all(labels.index(x) < i for x in dec if x != label), (p, label)
+
+
+def test_end_has_one_home():
+    """On the diagonal the engine's Hom basis is the module's End(M),
+    also when reached through a non-canonical pair."""
+    eng = modrep.DirectEngine(P)
+    key = ((2, 1, 1), ())
+    assert eng.hom(((2, 1), (1,)), key) is eng.module(key).end
+    assert eng.hom(key, key) is eng.module(key).end
 
 
 def test_composition_input_normalized():
