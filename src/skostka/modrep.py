@@ -15,7 +15,10 @@ generalized kernels of the coprime factors of a minimal polynomial
 split a node; they are cut out by Chinese-remainder projectors,
 polynomials in the endomorphism, half of the factors at a time, and
 each projector is checked to be idempotent. A node that refuses
-to split for many rounds is accepted as indecomposable.
+to split for many rounds is accepted as indecomposable, Monte Carlo,
+unless it is certified projective (Higman's criterion) with the Brauer
+character of a registered projective class: then it is that class. So
+only non-projective leaves and the first leaf of a class are Monte Carlo.
 Each module is split and labelled once, against a registry of classes
 built by sweeping the label rows in the fixed total order; the sweep
 records each row's labelled decomposition. Loud integrity errors guard
@@ -24,10 +27,10 @@ every sweep step must expose exactly one new class, so a
 misidentification cannot pass silently.
 
 Two modules or summands are compared by modules_isomorphic: dimension,
-the fixed-point dimensions of p-regular elements, a random invertible
-intertwiner, and last matching of indecomposable leaves by the same
-test. A True answer is exact, and so is a False from the first two; a
-False that reaches the random maps is Monte Carlo.
+the fixed-point dimensions of p-regular elements, which decide a
+certified projective pair, a random invertible intertwiner, and last
+matching of indecomposable leaves by the same test. Only a False that
+reaches the random maps, which no projective pair does, is Monte Carlo.
 """
 
 from functools import cached_property, lru_cache, reduce
@@ -55,6 +58,7 @@ DIM_CAP = 2520
 # DIM_CAP (p-1)^2 < 2^53. is_invertible's (p-1) p^2 then fits int64.
 PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
 MAX_NONSPLIT_ROUNDS = 30
+HIGMAN_DRAWS = 3
 ISO_RANDOM_TRIES = 24
 
 
@@ -248,13 +252,14 @@ class HomBasis:
     basis element k, num + k when it carries -1 times it, and 2 num
     when the cell is forced to zero. An element is then one gather, made
     in gfp.product_dtype of its larger side, so that its products on
-    either side take it without a copy.
+    either side take it without a copy. trace masks the image of Tr_1.
     """
 
-    def __init__(self, shape, index, num):
+    def __init__(self, shape, index, num, trace):
         self.shape = shape
         self.index = index
         self.num = num
+        self.trace = trace
 
     def element(self, coeffs, p):
         v = np.asarray(coeffs, dtype=np.int64) % p
@@ -315,6 +320,8 @@ def _hom_orbits(m, n_mod):
     each row holds the keys of row 0 permuted, and sorting each row by
     key carries row 0's orbits to it. Orbits are numbered by their first
     cell in row-major order, in row 0, with sign +1 there.
+    The image of Tr_1 is spanned by the orbits whose stabilizer, and so
+    each table entry, has order prime to p: the trace mask.
     """
     if m.n != n_mod.n or m.p != n_mod.p:
         raise ValueError("hom requires equal degree and prime")
@@ -332,14 +339,16 @@ def _hom_orbits(m, n_mod):
     odd = (np.hstack((du, gu)) @ np.hstack((gv, dv)).T).astype(np.intp) & 1
     # orbits as the distinct keys of row 0, then in each row by key order
     _, first, orbit = np.unique(key[0], return_index=True, return_inverse=True)
+    ranked = np.argsort(first)
+    ranked = ranked[~zero[first[ranked]]]
+    num = len(ranked)
+    digit = key[0, first[ranked], None] // base ** np.arange(digits) % base
+    trace = (digit < m.p).all(axis=1)
     order = np.argsort(key, axis=1)
     del key
     cell = np.empty(order.shape, dtype=np.intp)
     np.put_along_axis(cell, order, orbit[order[0]], axis=1)
     del order
-    ranked = np.argsort(first)
-    ranked = ranked[~zero[first[ranked]]]
-    num = len(ranked)
     # the index of an orbit's cell by the parity of its inv
     table = np.full((len(first), 2), 2 * num, dtype=np.intp)
     sign0 = odd[0, first[ranked]]
@@ -347,7 +356,7 @@ def _hom_orbits(m, n_mod):
     table[ranked, 1 - sign0] = num + np.arange(num)
     cell *= 2
     cell += odd
-    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num)
+    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num, trace)
 
 
 def hom_basis(m, n_mod):
@@ -678,7 +687,8 @@ class Summand:
 
     C (dim parent x dim) and R (dim x dim parent) are equivariant
     inclusion/projection maps with R C = identity; whole is set when the
-    summand is the whole parent, C = R = I.
+    summand is the whole parent, C = R = I. projective and label are set
+    by _certify and _accept_projective.
     """
 
     def __init__(self, parent, C, R):
@@ -691,6 +701,8 @@ class Summand:
         self.n = parent.n
         self._fp = None
         self._leaves = None
+        self.projective = _parts_below_p(parent.ab, parent.p)
+        self.label = None
 
     def fingerprint(self):
         """Iso invariant: the dimension, and dim Fix(g) for one g of
@@ -741,6 +753,47 @@ def _is_whole(C, R):
         return False
     eye = np.eye(d, dtype=np.int64)
     return np.array_equal(C, eye) and np.array_equal(R, eye)
+
+
+def _parts_below_p(ab, p):
+    """Whether M(ab), induced from a Young subgroup, is projective."""
+    return all(part < p for part in ab[0] + ab[1])
+
+
+def _higman_draw(x, rng):
+    """Whether a random element of End_1(x) = R End_1(M) C, the image of
+    the relative trace, is invertible. That ideal of End(x) holds 1 just
+    when x is projective (Higman); for a projective indecomposable x,
+    End(x) is local and a draw succeeds with probability >= 1 - 1/p."""
+    p, end = x.p, x.parent.end
+    z = end.element(rng.integers(0, p, end.num) * end.trace, p)
+    if not x.whole:
+        z = gfp.matmul(gfp.matmul(x.R, z, p), x.C, p)
+    return gfp.is_invertible(z, p)
+
+
+def _certify(x, rng, draws):
+    """Whether x is certified projective: by its module's parts, which
+    decide a whole module, or by one of up to draws Higman draws."""
+    if not (x.projective or x.whole):
+        x.projective = any(_higman_draw(x, rng) for _ in range(draws))
+    return x.projective
+
+
+def _accept_projective(node, known, rng):
+    """Label the node with the projective class of known, {fingerprint:
+    class}, that it is, if any, and return the label: projective modules
+    with equal Brauer characters are isomorphic (Serre, Linear
+    Representations of Finite Groups, 16.1). Certifies a class once."""
+    cls = known.get(node.fingerprint())
+    if cls is not None and _certify(node, rng, HIGMAN_DRAWS):
+        if not _certify(cls["rep"], rng, MAX_NONSPLIT_ROUNDS):
+            raise IntegrityError(
+                f"the representative of the projective class {cls['label']} "
+                f"failed {MAX_NONSPLIT_ROUNDS} Higman draws"
+            )
+        node.label = cls["label"]
+    return node.label
 
 
 def _split_once(z, p, rng):
@@ -824,16 +877,18 @@ def _projector_split(z, parts, p, proj=None):
     return out
 
 
-def decompose_summands(module, rng, start=None):
+def decompose_summands(module, rng, start=None, classes=()):
     """The indecomposable summands of the module, as Summand objects.
 
-    Endomorphisms are drawn from module.end; Monte Carlo in that choice:
-    a node is accepted as indecomposable after MAX_NONSPLIT_ROUNDS
-    non-splitting rounds. The engine labels each module's leaves once,
-    in the registry sweep or in decompose, and re-checks dimensions and
-    label counts there, so a premature accept cannot pass silently. An
-    optional (C, R) starting node restricts the splitting to that
-    summand of the module.
+    A node that is one of the projective classes, dicts of "label" and
+    "rep", is accepted at once with its label (_accept_projective).
+    Other nodes are split by endomorphisms drawn from module.end; Monte
+    Carlo in that choice: a node is accepted as indecomposable after
+    MAX_NONSPLIT_ROUNDS non-splitting rounds. The engine labels each
+    module's leaves once, in the registry sweep or in decompose, and
+    re-checks dimensions and label counts there, so a premature accept
+    cannot pass silently. An optional (C, R) starting node restricts
+    the splitting to that summand of the module.
     """
     p, end_basis = module.p, module.end
     eye = np.eye(module.dim, dtype=np.int64)
@@ -842,6 +897,8 @@ def decompose_summands(module, rng, start=None):
     dim = start[0].shape[1]
     if end_basis.num == 1 and dim == module.dim:
         return [module.summand]
+    known = {cls["rep"].fingerprint(): cls for cls in classes}
+    dims = {fp[0] for fp in known}
     queue = [start]
     leaves = []
     while queue:
@@ -850,6 +907,12 @@ def decompose_summands(module, rng, start=None):
         # samples and block bases are reduced, so the whole module
         # skips its products with the identity
         whole = _is_whole(C, R)
+        node = None
+        if d in dims:
+            node = module.summand if whole else Summand(module, C, R)
+            if _accept_projective(node, known, rng) is not None:
+                leaves.append(node)
+                continue
         split = None
         if d > 1:
             for _ in range(MAX_NONSPLIT_ROUNDS):
@@ -864,7 +927,7 @@ def decompose_summands(module, rng, start=None):
                 if split is not None:
                     break
         if split is None:
-            leaves.append(module.summand if whole else Summand(module, C, R))
+            leaves.append(node or (module.summand if whole else Summand(module, C, R)))
             continue
         for b, r in split:
             if whole:
@@ -952,20 +1015,22 @@ def modules_isomorphic(u, v, seed=0):
     2. fingerprint: the dimensions of the fixed spaces of one element
        of each p-regular class, which fix the Brauer character, are iso
        invariants, so unequal fingerprints answer False;
-    3. random invertible map: a random element of Hom(u, v) that is
+    3. projective: equal fingerprints answer True when both sides are
+       certified projective (_certify), which fixes their isomorphism type;
+    4. random invertible map: a random element of Hom(u, v) that is
        invertible answers True;
-    4. leaf matching: every pair that 3 does not settle, the
+    5. leaf matching: every pair that 4 does not settle, the
        non-isomorphic ones that pass 2 (none among whole modules of
        degree <= 6) and the isomorphic decomposable ones whose random
        maps were all singular. Each side is split into indecomposable
-       leaves, matched pairwise by 3, and the answer follows from
+       leaves, matched pairwise by 4, and the answer follows from
        unique decomposition.
 
-    Only paths 3 and 4 draw random numbers. A True answer is exact: it
-    comes with an invertible intertwiner, on the whole or leaf by leaf.
-    A False from 1 or 2 is exact; a False from 4 is Monte Carlo, as the
-    leaves are accepted after rounds that refuse to split and matched by
-    random maps.
+    Only paths 4 and 5 draw random numbers. A True answer is exact: from
+    3 with no Hom or intertwiner, else with an invertible intertwiner.
+    A False from 1 or 2 is exact; a False from 5, reached only by a pair
+    not both certified projective, is Monte Carlo, as the leaves are
+    accepted after rounds that refuse to split and matched by random maps.
     """
     _check_seed(seed)
     a = _as_summand(u)
@@ -975,6 +1040,8 @@ def modules_isomorphic(u, v, seed=0):
     check_prime(a.p)
     if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
+    if a.projective and b.projective:
+        return True
     rng = np.random.default_rng(seed)
     same = a.parent is b.parent
     hom_ab = a.parent.end if same else _hom_orbits(a.parent, b.parent)
@@ -1077,8 +1144,8 @@ class DirectEngine:
             counts, unmatched = self._label(key, classes)
             if len(unmatched) != 1 or unmatched[0][1] != 1:
                 raise IntegrityError(
-                    f"sweep at label {label}: expected exactly one new "
-                    f"class of multiplicity 1, found "
+                    f"sweep at label {label}, {self._where(key)}: expected "
+                    f"exactly one new class of multiplicity 1, found "
                     f"{[(r.dim, c) for r, c in unmatched]}"
                 )
             classes.append({"label": label, "rep": unmatched[0][0]})
@@ -1087,24 +1154,37 @@ class DirectEngine:
         self.registry[n] = classes
         return classes
 
+    def _where(self, key):  # the module and seed that reproduce an error
+        return f"M{key} at engine seed {self.seed}"
+
     def _label(self, key, classes):
         """Split M(key), group its leaves by isomorphism and match each
         group to the classes: ({label: multiplicity}, [(rep, count)] of
-        the groups matching none)."""
+        the groups matching none). A leaf accepted as a projective class,
+        (lam, ()) with lam p-restricted, counts with no random map."""
         alpha, beta = key
         end = self.hom(key, key)
         rng = np.random.default_rng(
             [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
         )
-        reps, counts = [], []
-        for leaf in decompose_summands(self.module(key), rng):
+        projective = [c for c in classes if not c["label"][1]]
+        projective = [c for c in projective if is_p_restricted(c["label"][0], self.p)]
+        try:
+            leaves = decompose_summands(self.module(key), rng, classes=projective)
+        except IntegrityError as e:
+            raise IntegrityError(f"{self._where(key)}: {e}") from e
+        labelled, reps, counts = {}, [], []
+        for leaf in leaves:
+            if leaf.label is not None:
+                labelled[leaf.label] = labelled.get(leaf.label, 0) + 1
+                continue
             i = _first_isomorphic(leaf, reps, lambda rep: end, rng)
             if i is None:
                 reps.append(leaf)
                 counts.append(1)
             else:
                 counts[i] += 1
-        labelled, unmatched = {}, []
+        unmatched = []
         for rep, count in zip(reps, counts):
             i = _first_isomorphic(
                 rep,
@@ -1125,7 +1205,7 @@ class DirectEngine:
         """Check that the multiplicities fill M(key), then cache them."""
         dims = {cls["label"]: cls["rep"].dim for cls in classes}
         if sum(m * dims[l] for l, m in counts.items()) != module_dimension(key):
-            raise IntegrityError("labelled multiplicities do not fill M")
+            raise IntegrityError(f"multiplicities do not fill {self._where(key)}")
         self.decomps[key] = counts
 
     def decompose(self, ab):
@@ -1139,8 +1219,8 @@ class DirectEngine:
                 counts, unmatched = self._label(key, classes)
                 if unmatched:
                     raise IntegrityError(
-                        f"a summand of M{key} of dimension {unmatched[0][0].dim} "
-                        f"matches no registered class at degree {n}"
+                        f"a summand of dimension {unmatched[0][0].dim} of "
+                        f"{self._where(key)} matches no registered class"
                     )
                 self._record(key, counts, classes)
         return dict(self.decomps[key])

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from skostka import gfp, modrep, reduction, tabx
-from skostka.combinat import enumerate_p2, enumerate_p2p, label_rows, size, wp
+from skostka.combinat import (
+    enumerate_p2,
+    enumerate_p2p,
+    is_p_restricted,
+    label_rows,
+    size,
+    wp,
+)
 
 P = 3
 
@@ -470,9 +477,11 @@ def test_leaf_count_mismatch_answers_false(monkeypatch):
     leaf counts. So stubs drive it: the random maps of the whole
     question are refused, and the second side lists one leaf twice.
     Every leaf of the first side still has a partner, so only the count
-    can answer False; with equal counts the same stubs answer True.
+    can answer False; with equal counts the same stubs answer True. The
+    module has a part equal to p, so it is not projective, and the
+    question is not settled by the fingerprint alone.
     """
-    m, leaves = fitting_leaves(((2, 1, 1), ()), P)
+    m, leaves = fitting_leaves(((3, 1, 1), ()), P)
     assert len(leaves) >= 2
     real = modrep._summands_isomorphic
     calls = []
@@ -614,19 +623,36 @@ def test_negative_seed_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_full_module_classification_matches_part_counts(seed):
-    # degree 5 holds the non-isomorphic pairs sharing a summand, such as
-    # M(3,1,1) and M(1,1|3) at p = 3, which the fixed-point fingerprint
-    # tells apart; test_leaf_matching_answers_false covers leaf matching
-    # on such a pair
-    for n in range(0, 6):
-        pairs = enumerate_p2(n)
-        mods = {ab: modrep.build_module(ab, P) for ab in pairs}
-        for i, ab in enumerate(pairs):
-            for cd in pairs[i:]:
-                want = tabx.iso_equivalent(ab, cd)
-                got = modrep.modules_isomorphic(mods[ab], mods[cd], seed=seed)
-                assert got == want, (ab, cd, seed)
+def test_full_module_classification_matches_part_counts(seed, monkeypatch):
+    """Every pair of degree <= 5 at p = 3 and 5 against the part-count
+    criterion. A pair of projective modules, every part below p, is
+    decided by fingerprints alone: with no Hom and no random map.
+
+    Degree 5 holds the non-isomorphic pairs sharing a summand, such as
+    M(3,1,1) and M(1,1|3) at p = 3, which the fixed-point fingerprint
+    tells apart; test_leaf_matching_answers_false covers leaf matching
+    on such a pair.
+    """
+
+    def refuse(*args):
+        raise AssertionError("a projective pair reached a Hom or a random map")
+
+    projective = 0
+    for p in (3, 5):
+        for n in range(0, 6):
+            pairs = enumerate_p2(n)
+            mods = {ab: modrep.build_module(ab, p) for ab in pairs}
+            for i, ab in enumerate(pairs):
+                for cd in pairs[i:]:
+                    want = tabx.iso_equivalent(ab, cd)
+                    with monkeypatch.context() as m:
+                        if max(ab[0] + ab[1] + cd[0] + cd[1], default=0) < p:
+                            projective += 1
+                            m.setattr(modrep, "_hom_orbits", refuse)
+                            m.setattr(modrep, "_summands_isomorphic", refuse)
+                        got = modrep.modules_isomorphic(mods[ab], mods[cd], seed=seed)
+                    assert got == want, (p, ab, cd, seed)
+    assert projective > 500
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +770,113 @@ def test_sweep_records_label_rows(p, monkeypatch):
         dec = eng.decompose(row)
         assert dec[label] == 1, (p, label)
         assert all(labels.index(x) < i for x in dec if x != label), (p, label)
+
+
+def is_projective_label(label, p):
+    return label[1] == () and is_p_restricted(label[0], p)
+
+
+def test_projective_acceptance_needs_a_registered_fingerprint(monkeypatch):
+    """In the degree-6 sweep at p = 3, a node is accepted early only as a
+    projective class registered before its row, with that class's
+    fingerprint; every other node is refused."""
+    eng = modrep.DirectEngine(P)
+    real = modrep._accept_projective
+    seen = []
+
+    def spy(node, known, rng):
+        label = real(node, known, rng)
+        seen.append((node.parent.ab, node.fingerprint(), label))
+        return label
+
+    monkeypatch.setattr(modrep, "_accept_projective", spy)
+    classes = eng.registry_for(6)
+    labels, rows = label_rows(6, P)
+    row_of = {modrep._canonical_pair(row): i for i, row in enumerate(rows)}
+    fps = {cls["label"]: cls["rep"].fingerprint() for cls in classes}
+    accepted = refused = 0
+    for ab, fp, label in seen:
+        earlier = [
+            x for x in labels[: row_of[ab]] if is_projective_label(x, P) and fps[x] == fp
+        ]
+        if earlier:
+            accepted += label is not None
+            assert label in (None, earlier[0]), (ab, label)
+        else:
+            refused += 1
+            assert label is None, (ab, fp, label)
+    assert accepted > 50 and refused > 0
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_outputs_unchanged_without_certificates(p, monkeypatch):
+    """With the parts test and every Higman draw failing, no node is
+    certified projective: the matrices of degree <= 5 are the same, and
+    only the number of splitting rounds rises."""
+    real = modrep._split_once
+    calls = []
+
+    def count(z, p, rng):
+        calls.append(1)
+        return real(z, p, rng)
+
+    def matrices():
+        calls.clear()
+        eng = modrep.DirectEngine(p)
+        mats = [modrep.assemble_matrix(n, p, engine=eng)[1].tolist() for n in range(6)]
+        return mats, len(calls)
+
+    monkeypatch.setattr(modrep, "_split_once", count)
+    want, rounds = matrices()
+    monkeypatch.setattr(modrep, "_parts_below_p", lambda ab, p: False)
+    monkeypatch.setattr(modrep, "_higman_draw", lambda x, rng: False)
+    got, more = matrices()
+    assert got == want
+    assert more > rounds
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_higman_certificate_agrees_with_labels(p):
+    """Every class representative of degree <= 6 certifies within
+    MAX_NONSPLIT_ROUNDS Higman draws exactly when its label is (lam, ())
+    with lam p-restricted; the trace mask of End(M) is all true exactly
+    when every part of M is below p."""
+    eng = modrep.DirectEngine(p)
+    rng = np.random.default_rng(5)
+    for n in range(7):
+        for cls in eng.registry_for(n):
+            rep = cls["rep"]
+            got = any(
+                modrep._higman_draw(rep, rng) for _ in range(modrep.MAX_NONSPLIT_ROUNDS)
+            )
+            assert got == is_projective_label(cls["label"], p), (p, cls["label"])
+        for ab in {modrep._canonical_pair(ab) for ab in enumerate_p2(n)}:
+            want = max(ab[0] + ab[1], default=0) < p
+            assert eng.module(ab).end.trace.all() == want, (p, ab)
+
+
+def test_record_error_names_key_and_seed(monkeypatch):
+    """The "multiplicities do not fill M" check names the module and the
+    engine seed that reproduce it."""
+    real = modrep.module_dimension
+    monkeypatch.setattr(modrep, "module_dimension", lambda ab: real(ab) + 1)
+    with pytest.raises(modrep.IntegrityError, match="do not fill") as info:
+        modrep.DirectEngine(P, seed=7).decompose(((2, 1), ()))
+    assert "M((3,), ()) at engine seed 7" in str(info.value)
+
+
+def test_uncertified_projective_class_is_loud(monkeypatch):
+    """A projective class whose representative fails every Higman draw
+    stops the sweep, naming the class, the module and the seed."""
+    monkeypatch.setattr(modrep, "_higman_draw", lambda x, rng: False)
+    with pytest.raises(modrep.IntegrityError, match="Higman draws") as info:
+        modrep.DirectEngine(P, seed=4).registry_for(6)
+    # (4, 2) is 3-restricted, and M(4,2), its row, has a part above p
+    want = (
+        "M((2, 2, 2), ()) at engine seed 4: "
+        "the representative of the projective class ((4, 2), ())"
+    )
+    assert want in str(info.value)
 
 
 def test_end_has_one_home():
