@@ -151,17 +151,17 @@ def cache_path(directory, n, p, signed):
 
 
 def load_cache(path, n, p, signed, engine):
-    """The cached matrix, or None when absent, stale, or mismatched.
+    """The cached matrix, or None when absent, malformed, stale, or mismatched.
 
-    A cache is served only when its labels are the full ordered label
-    list for (n, p, signed).
+    A cache is served only when it is a JSON object whose labels are the
+    full ordered label list for (n, p, signed) and whose matrix is valid.
     """
     try:
         with open(path) as f:
             obj = json.load(f)
     except (OSError, ValueError):
         return None
-    if obj.get("version") != CACHE_VERSION:
+    if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
         return None
     if (obj.get("n"), obj.get("p"), obj.get("signed")) != (n, p, signed):
         return None
@@ -172,7 +172,7 @@ def load_cache(path, n, p, signed, engine):
         return None
     try:
         return KostkaMatrix.from_json(obj)
-    except (KeyError, UsageError):
+    except (KeyError, TypeError, ValueError):  # UsageError is a ValueError
         return None
 
 

@@ -140,10 +140,9 @@ class SignedPermModule:
 
     @cached_property
     def summand(self):
-        """The whole module as a Summand, C = R = I, whose fingerprint
-        and leaves are then computed once per module."""
-        eye = np.eye(self.dim, dtype=np.int64)
-        return Summand(self, eye, eye)
+        """The whole module as a Summand, the root of its splitting tree,
+        whose fingerprint and leaves are then computed once per module."""
+        return Summand(self)
 
 
 def build_module(ab, p):
@@ -683,19 +682,21 @@ def _factor_poly(coeffs, p):
 
 
 class Summand:
-    """A direct summand of a signed permutation module.
-
-    C (dim parent x dim) and R (dim x dim parent) are equivariant
-    inclusion/projection maps with R C = identity; whole is set when the
-    summand is the whole parent, C = R = I. projective and label are set
-    by _certify and _accept_projective.
+    """A direct summand of a signed permutation module, a node of the
+    splitting tree. Summand(parent), with no maps, is the whole parent:
+    whole, with C = R = I, and restrict and part take no product with
+    the identity. part makes the other nodes, with equivariant inclusion
+    C (dim parent x dim) and projection R (dim x dim parent), R C = I.
+    projective and label are set by _certify and _accept_projective.
     """
 
-    def __init__(self, parent, C, R):
+    def __init__(self, parent, C=None, R=None):
         self.parent = parent
+        self.whole = C is None
+        if self.whole:
+            C = R = np.eye(parent.dim, dtype=np.int64)
         self.C = C
         self.R = R
-        self.whole = _is_whole(C, R)
         self.dim = C.shape[1]
         self.p = parent.p
         self.n = parent.n
@@ -737,22 +738,27 @@ class Summand:
             self._fp = (d, tuple(fixed))
         return self._fp
 
+    def restrict(self, x):
+        """R x C: the endomorphism x of the parent restricted to the
+        summand."""
+        if self.whole:
+            return x
+        return gfp.matmul(gfp.matmul(self.R, x, self.p), self.C, self.p)
+
+    def part(self, C, R):
+        """The child node whose inclusion and projection into this node
+        are C and R, as a Summand of the parent."""
+        if self.whole:
+            return Summand(self.parent, C, R)
+        p = self.p
+        return Summand(self.parent, gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p))
+
     def leaves(self, rng):
         """The indecomposable leaves of the summand, split once."""
         if self._leaves is None:
-            self._leaves = decompose_summands(
-                self.parent, rng, start=(self.C, self.R)
-            )
+            start = None if self.whole else (self.C, self.R)
+            self._leaves = decompose_summands(self.parent, rng, start=start)
         return self._leaves
-
-
-def _is_whole(C, R):
-    """Whether the node (C, R) is the whole module: C = R = I."""
-    d = C.shape[0]
-    if C.shape != (d, d):
-        return False
-    eye = np.eye(d, dtype=np.int64)
-    return np.array_equal(C, eye) and np.array_equal(R, eye)
 
 
 def _parts_below_p(ab, p):
@@ -767,9 +773,7 @@ def _higman_draw(x, rng):
     End(x) is local and a draw succeeds with probability >= 1 - 1/p."""
     p, end = x.p, x.parent.end
     z = end.element(rng.integers(0, p, end.num) * end.trace, p)
-    if not x.whole:
-        z = gfp.matmul(gfp.matmul(x.R, z, p), x.C, p)
-    return gfp.is_invertible(z, p)
+    return gfp.is_invertible(x.restrict(z), p)
 
 
 def _certify(x, rng, draws):
@@ -880,64 +884,47 @@ def _projector_split(z, parts, p, proj=None):
 def decompose_summands(module, rng, start=None, classes=()):
     """The indecomposable summands of the module, as Summand objects.
 
-    A node that is one of the projective classes, dicts of "label" and
-    "rep", is accepted at once with its label (_accept_projective).
-    Other nodes are split by endomorphisms drawn from module.end; Monte
-    Carlo in that choice: a node is accepted as indecomposable after
+    The splitting tree holds Summands, from module.summand or from the
+    optional (C, R) starting node, which restricts the splitting to that
+    summand. A node that is one of the projective classes, dicts of
+    "label" and "rep", is accepted at once with its label
+    (_accept_projective). Other nodes are split by endomorphisms drawn
+    from module.end and restricted to the node; Monte Carlo in that
+    choice: a node is accepted as indecomposable after
     MAX_NONSPLIT_ROUNDS non-splitting rounds. The engine labels each
     module's leaves once, in the registry sweep or in decompose, and
     re-checks dimensions and label counts there, so a premature accept
-    cannot pass silently. An optional (C, R) starting node restricts
-    the splitting to that summand of the module.
+    cannot pass silently.
     """
-    p, end_basis = module.p, module.end
-    eye = np.eye(module.dim, dtype=np.int64)
-    if start is None:
-        start = (eye, eye)
-    dim = start[0].shape[1]
-    if end_basis.num == 1 and dim == module.dim:
-        return [module.summand]
+    p, end = module.p, module.end
+    root = module.summand if start is None else Summand(module, *start)
     known = {cls["rep"].fingerprint(): cls for cls in classes}
     dims = {fp[0] for fp in known}
-    queue = [start]
+    queue = [root]
     leaves = []
     while queue:
-        C, R = queue.pop()
-        d = C.shape[1]
-        # samples and block bases are reduced, so the whole module
-        # skips its products with the identity
-        whole = _is_whole(C, R)
-        node = None
-        if d in dims:
-            node = module.summand if whole else Summand(module, C, R)
-            if _accept_projective(node, known, rng) is not None:
-                leaves.append(node)
-                continue
-        split = None
-        if d > 1:
-            for _ in range(MAX_NONSPLIT_ROUNDS):
-                big = end_basis.sample(rng, p)
-                z = big if whole else gfp.matmul(gfp.matmul(R, big, p), C, p)
-                try:
-                    split = _split_once(z, p, rng)
-                except IntegrityError as e:
-                    raise IntegrityError(
-                        f"splitting a node of dimension {d} of M{module.ab}: {e}"
-                    ) from e
-                if split is not None:
-                    break
-        if split is None:
-            leaves.append(node or (module.summand if whole else Summand(module, C, R)))
+        node = queue.pop()
+        if node.dim in dims and _accept_projective(node, known, rng) is not None:
+            leaves.append(node)
             continue
-        for b, r in split:
-            if whole:
-                queue.append((b, r))
-            else:
-                queue.append((gfp.matmul(C, b, p), gfp.matmul(r, R, p)))
+        split = None
+        for _ in range(MAX_NONSPLIT_ROUNDS if node.dim > 1 else 0):
+            try:
+                split = _split_once(node.restrict(end.sample(rng, p)), p, rng)
+            except IntegrityError as e:
+                raise IntegrityError(
+                    f"splitting a node of dimension {node.dim} of M{module.ab}: {e}"
+                ) from e
+            if split is not None:
+                break
+        if split is None:
+            leaves.append(node)
+        else:
+            queue += [node.part(C, R) for C, R in split]
     total = sum(leaf.dim for leaf in leaves)
-    if total != dim:
+    if total != root.dim:
         raise IntegrityError(
-            f"summand dimensions of M{module.ab} sum to {total}, not {dim}"
+            f"summand dimensions of M{module.ab} sum to {total}, not {root.dim}"
         )
     return leaves
 
@@ -1158,12 +1145,12 @@ class DirectEngine:
         return f"M{key} at engine seed {self.seed}"
 
     def _label(self, key, classes):
-        """Split M(key), group its leaves by isomorphism and match each
-        group to the classes: ({label: multiplicity}, [(rep, count)] of
-        the groups matching none). A leaf accepted as a projective class,
-        (lam, ()) with lam p-restricted, counts with no random map."""
+        """Split M(key) and label its leaves: ({label: multiplicity},
+        [(rep, count)] of the leaves matching no class). A leaf accepted
+        as a projective class counts with no random map; each other leaf
+        is matched by _first_isomorphic against the class representatives,
+        then the row's new ones, drawing from the module's generator."""
         alpha, beta = key
-        end = self.hom(key, key)
         rng = np.random.default_rng(
             [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
         )
@@ -1173,33 +1160,22 @@ class DirectEngine:
             leaves = decompose_summands(self.module(key), rng, classes=projective)
         except IntegrityError as e:
             raise IntegrityError(f"{self._where(key)}: {e}") from e
-        labelled, reps, counts = {}, [], []
+        reps = [cls["rep"] for cls in classes]
+        labelled, new = {}, {}
         for leaf in leaves:
-            if leaf.label is not None:
-                labelled[leaf.label] = labelled.get(leaf.label, 0) + 1
-                continue
-            i = _first_isomorphic(leaf, reps, lambda rep: end, rng)
-            if i is None:
-                reps.append(leaf)
-                counts.append(1)
-            else:
-                counts[i] += 1
-        unmatched = []
-        for rep, count in zip(reps, counts):
-            i = _first_isomorphic(
-                rep,
-                [cls["rep"] for cls in classes],
-                lambda other: self.hom(key, other.parent.ab),
-                np.random.default_rng(
-                    [self.seed, 77, rep.dim, *rep.fingerprint()[1]]
-                ),
-            )
-            if i is None:
-                unmatched.append((rep, count))
-            else:
+            label = leaf.label
+            if label is None:
+                found = reps + list(new)
+                i = _first_isomorphic(
+                    leaf, found, lambda y: self.hom(key, y.parent.ab), rng
+                )
+                if i is None or i >= len(reps):
+                    rep = leaf if i is None else found[i]
+                    new[rep] = new.get(rep, 0) + 1
+                    continue
                 label = classes[i]["label"]
-                labelled[label] = labelled.get(label, 0) + count
-        return labelled, unmatched
+            labelled[label] = labelled.get(label, 0) + 1
+        return labelled, list(new.items())
 
     def _record(self, key, counts, classes):
         """Check that the multiplicities fill M(key), then cache them."""

@@ -104,6 +104,26 @@ def test_partial_cache_is_recomputed(tmp_path, capsys):
     assert out == full and len(out.splitlines()) == 5
 
 
+def test_malformed_cache_is_recomputed(tmp_path, capsys):
+    """A cache file that is valid JSON of the wrong shape counts as
+    stale: a list, a non-integer entry and a null matrix."""
+    argv = ["matrix", "--n", "3", "--p", "3", "--signed",
+            "--cache-dir", str(tmp_path)]
+    code, full, _ = run(argv, capsys)
+    assert code == 0
+    path = cli.cache_path(tmp_path, 3, P, True)
+    good = json.loads(path.read_text())
+    entry = json.loads(path.read_text())
+    entry["matrix"][1][0] = "x"
+    null = dict(good, matrix=None)
+    for payload in ([good], entry, null):
+        path.write_text(json.dumps(payload))
+        assert cli.load_cache(path, 3, P, True, "direct") is None
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == full
+        assert json.loads(path.read_text()) == good
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     assert cli.cache_dir(str(tmp_path)) == tmp_path

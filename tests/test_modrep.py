@@ -427,6 +427,24 @@ def test_split_integrity_error_names_module_and_node(monkeypatch):
     assert msg.endswith("planted fault")
 
 
+def test_whole_module_never_multiplies_by_identity(monkeypatch):
+    """The root of the splitting tree is the whole module, whose
+    restrictions and children take no product with its identity."""
+    m = modrep.build_module(((1,) * 4, ()), P)
+    eye = np.eye(m.dim, dtype=np.int64)
+    real = gfp.matmul
+    operands = []
+
+    def spy(a, b, p):
+        operands.extend((np.asarray(a), np.asarray(b)))
+        return real(a, b, p)
+
+    monkeypatch.setattr(gfp, "matmul", spy)
+    leaves = modrep.decompose_summands(m, np.random.default_rng(0))
+    assert len(leaves) > 1 and operands
+    assert not any(x.shape == eye.shape and (x == eye).all() for x in operands)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -863,6 +881,30 @@ def test_record_error_names_key_and_seed(monkeypatch):
     with pytest.raises(modrep.IntegrityError, match="do not fill") as info:
         modrep.DirectEngine(P, seed=7).decompose(((2, 1), ()))
     assert "M((3,), ()) at engine seed 7" in str(info.value)
+
+
+def test_sweep_row_without_one_new_class_is_loud(monkeypatch):
+    """A sweep row with two leaves of no earlier class stops the sweep,
+    naming the label, the module and the seed: with no random map
+    invertible, the trivial summand of M(3,1) at p = 3, which is not
+    projective, matches nothing."""
+    monkeypatch.setattr(modrep, "_summands_isomorphic", lambda a, b, hom, rng: False)
+    eng = modrep.DirectEngine(P, seed=5)
+    with pytest.raises(modrep.IntegrityError, match="exactly one new class") as info:
+        eng.registry_for(4)
+    want = "sweep at label ((3, 1), ()), M((3, 1), ()) at engine seed 5"
+    assert want in str(info.value)
+
+
+def test_unmatched_summand_is_loud(monkeypatch):
+    """A summand of a module outside the label rows that matches no
+    registered class is an error naming the module and the seed."""
+    eng = modrep.DirectEngine(P, seed=6)
+    eng.registry_for(4)
+    monkeypatch.setattr(modrep, "_summands_isomorphic", lambda a, b, hom, rng: False)
+    with pytest.raises(modrep.IntegrityError, match="matches no registered") as info:
+        eng.decompose(((), (4,)))
+    assert "M((), (4,)) at engine seed 6" in str(info.value)
 
 
 def test_uncertified_projective_class_is_loud(monkeypatch):
