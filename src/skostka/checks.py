@@ -1,11 +1,12 @@
 """Consistency checks shared by `skostka verify` and the acceptance gate.
 
 Each check takes its scope as arguments (module pairs, labels or
-degrees, the prime, the engine) and returns Record tuples: a name, the
-failing cases (empty when the check holds) and a Counter of the cases
-examined, by kind. The command line prints one line per record over a
-small scope; the acceptance gate runs the same functions over wider
-scopes and asserts that no record has a failing case.
+degrees, the prime, the engine, or a computed table to compare) and
+returns Record tuples: a name, the failing cases (empty when the check
+holds) and a Counter of the cases examined, by kind. The command line
+prints one line per record over a small scope; the acceptance gate runs
+the same functions over wider scopes and asserts that no record has a
+failing case.
 """
 
 from collections import Counter, namedtuple
@@ -16,6 +17,7 @@ from . import modrep, reduction, tabx
 from .combinat import (
     admits_horizontal_cut,
     conjugate,
+    digit,
     enumerate_p2,
     enumerate_partitions,
     scale,
@@ -46,16 +48,13 @@ def _differing_cells(got, want):
     return [tuple(int(i) for i in ij) for ij in np.argwhere(got != want)]
 
 
-def fixtures(ref, engine):
-    """The packaged reference table against the direct engine."""
-    p = ref["p"]
-    labels, mat = modrep.assemble_matrix(ref["n"], p, signed=True, engine=engine)
-    strings = [format_label(x, p) for x in labels]
+def fixtures(ref, strings, matrix):
+    """Label strings and a matrix against the packaged reference table."""
     order = [] if strings == ref["labels"] else [("labels", strings)]
-    cells = _differing_cells(mat, ref["matrix"])
+    cells = _differing_cells(matrix, ref["matrix"])
     return [
         Record("reference label order", order, Counter(labels=len(strings))),
-        Record("reference matrix entries", cells, Counter(entries=mat.size)),
+        Record("reference matrix entries", cells, Counter(entries=np.size(matrix))),
     ]
 
 
@@ -103,7 +102,8 @@ def blocks(n, p, engine):
 
 def rowcut(pairs, labels, p, engine):
     """rowcut_lower_bound never exceeds the multiplicity, and equals it
-    when |beta| = p|mu|, on every admissible pair of cuts."""
+    when |beta| = p|mu|, as does product_formula, on every admissible
+    pair of cuts."""
     out = []
     for ab in pairs:
         alpha, beta = ab
@@ -121,15 +121,77 @@ def rowcut(pairs, labels, p, engine):
                 for s in range(n + 1):
                     if not admits_horizontal_cut(beta, pmu, s):
                         continue
-                    bound = reduction.rowcut_lower_bound(ab, x, r, s, engine)
+                    cut = (ab, x, r, s)
+                    bound = reduction.rowcut_lower_bound(*cut, engine)
                     if bound > value:
                         bad.append(("bound", x, r, s))
                     if split and bound != value:
                         bad.append(("equality", x, r, s))
+                    if split and reduction.product_formula(*cut, engine) != value:
+                        bad.append(("product", x, r, s))
                     counts["bound"] += 1
                     counts["equality"] += split
+                    counts["product"] += split
         out.append(Record(f"row cuts for ({format_pair(ab)})", bad, counts))
     return out
+
+
+IDENTITIES = {
+    "twist": "sign twist keeps the multiplicity",
+    "factor": "Mullineux factor where |alpha| = |lam| - |lam(0)|",
+    "witness": "nonzero witness where |beta| = p|mu|",
+    "vanishing": "both engines vanish where lam(0) is empty and |beta| != p|mu|",
+    "principal": "principal part formula",
+}
+
+
+def identities(pairs, labels, p, engine):
+    """The paper's identities for the multiplicity k of each label in
+    each pair, one record for each identity with a case in scope: k is
+    kept by the sign twist; equals the Mullineux factor where |alpha| =
+    |lam| - |lam(0)|; is positive exactly when nonzero_witness holds
+    where |beta| = p|mu|; vanishes in both engines and by vanishing_check
+    where lam(0) is empty and |beta| != p|mu|. When p divides the
+    degree, principal_part_formula gives the positive k with lam(0)
+    empty; labels must then be every label of that degree."""
+    sk = reduction.signed_kostka
+    bad = {kind: [] for kind in IDENTITIES}
+    counts = Counter()
+    for ab in pairs:
+        alpha, beta = ab
+        principal = {}
+        for x in labels:
+            lam, mu = x
+            k = sk(ab, x, engine)
+            lam0 = digit(lam, p, 0)
+            split = size(beta) == p * size(mu)
+            twist = sk((beta, alpha), reduction.sign_twist_label(x, p), engine)
+            holds = {"twist": twist == k}
+            if size(alpha) == size(lam) - size(lam0):
+                holds["factor"] = reduction.mullineux_factor(ab, x, engine) == k
+            if split:
+                holds["witness"] = reduction.nonzero_witness(ab, x, p) == (k > 0)
+            elif lam0 == ():
+                holds["vanishing"] = (
+                    k == 0
+                    and engine.decompose(ab).get(x, 0) == 0
+                    and reduction.vanishing_check(ab, x, p)
+                )
+            if split and lam0 == () and k:
+                principal[x] = k
+            for kind, ok in holds.items():
+                counts[kind] += 1
+                if not ok:
+                    bad[kind].append((ab, x))
+        if (size(alpha) + size(beta)) % p == 0:
+            counts["principal"] += 1
+            if reduction.principal_part_formula(ab, p, engine) != principal:
+                bad["principal"].append(ab)
+    return [
+        Record(name, bad[kind], Counter({kind: counts[kind]}))
+        for kind, name in IDENTITIES.items()
+        if counts[kind]
+    ]
 
 
 def iso(class_degrees, char_degrees, p, seed=0):

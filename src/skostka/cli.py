@@ -377,12 +377,17 @@ def cmd_iso(args):
 def suite_fixtures(n, p, seed):
     if (n, p) != (6, 3):
         raise UsageError("the published reference matrix exists for n=6, p=3")
-    return checks.fixtures(load_fixture(), direct_engine(p, seed))
+    eng = direct_engine(p, seed)
+    labels, mat = modrep.assemble_matrix(n, p, signed=True, engine=eng)
+    strings = [format_label(x, p) for x in labels]
+    return checks.fixtures(load_fixture(), strings, mat)
 
 
 def suite_reduction(n, p, seed):
     labels, rows = label_rows(n, p)
-    return checks.cross_engine(rows, labels, direct_engine(p, seed))
+    eng = direct_engine(p, seed)
+    records = checks.cross_engine(rows, labels, eng)
+    return records + checks.identities(enumerate_p2(n), labels, p, eng)
 
 
 def suite_blocks(n, p, seed):

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from itertools import count
 
 
 def check_odd_prime(p: int) -> None:

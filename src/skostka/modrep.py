@@ -67,7 +67,7 @@ class DimensionCapError(RuntimeError):
 
     def __init__(self, dim, cap):
         need = HOM_BYTES_PER_CELL * dim * dim
-        size = f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.0f} MB"
+        size = f"{need / 1e9:.3g} GB" if need >= 1e9 else f"{need / 1e6:.0f} MB"
         super().__init__(
             f"module dimension {dim} exceeds the cap {cap}: labelling the "
             f"Hom orbits of its endomorphisms would take about {size} of memory"

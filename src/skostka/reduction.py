@@ -28,7 +28,6 @@ from .combinat import (
     dominates_pair,
     enumerate_p2p,
     is_p_restricted,
-    is_partition,
     mullineux,
     p_adic_expansion,
     pointwise_add,

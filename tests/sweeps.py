@@ -1,0 +1,206 @@
+"""Exhaustive combinatorial sweeps shared by tier-1 tests and acceptance
+criterion 11. Each returns None when its property holds over its whole
+scope, else a message naming the first failing case."""
+
+import itertools
+
+from skostka import reduction
+from skostka.combinat import (
+    admits_horizontal_cut,
+    bottom_cut,
+    cmp_total,
+    dominates,
+    dominates_pair,
+    enumerate_p2,
+    enumerate_p2p,
+    is_p_restricted,
+    mullineux,
+    p_adic_expansion,
+    partitions_of,
+    pointwise_add,
+    scale,
+    size,
+    top_cut,
+    total_key,
+    wp,
+)
+
+P = 3
+support = reduction.enumerate_lambda_supp
+
+
+def compositions_into(n, m):
+    """Compositions of n into exactly m positive parts."""
+    if m == 0:
+        return [()] if n == 0 else []
+    out = []
+    for cuts in itertools.combinations(range(1, n), m - 1):
+        pts = (0,) + cuts + (n,)
+        out.append(tuple(pts[i + 1] - pts[i] for i in range(m)))
+    return out
+
+
+def at(seq, i, pad=0):
+    return seq[i] if i < len(seq) else pad
+
+
+def rectangle_top(seq, r, b):
+    cut = list(top_cut(seq, r)) + [0] * (r - len(top_cut(seq, r)))
+    vals = [v - b for v in cut]
+    if any(v < 0 for v in vals):
+        return None
+    return tuple(vals)
+
+
+def admissible_cut_data(alpha, lam, r):
+    if not admits_horizontal_cut(alpha, lam, r):
+        return None
+    b = at(lam, r)
+    a_top = rectangle_top(alpha, r, b)
+    l_top = rectangle_top(lam, r, b)
+    if a_top is None or l_top is None:
+        return None
+    return a_top, wp(l_top)
+
+
+def padic_roundtrip():
+    """Digits are p-restricted and recombine to lam; n <= 12, p = 3, 5, 7."""
+    for p in (3, 5, 7):
+        for n in range(13):
+            for lam in partitions_of(n):
+                digs = p_adic_expansion(lam, p)
+                total = ()
+                for i, d in enumerate(digs):
+                    if d != () and not is_p_restricted(d, p):
+                        return f"digit {d} of {lam} is not {p}-restricted"
+                    total = pointwise_add(total, scale(p**i, d))
+                if wp(total) != lam:
+                    return f"round trip fails at {lam}, p={p}"
+    return None
+
+
+def cut_digits():
+    """Cutting at row r commutes with taking digits, for the bottom and
+    for the top less lam_{r+1}; n <= 10, r <= 4, p = 3, 5."""
+    for p in (3, 5):
+        for n in range(11):
+            for lam in partitions_of(n):
+                digs = p_adic_expansion(lam, p)
+                for r in range(5):
+                    bot = p_adic_expansion(wp(bottom_cut(lam, r)), p)
+                    top = p_adic_expansion(wp(rectangle_top(lam, r, at(lam, r))), p)
+                    for i in range(max(len(digs), len(bot), len(top))):
+                        d = at(digs, i, ())
+                        if wp(bottom_cut(d, r)) != at(bot, i, ()):
+                            return f"bottom digit fails at {lam}, r={r}, p={p}"
+                        if wp(rectangle_top(d, r, at(d, r))) != at(top, i, ()):
+                            return f"top digit fails at {lam}, r={r}, p={p}"
+
+
+def dominant_block():
+    """lam dominating a composition of at most k parts bounds each part
+    below by lam_k (1-indexed); n <= 8."""
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for k in range(1, len(lam) + 1):
+                lam_k = lam[k - 1]
+                for m in range(1, k + 1):
+                    for gamma in compositions_into(n, m):
+                        if dominates(lam, wp(gamma)) and min(gamma) < lam_k:
+                            return f"block bound fails at {lam}, {gamma}"
+    return None
+
+
+def mullineux_involution():
+    """Mullineux is an involution on p-restricted lam; n <= 10, p = 3, 5."""
+    for p in (3, 5):
+        for n in range(11):
+            for lam in partitions_of(n):
+                if not is_p_restricted(lam, p):
+                    continue
+                img = mullineux(lam, p)
+                if not is_p_restricted(img, p):
+                    return f"image {img} of {lam} is not restricted, p={p}"
+                if sum(img) != n or mullineux(img, p) != lam:
+                    return f"involution fails at {lam}, p={p}"
+    return None
+
+
+def order_refinement():
+    """total_key and cmp_total refine label dominance; n <= 8, p = 3."""
+    for n in range(9):
+        labels = enumerate_p2p(n, P)
+        for x in labels:
+            for y in labels:
+                if x == y:
+                    continue
+                try:
+                    dom = dominates_pair((x[0], scale(P, x[1])), (y[0], scale(P, y[1])))
+                except ValueError:
+                    continue
+                if dom and not total_key(x) < total_key(y):
+                    return f"order does not refine dominance at {x}, {y}"
+                if dom and cmp_total(x, y) != -1:
+                    return f"cmp_total disagrees at {x}, {y}"
+    return None
+
+
+def phi_bijection():
+    """phi_split is a bijection when |beta| = p|mu|; n <= 6, p = 3."""
+    for n in range(7):
+        for ab in enumerate_p2(n):
+            alpha, beta = ab
+            for x in enumerate_p2p(n, P):
+                lam, mu = x
+                if size(beta) != P * size(mu):
+                    continue
+                supp = support(ab, x, P)
+                left = support((alpha, ()), (lam, ()), P)
+                right = support((beta, ()), (scale(P, mu), ()), P)
+                if len(supp) != len(left) * len(right):
+                    return f"cardinality fails at {ab}, {x}"
+                images = set()
+                for t in supp:
+                    a, b = reduction.phi_split(t, ab, x, P)
+                    if a not in left or b not in right:
+                        return f"image escapes at {ab}, {x}"
+                    images.add((a, b))
+                if len(images) != len(supp):
+                    return f"split is not injective at {ab}, {x}"
+    return None
+
+
+def iota_injective():
+    """iota_embed is injective on every admissible pair of cuts; n <= 6,
+    p = 3."""
+    for n in range(7):
+        for ab in enumerate_p2(n):
+            alpha, beta = ab
+            for x in enumerate_p2p(n, P):
+                lam, mu = x
+                pmu = scale(P, mu)
+                for r in range(len(alpha) + 2):
+                    top_a = admissible_cut_data(alpha, lam, r)
+                    if top_a is None:
+                        continue
+                    for s in range(len(beta) + 2):
+                        top_b = admissible_cut_data(beta, pmu, s)
+                        if top_b is None:
+                            continue
+                        g1 = support((top_a[0], ()), (top_a[1], ()), P)
+                        g2 = support((top_b[0], ()), (top_b[1], ()), P)
+                        g3 = support(
+                            (bottom_cut(alpha, r), bottom_cut(beta, s)),
+                            (bottom_cut(lam, r), bottom_cut(mu, s)),
+                            P,
+                        )
+                        g4 = support(ab, x, P)
+                        images = set()
+                        for u, sv, tv in itertools.product(g3, g1, g2):
+                            img = reduction.iota_embed(sv, tv, u, ab, x, r, s, P)
+                            if img not in g4:
+                                return f"image escapes at {ab}, {x}"
+                            images.add(img)
+                        if len(images) != len(g1) * len(g2) * len(g3):
+                            return f"embedding collides at {ab}, {x}, r={r}, s={s}"
+    return None

@@ -341,6 +341,17 @@ def test_matrix_degree_seven_refused_before_building(tmp_path, capsys, monkeypat
     assert built == []
 
 
+def test_cap_message_rounds_large_sizes(tmp_path, capsys):
+    # M(1^18) has dimension 18!, so 30 bytes a cell come to 1.2e24 GB
+    code, _, err = run(
+        ["matrix", "--n", "18", "--p", "3", "--engine", "reduction",
+         "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3
+    assert "would take about 1.23e+24 GB of memory" in err
+
+
 @pytest.mark.parametrize("method", ["both", "direct"])
 def test_entry_over_the_cap_refused_before_the_reduction(capsys, monkeypatch, method):
     """The worked degree-15 entry: its direct side, M(1,1,1|6,3,3), is
@@ -452,26 +463,11 @@ def test_iso_refusals_print_no_verdict(capsys):
 
 
 def test_verify_small_suites(capsys):
-    code, out, _ = run(
-        ["verify", "--suite", "tableaux", "--n", "4", "--p", "3"], capsys
-    )
-    assert code == 0 and "3/3 checks passed" in out
-    code, out, _ = run(
-        ["verify", "--suite", "blocks", "--n", "3", "--p", "3"], capsys
-    )
-    assert code == 0 and "[pass]" in out
-    code, out, _ = run(
-        ["verify", "--suite", "reduction", "--n", "3", "--p", "3"], capsys
-    )
-    assert code == 0
-    code, out, _ = run(
-        ["verify", "--suite", "iso", "--n", "3", "--p", "3"], capsys
-    )
-    assert code == 0
-    code, out, _ = run(
-        ["verify", "--suite", "rowcut", "--n", "3", "--p", "3"], capsys
-    )
-    assert code == 0
+    for suite in ("tableaux", "blocks", "reduction", "iso", "rowcut"):
+        n = "4" if suite == "tableaux" else "3"
+        code, out, _ = run(["verify", "--suite", suite, "--n", n, "--p", "3"], capsys)
+        assert code == 0 and "[pass]" in out, suite
+        assert suite != "tableaux" or "3/3 checks passed" in out
 
 
 def test_verify_fixture_needs_published_degree(capsys):
@@ -557,6 +553,39 @@ def test_verify_rowcut_fails_on_raised_bound(capsys, monkeypatch):
         "[FAIL] rowcut: row cuts for (3|-)",
         capsys,
     )
+
+
+# each identity made wrong where its first argument (a pair, or the
+# label for sign_twist_label) is the given one, and the record it fails
+PLANTED = [
+    ("product_formula", ((3,), ()), lambda v: v + 1,
+     "rowcut: row cuts for (3|-)"),
+    ("sign_twist_label", ((3,), ()), lambda v: ((2, 1), ()),
+     "reduction: sign twist keeps the multiplicity"),
+    ("mullineux_factor", ((3,), ()), lambda v: v + 1,
+     "reduction: Mullineux factor where |alpha| = |lam| - |lam(0)|"),
+    ("nonzero_witness", ((3,), ()), lambda v: not v,
+     "reduction: nonzero witness where |beta| = p|mu|"),
+    ("vanishing_check", ((2,), (1,)), lambda v: False,
+     "reduction: both engines vanish where lam(0) is empty and |beta| != p|mu|"),
+    ("principal_part_formula", ((3,), ()), lambda v: {**v, ((1, 1, 1), ()): 1},
+     "reduction: principal part formula"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, first, wrong, line", PLANTED, ids=[row[0] for row in PLANTED]
+)
+def test_verify_fails_on_wrong_identity(name, first, wrong, line, capsys, monkeypatch):
+    real = getattr(reduction, name)
+
+    def planted(*args):
+        out = real(*args)
+        return wrong(out) if args[0] == first else out
+
+    monkeypatch.setattr(reduction, name, planted)
+    suite = line.split(":")[0]
+    assert_fails(["--suite", suite, "--n", "3"], f"[FAIL] {line}", capsys)
 
 
 def test_verify_iso_fails_on_flipped_verdict(capsys, monkeypatch):

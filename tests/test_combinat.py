@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +27,8 @@ from skostka.combinat import (
     total_key,
     wp,
 )
+
+import sweeps
 
 # --- independent oracles ----------------------------------------------------
 
@@ -171,15 +171,7 @@ def test_padic_uniqueness_bruteforce():
 
 
 def test_padic_roundtrip_exhaustive():
-    for p in (3, 5, 7):
-        for n in range(0, 13):
-            for lam in partitions_of(n):
-                digs = p_adic_expansion(lam, p)
-                total = ()
-                for i, d in enumerate(digs):
-                    assert d == () or is_p_restricted(d, p)
-                    total = pointwise_add(total, scale(p**i, d))
-                assert wp(total) == lam
+    assert sweeps.padic_roundtrip() is None
 
 
 def test_restricted_reading():
@@ -214,53 +206,11 @@ def test_cuts():
 
 
 def test_digit_cut_lemma():
-    # (bottom cut of lam at r)(i) == bottom cut of lam(i) at r, and the
-    # rectangle-adjusted top cut identity, with b = lam_{r+1}, b_i = lam(i)_{r+1}
-    p = 3
-    for n in range(0, 11):
-        for lam in partitions_of(n):
-            for r in range(0, 5):
-                digs = p_adic_expansion(lam, p)
-                bot = bottom_cut(lam, r)
-                bot_digs = p_adic_expansion(wp(bot), p)
-                for i in range(max(len(digs), len(bot_digs))):
-                    di = digs[i] if i < len(digs) else ()
-                    bi = bot_digs[i] if i < len(bot_digs) else ()
-                    assert wp(bottom_cut(di, r)) == bi, (lam, r, i)
-                b = lam[r] if r < len(lam) else 0
-                top = pointwise_sub(top_cut(lam, r), (b,) * min(r, len(lam)))
-                top = wp(top)
-                top_digs = p_adic_expansion(top, p)
-                for i in range(max(len(digs), len(top_digs))):
-                    di = digs[i] if i < len(digs) else ()
-                    bi_ = di[r] if r < len(di) else 0
-                    want = wp(pointwise_sub(top_cut(di, r), (bi_,) * min(r, len(di))))
-                    got = top_digs[i] if i < len(top_digs) else ()
-                    assert want == got, (lam, r, i)
-
-
-def compositions_into(n, m):
-    """Compositions of n into exactly m positive parts."""
-    if m == 0:
-        return [()] if n == 0 else []
-    out = []
-    for cuts in itertools.combinations(range(1, n), m - 1):
-        pts = (0,) + cuts + (n,)
-        out.append(tuple(pts[i + 1] - pts[i] for i in range(m)))
-    return out
+    assert sweeps.cut_digits() is None
 
 
 def test_dominant_block_lemma():
-    # lam |- n, composition gamma with at most k parts and lam dominating
-    # wp(gamma) forces every part of gamma to be >= lam_k (row k, 1-indexed)
-    for n in range(1, 9):
-        for lam in partitions_of(n):
-            for k in range(1, len(lam) + 1):
-                lam_k = lam[k - 1]
-                for m in range(1, k + 1):
-                    for gamma in compositions_into(n, m):
-                        if dominates(lam, wp(gamma)):
-                            assert all(gj >= lam_k for gj in gamma), (lam, k, gamma)
+    assert sweeps.dominant_block() is None
 
 
 # --- p-core ------------------------------------------------------------------
@@ -295,14 +245,7 @@ def test_mullineux_rejects_unrestricted():
 
 
 def test_mullineux_involution():
-    for p in (3, 5):
-        for n in range(0, 11):
-            for lam in partitions_of(n):
-                if is_p_restricted(lam, p):
-                    img = mullineux(lam, p)
-                    assert is_p_restricted(img, p), (lam, img)
-                    assert sum(img) == n
-                    assert mullineux(img, p) == lam, (lam, img)
+    assert sweeps.mullineux_involution() is None
 
 
 def test_mullineux_large_p_is_conjugation():
@@ -367,21 +310,7 @@ def test_enumerate_p2():
 
 
 def test_total_order_refines_dominance():
-    p = 3
-    for n in (6, 8):
-        labels = enumerate_p2p(n, p)
-        for x in labels:
-            for y in labels:
-                if x == y:
-                    continue
-                a = (x[0], scale(p, x[1]))
-                b = (y[0], scale(p, y[1]))
-                try:
-                    dom = dominates_pair(a, b)
-                except ValueError:
-                    continue
-                if dom:
-                    assert total_key(x) < total_key(y), (x, y)
+    assert sweeps.order_refinement() is None
 
 
 def test_cmp_total():

@@ -5,13 +5,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from skostka import gfp, modrep, reduction, tabx
+from skostka import checks, gfp, modrep, reduction, tabx
 from skostka.combinat import (
     enumerate_p2,
     enumerate_p2p,
     is_p_restricted,
     label_rows,
-    size,
     wp,
 )
 
@@ -715,27 +714,20 @@ def test_assemble_matrix_small_unitriangular():
     for n in range(0, 5):
         labels, mat = modrep.assemble_matrix(n, P, signed=True, engine=engine())
         assert len(labels) == mat.shape[0] == mat.shape[1]
-        assert (np.diag(mat) == 1).all()
-        assert (np.triu(mat, 1) == 0).all()
+        assert checks.blocks(n, P, engine())[0].failures == []
 
 
 def test_assemble_matrix_plain_matches_labels():
-    labels, mat = modrep.assemble_matrix(4, P, signed=False, engine=engine())
+    labels, _ = modrep.assemble_matrix(4, P, signed=False, engine=engine())
     assert all(mu == () for _, mu in labels)
-    slabels, smat = modrep.assemble_matrix(4, P, signed=True, engine=engine())
-    idx = [slabels.index(l) for l in labels]
-    assert (mat == smat[np.ix_(idx, idx)]).all()
+    # the |mu| = 0 diagonal block of the signed matrix is the plain one
+    assert checks.blocks(4, P, engine())[1].failures == []
 
 
 def test_cross_engine_agreement_small():
-    eng = engine()
     for n in range(0, 5):
-        labels = enumerate_p2p(n, P)
-        for ab in enumerate_p2(n):
-            dec = eng.decompose(ab)
-            for x in labels:
-                lhs = reduction.signed_kostka(ab, x, eng)
-                assert lhs == dec.get(x, 0), (ab, x)
+        records = checks.cross_engine(enumerate_p2(n), enumerate_p2p(n, P), engine())
+        assert [r.failures for r in records if r.failures] == []
 
 
 def test_sign_twist_relabelling():

@@ -8,12 +8,11 @@ independently of the module-theoretic engine.
 import pytest
 
 from skostka.combinat import (
-    admits_horizontal_cut,
-    bottom_cut,
     check_odd_prime,
     digit,
     dominates,
     dominates_pair,
+    enumerate_p2,
     enumerate_p2p,
     is_p_restricted,
     p_adic_expansion,
@@ -21,7 +20,6 @@ from skostka.combinat import (
     rho_of,
     scale,
     size,
-    top_cut,
     wp,
 )
 from skostka.reduction import (
@@ -39,6 +37,8 @@ from skostka.reduction import (
     signed_kostka,
     vanishing_check,
 )
+
+import sweeps
 
 
 def steinberg_sum(ab, x, oracle):
@@ -113,13 +113,6 @@ class DictOracle:
         return self.values[((alpha, beta), lam0)]
 
 
-def partition_pairs(n):
-    for k in range(n + 1):
-        for a in partitions_of(k):
-            for b in partitions_of(n - k):
-                yield a, b
-
-
 def test_empty_lambda_set_is_singleton():
     assert enumerate_lambda(((), ()), (), 3) == [((), ())]
 
@@ -166,7 +159,7 @@ def test_example_value_nine():
 
 def test_empty_zero_digit_forces_empty_level_zero():
     for n in range(7):
-        for ab in partition_pairs(n):
+        for ab in enumerate_p2(n):
             for lam, mu in enumerate_p2p(n, 3):
                 if digit(lam, 3, 0) != ():
                     continue
@@ -219,22 +212,7 @@ def test_base_values_pass_through():
 
 
 def test_phi_bijection_exhaustive():
-    p = 3
-    for n in range(7):
-        for alpha, beta in partition_pairs(n):
-            for lam, mu in enumerate_p2p(n, p):
-                if size(beta) != p * size(mu):
-                    continue
-                supp = enumerate_lambda_supp((alpha, beta), (lam, mu), p)
-                left = enumerate_lambda_supp((alpha, ()), (lam, ()), p)
-                right = enumerate_lambda_supp((beta, ()), (scale(p, mu), ()), p)
-                assert len(supp) == len(left) * len(right)
-                images = set()
-                for t in supp:
-                    a, b = phi_split(t, (alpha, beta), (lam, mu), p)
-                    assert a in left and b in right
-                    images.add((a, b))
-                assert len(images) == len(supp)
+    assert sweeps.phi_bijection() is None
 
 
 def test_phi_requires_matching_sizes():
@@ -242,64 +220,8 @@ def test_phi_requires_matching_sizes():
         phi_split((((),), ((),)), ((), (1,)), ((1,), ()), 3)
 
 
-def rectangle_top(seq, r, b):
-    cut = list(top_cut(seq, r)) + [0] * (r - len(top_cut(seq, r)))
-    vals = [v - b for v in cut]
-    if any(v < 0 for v in vals):
-        return None
-    return tuple(vals)
-
-
-def admissible_cut_data(alpha, lam, r):
-    if not admits_horizontal_cut(alpha, lam, r):
-        return None
-    b = lam[r] if r < len(lam) else 0
-    a_top = rectangle_top(alpha, r, b)
-    l_top = rectangle_top(lam, r, b)
-    if a_top is None or l_top is None:
-        return None
-    return a_top, wp(l_top)
-
-
 def test_iota_injective_exhaustive():
-    p = 3
-    n = 6
-    for alpha, beta in partition_pairs(n):
-        for lam, mu in enumerate_p2p(n, p):
-            pmu = scale(p, mu)
-            for r in range(len(alpha) + 2):
-                top_a = admissible_cut_data(alpha, lam, r)
-                if top_a is None:
-                    continue
-                for s in range(len(beta) + 2):
-                    top_b = admissible_cut_data(beta, pmu, s)
-                    if top_b is None:
-                        continue
-                    g1 = enumerate_lambda_supp(
-                        (top_a[0], ()), (top_a[1], ()), p
-                    )
-                    g2 = enumerate_lambda_supp(
-                        (top_b[0], ()), (top_b[1], ()), p
-                    )
-                    g3 = enumerate_lambda_supp(
-                        (bottom_cut(alpha, r), bottom_cut(beta, s)),
-                        (bottom_cut(lam, r), bottom_cut(mu, s)),
-                        p,
-                    )
-                    g4 = enumerate_lambda_supp(
-                        (alpha, beta), (lam, mu), p
-                    )
-                    images = set()
-                    for u in g3:
-                        for sv in g1:
-                            for tv in g2:
-                                img = iota_embed(
-                                    sv, tv, u,
-                                    (alpha, beta), (lam, mu), r, s, p,
-                                )
-                                assert img in g4, (alpha, beta, lam, mu, r, s)
-                                images.add(img)
-                    assert len(images) == len(g1) * len(g2) * len(g3)
+    assert sweeps.iota_injective() is None
 
 
 def test_iota_identity_at_zero_cuts():
@@ -371,7 +293,7 @@ def test_vanishing_check_examples():
 def test_vanishing_exhaustive_small():
     p = 3
     for n in range(7):
-        for ab in partition_pairs(n):
+        for ab in enumerate_p2(n):
             for lam, mu in enumerate_p2p(n, p):
                 if digit(lam, p, 0) != ():
                     continue
@@ -381,7 +303,7 @@ def test_vanishing_exhaustive_small():
 def test_nonzero_witness_matches_support():
     p = 3
     for n in range(7):
-        for alpha, beta in partition_pairs(n):
+        for alpha, beta in enumerate_p2(n):
             for lam, mu in enumerate_p2p(n, p):
                 if size(beta) != p * size(mu):
                     continue

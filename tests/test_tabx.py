@@ -1,24 +1,29 @@
 """Tests for signed tableaux, character vectors, and the iso normal form."""
 
+import functools
+
 import pytest
 
-from skostka.combinat import conjugate, partitions_of, size
+from skostka import checks
+from skostka.combinat import enumerate_p2
 from skostka.tabx import (
     canonical_label,
     char_vector,
     count_signed_ssyt,
     iso_equivalent,
-    kostka_number,
-    pieri_expand,
     signed_tableaux,
 )
 
 
-def pairs_of(n):
-    for k in range(n + 1):
-        for a in partitions_of(k):
-            for b in partitions_of(n - k):
-                yield a, b
+@functools.cache
+def tableaux_records():
+    return checks.tableaux(range(9))
+
+
+def tableaux_failures(kind):
+    """Failing cases of one of the three checks.tableaux records (0 Pieri,
+    1 one-column completion, 2 Kostka specializations) up to degree 8."""
+    return [case for r in tableaux_records()[kind::3] for case in r.failures]
 
 
 def test_unique_mixed_tableau():
@@ -48,26 +53,15 @@ def test_char_vector_smallest_mixed_pair():
 
 
 def test_char_vector_matches_pieri_expansion():
-    for n in range(9):
-        for a, b in pairs_of(n):
-            assert char_vector((a, b)) == pieri_expand((a, b)), (a, b)
+    assert tableaux_failures(0) == []
 
 
 def test_kostka_specializations():
-    for n in range(9):
-        for lam in partitions_of(n):
-            for a in partitions_of(n):
-                assert count_signed_ssyt(lam, (a, ())) == kostka_number(lam, a)
-                assert count_signed_ssyt(lam, ((), a)) == kostka_number(
-                    conjugate(lam), a
-                )
+    assert tableaux_failures(2) == []
 
 
 def test_top_coefficient_is_one():
-    for n in range(1, 9):
-        for a, b in pairs_of(n):
-            shape = a + (1,) * size(b)
-            assert count_signed_ssyt(shape, (a, b)) == 1, (a, b)
+    assert tableaux_failures(1) == []
 
 
 def test_iso_examples():
@@ -84,16 +78,12 @@ def test_canonical_label_example():
 
 
 def test_iso_classes_share_character():
+    assert not any(r.failures for r in checks.iso((), range(7), 3))
+    # pairs with the same canonical cores are equivalent
     for n in range(7):
-        by_class = {}
-        for a, b in pairs_of(n):
-            cores, _ = canonical_label((a, b))
-            by_class.setdefault(cores, []).append((a, b))
-        for members in by_class.values():
-            ref = char_vector(members[0])
-            for other in members[1:]:
-                assert iso_equivalent(members[0], other)
-                assert char_vector(other) == ref, (members[0], other)
+        first = {}
+        for ab in enumerate_p2(n):
+            assert iso_equivalent(first.setdefault(canonical_label(ab)[0], ab), ab)
 
 
 def test_listing_is_sorted_and_duplicate_free():
