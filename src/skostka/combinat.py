@@ -15,8 +15,13 @@ from __future__ import annotations
 import functools
 
 
+@functools.lru_cache(maxsize=None)
 def check_odd_prime(p: int) -> None:
-    if p < 3 or p == 2:
+    """Raise ValueError unless p is an odd prime.
+
+    Only valid primes are remembered: a bad p raises on every call.
+    """
+    if p < 3:
         raise ValueError(f"p must be an odd prime, got {p}")
     if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -150,17 +155,18 @@ def p_adic_expansion(lam, p: int) -> list:
     differences; validated by re-summation.  Trailing empty digits are
     trimmed, so the empty partition expands to [].
 
-    The expansion is computed and validated once per (lam, p); every call
-    checks its input and returns a new list.
+    The input is checked, and the expansion computed and validated, once
+    per (lam, p); a bad lam or p raises on every call, since a failed
+    check is not remembered. Every call returns a new list.
     """
-    check_odd_prime(p)
-    if not is_partition(lam):
-        raise ValueError("p_adic_expansion needs a partition")
     return list(_p_adic_digits(tuple(lam), p))
 
 
 @functools.lru_cache(maxsize=None)
 def _p_adic_digits(lam: tuple, p: int) -> tuple:
+    check_odd_prime(p)
+    if not is_partition(lam):
+        raise ValueError("p_adic_expansion needs a partition")
     if not lam:
         return ()
     ext = lam + (0,)
@@ -368,6 +374,11 @@ def enumerate_p2(n: int) -> list:
 
 def enumerate_p2p(n: int, p: int) -> list:
     """Labels (lambda, mu) with |lambda| + p|mu| = n, sorted by the total order."""
+    return list(_p2p(n, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _p2p(n: int, p: int) -> tuple:
     check_odd_prime(p)
     out = []
     s = 0
@@ -377,7 +388,7 @@ def enumerate_p2p(n: int, p: int) -> list:
                 out.append((lam, mu))
         s += 1
     out.sort(key=total_key)
-    return out
+    return tuple(out)
 
 
 def label_rows(n: int, p: int, signed: bool = True) -> tuple:

@@ -168,12 +168,17 @@ def signed_kostka(ab, x, oracle):
     higher levels. Base cases go straight to the oracle.
     """
     p = oracle.p
+    lam, mu = tuple(x[0]), tuple(x[1])
+    memo = _memo(oracle)
+    # memo keys are normalised and were checked when stored, so a hit on
+    # the raw input needs neither
+    key = (tuple(ab[0]), tuple(ab[1]), lam, mu)
+    if key in memo:
+        return memo[key]
     check_odd_prime(p)
     alpha, beta = wp(ab[0]), wp(ab[1])
-    lam, mu = tuple(x[0]), tuple(x[1])
     if size(alpha) + size(beta) != size(lam) + p * size(mu):
         raise ValueError("size mismatch")
-    memo = _memo(oracle)
     key = (alpha, beta, lam, mu)
     if key in memo:
         return memo[key]
@@ -181,8 +186,16 @@ def signed_kostka(ab, x, oracle):
         val = oracle.projective_signed((alpha, beta), lam)
     else:
         lam_digits = p_adic_expansion(lam, p)
-        mu_digits = p_adic_expansion(mu, p)
         lam0 = lam_digits[0] if lam_digits else ()
+        # A supported tuple has |dlt^(0)| = |beta| - p|mu| and
+        # |gam^(0)| + |dlt^(0)| = |lam(0)|, so outside these bounds the
+        # supported set is empty. The bound lives here, not in
+        # enumerate_lambda_supp, which vanishing_check uses as the
+        # independent side of the vanishing identity.
+        if not 0 <= size(beta) - p * size(mu) <= size(lam0):
+            memo[key] = 0
+            return 0
+        mu_digits = p_adic_expansion(mu, p)
         val = 0
         for gam, dlt in enumerate_lambda_supp((alpha, beta), (lam, mu), p):
             term = oracle.projective_signed((wp(gam[0]), wp(dlt[0])), lam0)
@@ -383,13 +396,24 @@ def principal_part_formula(ab, p, oracle):
     if n % p:
         raise ValueError("degree must be divisible by p")
     out = {}
-    for lam, mu in enumerate_p2p(n, p):
-        if digit(lam, p, 0) != () or p * size(mu) != size(beta):
-            continue
-        c = kostka(alpha, lam, oracle) * kostka(beta, scale(p, mu), oracle)
+    for lam, mu in _principal_labels(n, p, size(beta)):
+        c = kostka(alpha, lam, oracle)
+        if c:
+            c *= kostka(beta, scale(p, mu), oracle)
         if c:
             out[(lam, mu)] = c
     return out
+
+
+@lru_cache(maxsize=None)
+def _principal_labels(n, p, b):
+    """The labels (lam, mu) of degree n with lam(0) empty and p|mu| = b,
+    in the total order."""
+    return tuple(
+        (lam, mu)
+        for lam, mu in enumerate_p2p(n, p)
+        if p * size(mu) == b and digit(lam, p, 0) == ()
+    )
 
 
 def vanishing_check(ab, x, p):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
+    check_odd_prime,
     cmp_total,
     conjugate,
     digit,
@@ -297,6 +298,27 @@ def test_enumerate_p2p_sizes():
     assert len(enumerate_p2p(6, 5)) == 12
     assert len(enumerate_p2p(8, 3)) == 22 + 7 + 4
     assert enumerate_p2p(0, 3) == [((), ())]
+
+
+def test_enumerate_p2p_returns_a_new_list():
+    labels = enumerate_p2p(6, 3)
+    want = list(labels)
+    labels.reverse()
+    labels.append(None)
+    assert enumerate_p2p(6, 3) == want
+
+
+def test_prime_checks_remember_only_good_primes():
+    """check_odd_prime and enumerate_p2p cache their answers, but a bad p
+    raises on every call, also after a good one."""
+    check_odd_prime(3)
+    enumerate_p2p(6, 3)
+    for _ in range(2):
+        for bad in (9, 2, 1):
+            with pytest.raises(ValueError):
+                check_odd_prime(bad)
+            with pytest.raises(ValueError):
+                enumerate_p2p(6, bad)
 
 
 def test_enumerate_p2():

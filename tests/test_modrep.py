@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from skostka import checks, gfp, modrep, reduction, tabx
+from skostka import checks, cli, gfp, modrep, reduction, tabx
 from skostka.combinat import (
     enumerate_p2,
     enumerate_p2p,
@@ -16,13 +16,10 @@ from skostka.combinat import (
 
 P = 3
 
-_ENGINES = {}
-
 
 def engine(p=P):
-    if p not in _ENGINES:
-        _ENGINES[p] = modrep.DirectEngine(p)
-    return _ENGINES[p]
+    """The CLI's seed-0 engine, so the test files share one registry sweep."""
+    return cli.direct_engine(p)
 
 
 def generator_matrix(m, i):
@@ -851,7 +848,7 @@ def test_higman_certificate_agrees_with_labels(p):
     MAX_NONSPLIT_ROUNDS Higman draws exactly when its label is (lam, ())
     with lam p-restricted; the trace mask of End(M) is all true exactly
     when every part of M is below p."""
-    eng = modrep.DirectEngine(p)
+    eng = engine(p)
     rng = np.random.default_rng(5)
     for n in range(7):
         for cls in eng.registry_for(n):

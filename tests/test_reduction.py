@@ -7,6 +7,7 @@ independently of the module-theoretic engine.
 
 import pytest
 
+from skostka import reduction
 from skostka.combinat import (
     check_odd_prime,
     digit,
@@ -278,8 +279,12 @@ def test_principal_part_examples():
     assert principal_part_formula(((2, 1), (3,)), 3, oracle) == {}
     assert principal_part_formula(((1, 1, 1), (3,)), 3, oracle) == {}
     assert principal_part_formula(((1,) * 6, ()), 3, oracle) == {}
-    with pytest.raises(ValueError):
-        principal_part_formula(((4,), ()), 3, oracle)
+    # no cache keeps a failure: a bad degree or prime raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            principal_part_formula(((4,), ()), 3, oracle)
+        with pytest.raises(ValueError):
+            principal_part_formula(((3,), (3,)), 9, oracle)
 
 
 def test_vanishing_check_examples():
@@ -298,6 +303,79 @@ def test_vanishing_exhaustive_small():
                 if digit(lam, p, 0) != ():
                     continue
                 assert vanishing_check(ab, (lam, mu), p), (ab, lam, mu)
+
+
+def test_vanishing_check_enumerates(monkeypatch):
+    """vanishing_check asks enumerate_lambda_supp even where the size bound
+    of signed_kostka already says 0, so the identity it checks is not
+    decided by that bound."""
+    ab, x = ((3,), (3,)), ((6,), ())
+    assert digit(x[0], 3, 0) == () and size(ab[1]) != 3 * size(x[1])
+    assert vanishing_check(ab, x, 3)
+    dummy = ((((0,),), ((0,),)),)
+    monkeypatch.setattr(reduction, "enumerate_lambda_supp", lambda ab, x, p: [dummy])
+    assert not vanishing_check(ab, x, 3)
+
+
+def outside_size_bound(ab, x, p):
+    """The early-out condition of signed_kostka: |beta| - p|mu| is not in
+    [0, |lam(0)|]."""
+    return not 0 <= size(ab[1]) - p * size(x[1]) <= size(digit(x[0], p, 0))
+
+
+def test_size_bound_only_skips_empty_supports():
+    fired = 0
+    for p in (3, 5):
+        for n in range(10):
+            for ab in enumerate_p2(n):
+                for x in enumerate_p2p(n, p):
+                    if outside_size_bound(ab, x, p):
+                        fired += 1
+                        assert enumerate_lambda_supp(ab, x, p) == [], (p, ab, x)
+    assert fired == 11270
+
+
+class PositiveOracle:
+    """Every base multiplicity is positive, so a nonempty supported set
+    always gives a positive sum."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def projective_signed(self, ab, lam0):
+        return 1 + len(ab[0]) + 2 * len(ab[1]) + size(lam0)
+
+
+def support_sum(ab, x, oracle):
+    """signed_kostka's sum over enumerate_lambda_supp, with no size bound."""
+    p = oracle.p
+    lam, mu = x
+    if mu == () and is_p_restricted(lam, p):
+        return oracle.projective_signed(ab, lam)
+    lam_digits = p_adic_expansion(lam, p)
+    mu_digits = p_adic_expansion(mu, p)
+    total = 0
+    for gam, dlt in enumerate_lambda_supp(ab, x, p):
+        term = oracle.projective_signed((wp(gam[0]), wp(dlt[0])), digit(lam, p, 0))
+        for i in range(1, len(gam)):
+            li = lam_digits[i] if i < len(lam_digits) else ()
+            mi = mu_digits[i - 1] if i - 1 < len(mu_digits) else ()
+            term *= oracle.projective_signed((wp(gam[i]), ()), li)
+            term *= oracle.projective_signed((wp(dlt[i]), ()), mi)
+        total += term
+    return total
+
+
+def test_signed_kostka_is_the_support_sum():
+    oracle = PositiveOracle(3)
+    nonzero = 0
+    for n in range(8):
+        for ab in enumerate_p2(n):
+            for x in enumerate_p2p(n, 3):
+                want = support_sum(ab, x, oracle)
+                assert signed_kostka(ab, x, oracle) == want, (ab, x)
+                nonzero += want != 0
+    assert nonzero > 0
 
 
 def test_nonzero_witness_matches_support():
