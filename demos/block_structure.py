@@ -6,38 +6,18 @@ In the fixed label order (|mu| ascending), the signed multiplicity
 matrix is lower unitriangular and its diagonal blocks are Kronecker
 products of plain p-Kostka matrices at smaller degrees: the |mu| = s
 block equals K_s (x) K_{n-sp}.  This script checks that at degree 6,
-p = 3, where the blocks are K6, K3 and K2 (x) K0.
+p = 3, where the blocks are K6, K3 and K2 (x) K0, with the same check
+that `skostka verify --suite blocks` runs.
 
-Degree 6 takes a couple of minutes; lower the degree for a quick run.
+Degree 6 takes a few seconds; lower the degree for a quicker run.
 """
 
-import numpy as np
-
-from skostka.cli import format_label
-from skostka.combinat import size
-from skostka.modrep import DirectEngine, assemble_matrix
+from skostka import checks
+from skostka.modrep import DirectEngine
 
 n, p = 6, 3
-engine = DirectEngine(p)
-
-labels, signed = assemble_matrix(n, p, signed=True, engine=engine)
-signed = np.asarray(signed)
-assert (np.diag(signed) == 1).all() and not np.triu(signed, 1).any()
-print(f"signed matrix at degree {n} is lower unitriangular")
-
-# plain matrices at every degree the blocks need, computed independently
-def plain_matrix(m):
-    return np.asarray(assemble_matrix(m, p, signed=False, engine=engine)[1])
-
-start = 0
-for s in range(n // p + 1):
-    group = [i for i, (lam, mu) in enumerate(labels) if size(mu) == s]
-    assert group == list(range(start, start + len(group)))
-    start += len(group)
-    block = signed[np.ix_(group, group)]
-    want = np.kron(plain_matrix(s), plain_matrix(n - s * p))
-    assert block.shape == want.shape and (block == want).all()
-    rows = [format_label(labels[i], p) for i in group]
-    print(f"|mu| = {s}: rows {rows[0]} .. {rows[-1]} form K_{s} (x) K_{n - s * p}")
-
-print("all diagonal blocks match the plain Kronecker products")
+records = checks.blocks(n, p, DirectEngine(p))
+for record in records:
+    print(f"[{'FAIL' if record.failures else 'pass'}] {record.name}")
+assert not any(record.failures for record in records)
+print(f"the signed matrix at degree {n}, p = {p} has the predicted block structure")

@@ -9,9 +9,10 @@ module arithmetic over GF(3): build both modules and search Hom for an
 invertible intertwiner.
 """
 
+from skostka import checks
 from skostka.combinat import enumerate_p2
 from skostka.modrep import build_module, modules_isomorphic
-from skostka.tabx import canonical_label, iso_equivalent
+from skostka.tabx import canonical_label
 
 p, n = 3, 4
 
@@ -25,21 +26,20 @@ for key in sorted(classes):
     members = ", ".join(f"({a}|{b})" for a, b in classes[key])
     print(f"  {members}")
 
-# certify the predictions on the modules themselves
-pairs = enumerate_p2(n)
-mods = {ab: build_module(ab, p) for ab in pairs}
-agree = 0
-for i, x in enumerate(pairs):
-    for y in pairs[i:]:
-        predicted = iso_equivalent(x, y)
-        actual = modules_isomorphic(mods[x], mods[y])
-        assert predicted == actual, (x, y)
-        agree += 1
-print(f"\nmodule arithmetic confirms all {agree} pairwise verdicts")
+# certify the predictions on the modules themselves, with the check
+# that `skostka verify --suite iso` runs
+records = checks.iso([n], [], p)
+print()
+for record in records:
+    print(f"[{'FAIL' if record.failures else 'pass'}] {record.name}")
+assert not any(record.failures for record in records)
+pairs = records[0].counts["modules"]
+print(f"module arithmetic confirms all {pairs} pairwise verdicts")
 
 # a positive and a negative example in detail
 a, b = ((2, 1), (1,)), ((2, 1, 1), ())
-print(f"\nM{a} ~ M{b}: {modules_isomorphic(mods[a], mods[b])} "
+ma, mb = build_module(a, p), build_module(b, p)
+print(f"\nM{a} ~ M{b}: {modules_isomorphic(ma, mb)} "
       "(the single primed letter moves across)")
 c, d = ((4,), ()), ((), (4,))
 mc, md = build_module(c, p), build_module(d, p)

@@ -242,7 +242,10 @@ def build_kostka_matrix(n, p, signed, engine_name, seed):
                     f"direct {direct}, reduction {reduced}"
                 )
     strings = [format_label(l, p) for l in labels]
-    return KostkaMatrix(n, p, signed, strings, grid)
+    try:
+        return KostkaMatrix(n, p, signed, strings, grid)
+    except UsageError as e:  # an invalid computed matrix is an engine defect
+        raise modrep.IntegrityError(f"{first} engine at n={n}, p={p}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

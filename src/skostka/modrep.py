@@ -10,8 +10,9 @@ group action costs O(dim) instead of a matrix product.
 Decomposition runs a Fitting-style splitting tree. Random equivariant
 endomorphisms are sampled by sandwiching random elements of End(M),
 whose basis is read once per module off the contingency tables of basis
-pairs, between the tracked inclusion/projection maps of each node. The
-generalized kernels of the coprime factors of a minimal polynomial
+pairs, between the tracked inclusion/projection maps of each node; the
+root, the whole module, holds none. The generalized kernels of the
+coprime factors of a minimal polynomial
 split a node; they are cut out by Chinese-remainder projectors,
 polynomials in the endomorphism, half of the factors at a time, and
 each projector is checked to be idempotent. A node that refuses
@@ -684,20 +685,18 @@ def _factor_poly(coeffs, p):
 class Summand:
     """A direct summand of a signed permutation module, a node of the
     splitting tree. Summand(parent), with no maps, is the whole parent:
-    whole, with C = R = I, and restrict and part take no product with
-    the identity. part makes the other nodes, with equivariant inclusion
-    C (dim parent x dim) and projection R (dim x dim parent), R C = I.
+    whole, with C = R = None for the identity, which _between skips.
+    part makes the other nodes, with equivariant inclusion C
+    (dim parent x dim) and projection R (dim x dim parent), R C = I.
     projective and label are set by _certify and _accept_projective.
     """
 
     def __init__(self, parent, C=None, R=None):
         self.parent = parent
-        self.whole = C is None
-        if self.whole:
-            C = R = np.eye(parent.dim, dtype=np.int64)
         self.C = C
         self.R = R
-        self.dim = C.shape[1]
+        self.whole = C is None
+        self.dim = parent.dim if self.whole else C.shape[1]
         self.p = parent.p
         self.n = parent.n
         self._fp = None
@@ -741,17 +740,15 @@ class Summand:
     def restrict(self, x):
         """R x C: the endomorphism x of the parent restricted to the
         summand."""
-        if self.whole:
-            return x
-        return gfp.matmul(gfp.matmul(self.R, x, self.p), self.C, self.p)
+        return _between(self, self, x)
 
     def part(self, C, R):
         """The child node whose inclusion and projection into this node
         are C and R, as a Summand of the parent."""
-        if self.whole:
-            return Summand(self.parent, C, R)
-        p = self.p
-        return Summand(self.parent, gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p))
+        if not self.whole:
+            p = self.p
+            C, R = gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p)
+        return Summand(self.parent, C, R)
 
     def leaves(self, rng):
         """The indecomposable leaves of the summand, split once."""
@@ -759,6 +756,16 @@ class Summand:
             start = None if self.whole else (self.C, self.R)
             self._leaves = decompose_summands(self.parent, rng, start=start)
         return self._leaves
+
+
+def _between(a, b, x):
+    """b.R x a.C, the map x between the parents of a and b as a map a -> b;
+    the side of a whole module, which holds no maps, takes no product."""
+    if b.R is not None:
+        x = gfp.matmul(b.R, x, a.p)
+    if a.C is not None:
+        x = gfp.matmul(x, a.C, a.p)
+    return x
 
 
 def _parts_below_p(ab, p):
@@ -933,19 +940,6 @@ def decompose_summands(module, rng, start=None, classes=()):
 # isomorphism testing
 
 
-def _random_intertwiner(a, b, hom, rng):
-    """A random equivariant map a -> b: b.R x a.C for a random x of the
-    ambient Hom basis between the parents. The product on the side of a
-    whole-module summand is a product with the identity, and skipped."""
-    p = a.p
-    x = hom.sample(rng, p)
-    if not b.whole:
-        x = gfp.matmul(b.R, x, p)
-    if not a.whole:
-        x = gfp.matmul(x, a.C, p)
-    return x
-
-
 def _summands_isomorphic(a, b, hom_ab, rng):
     """Monte Carlo iso test for summands of equal dimension and
     fingerprint, one-sided error.
@@ -958,7 +952,7 @@ def _summands_isomorphic(a, b, hom_ab, rng):
     """
     p = a.p
     for _ in range(ISO_RANDOM_TRIES):
-        if gfp.is_invertible(_random_intertwiner(a, b, hom_ab, rng), p):
+        if gfp.is_invertible(_between(a, b, hom_ab.sample(rng, p)), p):
             return True
     return False
 
@@ -1231,7 +1225,7 @@ def projective_oracle(ab, lam0, p, engine=None):
     return engine.projective_signed(ab, lam0)
 
 
-def assemble_matrix(n, p, signed=True, engine=None, seed=0):
+def assemble_matrix(n, p, signed=True, engine=None):
     """(labels, matrix) of labelled multiplicities at degree n.
 
     Rows and columns run over the label list in the fixed total order;
@@ -1241,7 +1235,7 @@ def assemble_matrix(n, p, signed=True, engine=None, seed=0):
     """
     check_prime(p)
     if engine is None:
-        engine = DirectEngine(p, seed=seed)
+        engine = DirectEngine(p)
     labels, rows = label_rows(n, p, signed)
     mat = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for i, ab in enumerate(rows):

@@ -219,6 +219,28 @@ def test_matrix_engines_disagree(tmp_path, capsys, monkeypatch):
     assert not cli.cache_path(tmp_path, 3, P, True).exists()
 
 
+def test_engine_defect_is_an_integrity_failure(tmp_path, capsys, monkeypatch):
+    """A computed matrix that is not unitriangular is an engine defect,
+    exit 2 naming the engine and (n, p), not a usage error."""
+    real = modrep.assemble_matrix
+
+    def planted(n, p, signed=True, engine=None):
+        labels, mat = real(n, p, signed=signed, engine=engine)
+        mat = mat.copy()
+        mat[0, 1] = 1
+        return labels, mat
+
+    monkeypatch.setattr(modrep, "assemble_matrix", planted)
+    argv = ["matrix", "--n", "3", "--p", "3", "--cache-dir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_MISMATCH and out == ""
+    assert err.splitlines() == [
+        "integrity failure: direct engine at n=3, p=3: "
+        "matrix is not lower unitriangular"
+    ]
+    assert not cli.cache_path(tmp_path, 3, P, True).exists()
+
+
 def test_matrix_plain(tmp_path, capsys):
     code, out, _ = run(
         ["matrix", "--n", "3", "--p", "3", "--plain",
@@ -526,8 +548,8 @@ def test_verify_reduction_fails_on_wrong_entry(capsys, monkeypatch):
 def test_verify_blocks_fail_on_wrong_entry(capsys, monkeypatch):
     real = modrep.assemble_matrix
 
-    def planted(n, p, signed=True, engine=None, seed=0):
-        labels, mat = real(n, p, signed=signed, engine=engine, seed=seed)
+    def planted(n, p, signed=True, engine=None):
+        labels, mat = real(n, p, signed=signed, engine=engine)
         if signed:
             mat = mat.copy()
             mat[1, 0] += 1

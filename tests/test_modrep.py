@@ -359,23 +359,41 @@ def fitting_leaves(ab, p, seed=0):
 
 
 def test_leaf_summand_equivariance():
-    # every leaf is a summand: R C = I, and each generator keeps the
-    # image of C, A_g C = C (R A_g C)
-    split = 0
+    # every leaf with maps is a summand: R C = I, and each generator
+    # keeps the image of C, A_g C = C (R A_g C); a whole leaf holds none
+    split = whole = 0
     for p in (3, 5):
         for n in range(5):
             for ab in enumerate_p2(n):
                 m, leaves = fitting_leaves(ab, p)
                 assert sum(s.dim for s in leaves) == m.dim
                 for s in leaves:
+                    if s.whole:
+                        assert s.C is None and s.R is None and s.dim == m.dim
+                        whole += 1
+                        continue
                     eye = np.eye(s.dim, dtype=np.int64)
                     assert (gfp.matmul(s.R, s.C, p) == eye).all(), (p, ab)
                     for g in range(len(m.perms)):
                         ac = gfp.matmul(generator_matrix(m, g), s.C, p)
                         restricted = gfp.matmul(s.R, ac, p)
                         assert (ac == gfp.matmul(s.C, restricted, p)).all()
-                    split += not s.whole
-    assert split > 50
+                    split += 1
+    assert split > 50 and whole > 0
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_whole_modules_hold_no_maps(p):
+    """After the degree-6 sweep, the whole summand of every canonical
+    module holds no maps and takes its dimension from the module."""
+    eng = engine(p)
+    eng.registry_for(6)
+    assert len(eng.modules) > 10
+    for m in eng.modules.values():
+        assert "summand" in vars(m), m.ab  # the root the sweep split
+        s = m.summand
+        assert s.whole and s.C is None and s.R is None, (p, m.ab)
+        assert s.dim == modrep.Summand(m).dim == m.dim
 
 
 def float64_product(a, b, p):
