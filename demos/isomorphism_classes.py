@@ -5,8 +5,9 @@ When are two signed permutation modules isomorphic?
 M(alpha|beta) and M(gamma|delta) are isomorphic exactly when alpha and
 gamma agree after deleting trailing 1-parts, and likewise beta and
 delta.  The combinatorial predicate is checked here against honest
-module arithmetic over GF(3): build both modules and search Hom for an
-invertible intertwiner.
+module arithmetic over GF(3): build both modules and compare their
+species, the Brauer characters of their Brauer quotients, which decide
+isomorphism between summands of signed permutation modules.
 """
 
 from skostka import checks

@@ -353,13 +353,16 @@ def cmd_iso(args):
     combinatorial = tabx.iso_equivalent(ab, cd)
     modular = None
     if args.modular_check is not None:
-        # a bad prime or an oversized module is refused before any
-        # verdict is printed
+        # a bad prime, an oversized module or a degree with no species
+        # is refused before any verdict is printed
         p = args.modular_check
         check_prime(p)
         u = modrep.build_module(ab, p)
         v = modrep.build_module(cd, p)
-        modular = modrep.modules_isomorphic(u, v, seed=args.seed)
+        try:
+            modular = modrep.modules_isomorphic(u, v, seed=args.seed)
+        except ValueError as e:
+            raise UsageError(str(e))
     print("isomorphic" if combinatorial else "not isomorphic")
     if modular is not None:
         print(
@@ -394,7 +397,8 @@ def suite_reduction(n, p, seed):
 
 
 def suite_blocks(n, p, seed):
-    return checks.blocks(n, p, direct_engine(p, seed))
+    eng = direct_engine(p, seed)
+    return checks.blocks(n, p, eng) + checks.vertices(n, p, eng)
 
 
 def suite_rowcut(n, p, seed):

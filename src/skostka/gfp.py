@@ -214,40 +214,6 @@ def inverse(a, p):
     return r[:, n:]
 
 
-def is_invertible(a, p):
-    """Whether a is a square matrix of full rank.
-
-    Up to two panels wide, forward elimination only: no row above the
-    pivot is cleared, and the first column without a pivot answers
-    False at once, which is where most singular matrices stop. A wider
-    matrix takes the blocked rref.
-    """
-    a = normalize(a, p)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    n = a.shape[0]
-    if n > 2 * PANEL:
-        return rank(a, p) == n
-    for c in range(n):
-        # any nonzero entry will do as the pivot: the largest is one call
-        col = a[c:, c]
-        i = int(col.argmax())
-        v = int(col[i])
-        if v == 0:
-            return False
-        if i:
-            a[[c, c + i]] = a[[c + i, c]]
-        row = a[c, c:]
-        if v != 1:
-            row = row * _inv_scalar(v, p)
-        # p*p - row is positive and is -row mod p, so the rows below
-        # stay nonnegative for _mod
-        below = a[c + 1 :, c:]
-        below += a[c + 1 :, c, None] * (p * p - row)
-        _mod(below, p)
-    return True
-
-
 class Echelon:
     """Incrementally built reduced row echelon basis over GF(p).
 

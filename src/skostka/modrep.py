@@ -15,26 +15,26 @@ root, the whole module, holds none. The generalized kernels of the
 coprime factors of a minimal polynomial
 split a node; they are cut out by Chinese-remainder projectors,
 polynomials in the endomorphism, half of the factors at a time, and
-each projector is checked to be idempotent. A node that refuses
-to split for many rounds is accepted as indecomposable, Monte Carlo,
-unless it is certified projective (Higman's criterion) with the Brauer
-character of a registered projective class: then it is that class. So
-only non-projective leaves and the first leaf of a class are Monte Carlo.
-Each module is split and labelled once, against a registry of classes
-built by sweeping the label rows in the fixed total order; the sweep
-records each row's labelled decomposition. Loud integrity errors guard
-every inconsistency: multiplicities must fill the module dimension and
-every sweep step must expose exactly one new class, so a
-misidentification cannot pass silently.
+each projector is checked to be idempotent.
 
-Two modules or summands are compared by modules_isomorphic: dimension,
-the fixed-point dimensions of p-regular elements, which decide a
-certified projective pair, a random invertible intertwiner, and last
-matching of indecomposable leaves by the same test. Only a False that
-reaches the random maps, which no projective pair does, is Monte Carlo.
+Every summand of M(alpha|beta) is a p-permutation module, and its
+species (Summand.species), the Brauer characters of its Brauer
+quotients at the groups Q_k of k disjoint p-cycles, decides its
+isomorphism type exactly for n < p^2. So modules_isomorphic is exact and
+draws no random number, and a node with the species of a registered
+class is that class, accepted with no split. A node that refuses to
+split for many rounds is accepted as indecomposable, Monte Carlo; in
+the registry sweep that is only the first leaf of each new class. Each
+module is split and labelled once, against a registry of classes built
+by sweeping the label rows in the fixed total order; the sweep records
+each row's labelled decomposition. Loud integrity errors guard every
+inconsistency: multiplicities must fill the module dimension and every
+sweep step must expose exactly one new class, so a misidentification
+cannot pass silently.
 """
 
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations_with_replacement, product
 from math import factorial, isqrt
 
 import numpy as np
@@ -56,11 +56,9 @@ HOM_BYTES_PER_CELL = 30
 DIM_CAP = 2520
 # The largest p for which every engine product is exact in float64: their
 # inner dimensions are at most DIM_CAP and their entries below p, so
-# DIM_CAP (p-1)^2 < 2^53. is_invertible's (p-1) p^2 then fits int64.
+# DIM_CAP (p-1)^2 < 2^53.
 PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
 MAX_NONSPLIT_ROUNDS = 30
-HIGMAN_DRAWS = 3
-ISO_RANDOM_TRIES = 24
 
 
 class DimensionCapError(RuntimeError):
@@ -142,8 +140,32 @@ class SignedPermModule:
     @cached_property
     def summand(self):
         """The whole module as a Summand, the root of its splitting tree,
-        whose fingerprint and leaves are then computed once per module."""
+        whose fingerprint and species are then computed once per module."""
         return Summand(self)
+
+    @cached_property
+    def quotients(self):
+        """Per k = 1..n//p, the Q_k-fixed words X and the action of
+        N(Q_k) on them: (X, [(target, sign)] per _normalizer_words),
+        where the word X[j] goes to sign[j] times X[target[j]].
+
+        X holds the words constant on each of the first k blocks of p
+        points; a p-cycle is even, so Q_k fixes each with sign +1, and
+        N(Q_k) permutes them.
+        """
+        words = np.array(self.words, dtype=np.int64).reshape(self.dim, self.n)
+        out = []
+        for k in range(1, self.n // self.p + 1):
+            blocks = words[:, : k * self.p].reshape(self.dim, k, self.p)
+            fixed = np.flatnonzero((blocks == blocks[:, :, :1]).all(axis=(1, 2)))
+            where = np.zeros(self.dim, dtype=np.intp)
+            where[fixed] = np.arange(len(fixed))
+            actions = []
+            for w in _normalizer_words(self.n, self.p, k):
+                perm, sign = _word_action(self, w)
+                actions.append((where[perm[fixed]], sign[fixed]))
+            out.append((fixed, actions))
+        return out
 
 
 def build_module(ab, p):
@@ -191,25 +213,61 @@ def _word_action(module, word):
     return perm, sign
 
 
-@lru_cache(maxsize=None)
-def _regular_class_words(n, p):
-    """One generator-index word per p-regular class of S_n but 1.
+def _perm_word(perm):
+    """A generator-index word whose product is the permutation perm of
+    the points, by bubble sort: one letter per swap of two adjacent
+    entries out of order."""
+    arr, word = list(perm), []
+    for end in range(len(arr) - 1, 0, -1):
+        for i in range(end):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                word.append(i)
+    return tuple(word)
 
-    A class is a cycle type: a partition of n with no part divisible by
-    p. Its word multiplies the adjacent transpositions along runs of
-    consecutive points, one run of length k per part k, and so is a
-    product of disjoint cycles of that type.
+
+@lru_cache(maxsize=None)
+def _normalizer_words(n, p, k):
+    """One generator-index word per p-regular class of N(Q_k), for
+    kp <= n < p^2, with Q_k generated by the p-cycles x -> x + 1 on the
+    first k blocks of p points, read as GF(p).
+
+    N(Q_k) = AGL(1, p) wr S_k x S_(n - kp). A class of the wreath
+    product is a cycle type of the blocks and, per cycle, the class in
+    AGL(1, p) of the product around it. Every cycle is shorter than p, so
+    the class is p-regular exactly when each of those products is, and
+    the p-regular classes of AGL(1, p) are those of x -> a x, one per
+    multiplier a in GF(p)*. A cycle of blocks maps each block to the
+    next by the identity and the last to the first by x -> a x. The
+    other points take a p-regular cycle type of S_(n - kp), on runs of
+    consecutive points. k = 0 lists the p-regular classes of S_n, at
+    any n, the identity last.
     """
-    words = []
-    for shape in enumerate_partitions(n):
-        if max(shape, default=1) == 1 or any(part % p == 0 for part in shape):
+    blocks = []  # images of the first kp points
+    for shape in enumerate_partitions(k):
+        lengths = sorted(set(shape), reverse=True)
+        multisets = [
+            combinations_with_replacement(range(1, p), shape.count(length))
+            for length in lengths
+        ]
+        for pick in product(*multisets):
+            perm, first = [], 0
+            for length, a in zip(shape, [a for group in pick for a in group]):
+                for i in range(1, length):
+                    perm += range((first + i) * p, (first + i + 1) * p)
+                perm += [first * p + a * x % p for x in range(p)]
+                first += length
+            blocks.append(perm)
+    others = []  # images of the other points
+    for rest in enumerate_partitions(n - k * p):
+        if any(part % p == 0 for part in rest):
             continue
-        word, start = [], 0
-        for part in shape:
-            word += range(start, start + part - 1)
+        perm, start = [], k * p
+        for part in rest:
+            perm += [*range(start + 1, start + part), start]
             start += part
-        words.append(tuple(word))
-    return tuple(words)
+        others.append(perm)
+    return tuple(_perm_word(a + b) for a in blocks for b in others)
 
 
 def _fixed_dim(perm, sign):
@@ -252,14 +310,14 @@ class HomBasis:
     basis element k, num + k when it carries -1 times it, and 2 num
     when the cell is forced to zero. An element is then one gather, made
     in gfp.product_dtype of its larger side, so that its products on
-    either side take it without a copy. trace masks the image of Tr_1.
+    either side take it without a copy. The engine samples End(M) to
+    split modules; no isomorphism question needs a Hom space.
     """
 
-    def __init__(self, shape, index, num, trace):
+    def __init__(self, shape, index, num):
         self.shape = shape
         self.index = index
         self.num = num
-        self.trace = trace
 
     def element(self, coeffs, p):
         v = np.asarray(coeffs, dtype=np.int64) % p
@@ -320,8 +378,6 @@ def _hom_orbits(m, n_mod):
     each row holds the keys of row 0 permuted, and sorting each row by
     key carries row 0's orbits to it. Orbits are numbered by their first
     cell in row-major order, in row 0, with sign +1 there.
-    The image of Tr_1 is spanned by the orbits whose stabilizer, and so
-    each table entry, has order prime to p: the trace mask.
     """
     if m.n != n_mod.n or m.p != n_mod.p:
         raise ValueError("hom requires equal degree and prime")
@@ -342,8 +398,6 @@ def _hom_orbits(m, n_mod):
     ranked = np.argsort(first)
     ranked = ranked[~zero[first[ranked]]]
     num = len(ranked)
-    digit = key[0, first[ranked], None] // base ** np.arange(digits) % base
-    trace = (digit < m.p).all(axis=1)
     order = np.argsort(key, axis=1)
     del key
     cell = np.empty(order.shape, dtype=np.intp)
@@ -356,7 +410,7 @@ def _hom_orbits(m, n_mod):
     table[ranked, 1 - sign0] = num + np.arange(num)
     cell *= 2
     cell += odd
-    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num, trace)
+    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num)
 
 
 def hom_basis(m, n_mod):
@@ -688,7 +742,7 @@ class Summand:
     whole, with C = R = None for the identity, which _between skips.
     part makes the other nodes, with equivariant inclusion C
     (dim parent x dim) and projection R (dim x dim parent), R C = I.
-    projective and label are set by _certify and _accept_projective.
+    label is the class that decompose_summands matched by species.
     """
 
     def __init__(self, parent, C=None, R=None):
@@ -700,8 +754,7 @@ class Summand:
         self.p = parent.p
         self.n = parent.n
         self._fp = None
-        self._leaves = None
-        self.projective = _parts_below_p(parent.ab, parent.p)
+        self._species = None
         self.label = None
 
     def fingerprint(self):
@@ -721,7 +774,9 @@ class Summand:
         if self._fp is None:
             p, d = self.p, self.dim
             actions = [
-                _word_action(self.parent, w) for w in _regular_class_words(self.n, p)
+                _word_action(self.parent, w)
+                for w in _normalizer_words(self.n, p, 0)
+                if w
             ]
             fixed = []
             if self.whole:
@@ -737,6 +792,47 @@ class Summand:
             self._fp = (d, tuple(fixed))
         return self._fp
 
+    def species(self):
+        """Exact iso invariant: the fingerprint, then per k = 1..n//p
+        (dim x(Q_k), dim Fix(s) on x(Q_k) for each _normalizer_words s).
+
+        x is a p-permutation module, as M is induced from a linear
+        character of a Young subgroup that is trivial on p-subgroups.
+        Two such modules are isomorphic exactly when their Brauer
+        quotients have equal Brauer characters (Broue, Proc. AMS 93,
+        1985), and for n < p^2 the quotients at the Q_k, the vertices of
+        signed Young modules (Donkin, Proc. LMS 83, 2001), suffice. The
+        quotient x(Q_k) is the image of E = C[X] R[:, X], the idempotent
+        C R cut down to the Q_k-fixed words X, or the identity on X for a
+        whole module; s commutes with E, so it fixes rank E -
+        rank((S - I) E) of it. From n = p^2 on, the Sylow subgroups of
+        S_(p^2) are vertices too, and the species is refused with
+        ValueError.
+        """
+        if self._species is None:
+            n, p = self.n, self.p
+            if n >= p * p:
+                raise ValueError(
+                    f"no species at degree {n} >= p^2 = {p * p}: it would need "
+                    f"the Brauer quotients at the Sylow subgroups of S_{p * p}, "
+                    f"which the groups of disjoint {p}-cycles do not include"
+                )
+            entries = []
+            for fixed, actions in self.parent.quotients:
+                if self.whole:
+                    E = np.eye(len(fixed), dtype=np.int64)
+                else:
+                    E = gfp.matmul(self.C[fixed], self.R[:, fixed], p)
+                rank = gfp.rank(E, p)
+                dims = []
+                for target, sign in actions:
+                    SE = np.empty_like(E)
+                    SE[target] = sign[:, None] * E
+                    dims.append(rank - gfp.rank((SE - E) % p, p) if rank else 0)
+                entries.append((rank, tuple(dims)))
+            self._species = self.fingerprint() + tuple(entries)
+        return self._species
+
     def restrict(self, x):
         """R x C: the endomorphism x of the parent restricted to the
         summand."""
@@ -750,13 +846,6 @@ class Summand:
             C, R = gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p)
         return Summand(self.parent, C, R)
 
-    def leaves(self, rng):
-        """The indecomposable leaves of the summand, split once."""
-        if self._leaves is None:
-            start = None if self.whole else (self.C, self.R)
-            self._leaves = decompose_summands(self.parent, rng, start=start)
-        return self._leaves
-
 
 def _between(a, b, x):
     """b.R x a.C, the map x between the parents of a and b as a map a -> b;
@@ -766,45 +855,6 @@ def _between(a, b, x):
     if a.C is not None:
         x = gfp.matmul(x, a.C, a.p)
     return x
-
-
-def _parts_below_p(ab, p):
-    """Whether M(ab), induced from a Young subgroup, is projective."""
-    return all(part < p for part in ab[0] + ab[1])
-
-
-def _higman_draw(x, rng):
-    """Whether a random element of End_1(x) = R End_1(M) C, the image of
-    the relative trace, is invertible. That ideal of End(x) holds 1 just
-    when x is projective (Higman); for a projective indecomposable x,
-    End(x) is local and a draw succeeds with probability >= 1 - 1/p."""
-    p, end = x.p, x.parent.end
-    z = end.element(rng.integers(0, p, end.num) * end.trace, p)
-    return gfp.is_invertible(x.restrict(z), p)
-
-
-def _certify(x, rng, draws):
-    """Whether x is certified projective: by its module's parts, which
-    decide a whole module, or by one of up to draws Higman draws."""
-    if not (x.projective or x.whole):
-        x.projective = any(_higman_draw(x, rng) for _ in range(draws))
-    return x.projective
-
-
-def _accept_projective(node, known, rng):
-    """Label the node with the projective class of known, {fingerprint:
-    class}, that it is, if any, and return the label: projective modules
-    with equal Brauer characters are isomorphic (Serre, Linear
-    Representations of Finite Groups, 16.1). Certifies a class once."""
-    cls = known.get(node.fingerprint())
-    if cls is not None and _certify(node, rng, HIGMAN_DRAWS):
-        if not _certify(cls["rep"], rng, MAX_NONSPLIT_ROUNDS):
-            raise IntegrityError(
-                f"the representative of the projective class {cls['label']} "
-                f"failed {MAX_NONSPLIT_ROUNDS} Higman draws"
-            )
-        node.label = cls["label"]
-    return node.label
 
 
 def _split_once(z, p, rng):
@@ -893,9 +943,9 @@ def decompose_summands(module, rng, start=None, classes=()):
 
     The splitting tree holds Summands, from module.summand or from the
     optional (C, R) starting node, which restricts the splitting to that
-    summand. A node that is one of the projective classes, dicts of
-    "label" and "rep", is accepted at once with its label
-    (_accept_projective). Other nodes are split by endomorphisms drawn
+    summand. A node with the dimension and species of one of the
+    classes, dicts of "label" and "rep", is that class: it is accepted
+    at once with its label. Other nodes are split by endomorphisms drawn
     from module.end and restricted to the node; Monte Carlo in that
     choice: a node is accepted as indecomposable after
     MAX_NONSPLIT_ROUNDS non-splitting rounds. The engine labels each
@@ -903,21 +953,24 @@ def decompose_summands(module, rng, start=None, classes=()):
     re-checks dimensions and label counts there, so a premature accept
     cannot pass silently.
     """
-    p, end = module.p, module.end
+    p = module.p
     root = module.summand if start is None else Summand(module, *start)
-    known = {cls["rep"].fingerprint(): cls for cls in classes}
-    dims = {fp[0] for fp in known}
+    known = {cls["rep"].species(): cls["label"] for cls in classes}
+    dims = {cls["rep"].dim for cls in classes}
     queue = [root]
     leaves = []
     while queue:
         node = queue.pop()
-        if node.dim in dims and _accept_projective(node, known, rng) is not None:
-            leaves.append(node)
-            continue
+        if node.dim in dims:
+            node.label = known.get(node.species())
+            if node.label is not None:
+                leaves.append(node)
+                continue
         split = None
         for _ in range(MAX_NONSPLIT_ROUNDS if node.dim > 1 else 0):
             try:
-                split = _split_once(node.restrict(end.sample(rng, p)), p, rng)
+                z = node.restrict(module.end.sample(rng, p))
+                split = _split_once(z, p, rng)
             except IntegrityError as e:
                 raise IntegrityError(
                     f"splitting a node of dimension {node.dim} of M{module.ab}: {e}"
@@ -940,38 +993,6 @@ def decompose_summands(module, rng, start=None, classes=()):
 # isomorphism testing
 
 
-def _summands_isomorphic(a, b, hom_ab, rng):
-    """Monte Carlo iso test for summands of equal dimension and
-    fingerprint, one-sided error.
-
-    When a and b are isomorphic indecomposables a random element of
-    Hom(a, b) is invertible with probability at least 1 - 1/p, so a
-    miss across all tries is negligible; a True answer is exact. For
-    decomposable a and b invertible maps can be rare, and a False only
-    says that none was drawn.
-    """
-    p = a.p
-    for _ in range(ISO_RANDOM_TRIES):
-        if gfp.is_invertible(_between(a, b, hom_ab.sample(rng, p)), p):
-            return True
-    return False
-
-
-def _first_isomorphic(x, candidates, hom_to, rng):
-    """Index of the first candidate isomorphic to the summand x, or None.
-
-    Candidates of another dimension or fingerprint are passed over
-    without a draw; hom_to(y) gives the ambient Hom basis from the parent
-    of x to that of y, and is asked only of the others.
-    """
-    for i, y in enumerate(candidates):
-        if x.dim != y.dim or x.fingerprint() != y.fingerprint():
-            continue
-        if _summands_isomorphic(x, y, hom_to(y), rng):
-            return i
-    return None
-
-
 def _check_seed(seed):
     """Refuse a negative seed, which numpy's SeedSequence rejects only
     once random numbers are first drawn."""
@@ -988,30 +1009,14 @@ def _as_summand(u):
 
 
 def modules_isomorphic(u, v, seed=0):
-    """Whether two modules or summands are isomorphic over GF(p).
+    """Whether two modules or summands are isomorphic over GF(p), exactly.
 
-    The paths, in order:
-
-    1. dimension: unequal dimensions answer False;
-    2. fingerprint: the dimensions of the fixed spaces of one element
-       of each p-regular class, which fix the Brauer character, are iso
-       invariants, so unequal fingerprints answer False;
-    3. projective: equal fingerprints answer True when both sides are
-       certified projective (_certify), which fixes their isomorphism type;
-    4. random invertible map: a random element of Hom(u, v) that is
-       invertible answers True;
-    5. leaf matching: every pair that 4 does not settle, the
-       non-isomorphic ones that pass 2 (none among whole modules of
-       degree <= 6) and the isomorphic decomposable ones whose random
-       maps were all singular. Each side is split into indecomposable
-       leaves, matched pairwise by 4, and the answer follows from
-       unique decomposition.
-
-    Only paths 4 and 5 draw random numbers. A True answer is exact: from
-    3 with no Hom or intertwiner, else with an invertible intertwiner.
-    A False from 1 or 2 is exact; a False from 5, reached only by a pair
-    not both certified projective, is Monte Carlo, as the leaves are
-    accepted after rounds that refuse to split and matched by random maps.
+    Unequal dimensions answer False, then unequal fingerprints, which
+    hold the Brauer character; past them equal species answer True and
+    unequal ones False (Summand.species). No Hom space is labelled and
+    no random number is drawn: seed is only validated, for the callers
+    that pass one. At degree n >= p^2 the species raises ValueError, so
+    only the dimension and the fingerprint can answer there.
     """
     _check_seed(seed)
     a = _as_summand(u)
@@ -1021,24 +1026,7 @@ def modules_isomorphic(u, v, seed=0):
     check_prime(a.p)
     if a.dim != b.dim or a.fingerprint() != b.fingerprint():
         return False
-    if a.projective and b.projective:
-        return True
-    rng = np.random.default_rng(seed)
-    same = a.parent is b.parent
-    hom_ab = a.parent.end if same else _hom_orbits(a.parent, b.parent)
-    if _summands_isomorphic(a, b, hom_ab, rng):
-        return True
-    leaves_a = a.leaves(rng)
-    leaves_b = b.leaves(rng)
-    if len(leaves_a) != len(leaves_b):
-        return False
-    unused = list(leaves_b)
-    for x in leaves_a:
-        i = _first_isomorphic(x, unused, lambda y: hom_ab, rng)
-        if i is None:
-            return False
-        unused.pop(i)
-    return True
+    return a.species() == b.species()
 
 
 # ---------------------------------------------------------------------------
@@ -1140,36 +1128,25 @@ class DirectEngine:
 
     def _label(self, key, classes):
         """Split M(key) and label its leaves: ({label: multiplicity},
-        [(rep, count)] of the leaves matching no class). A leaf accepted
-        as a projective class counts with no random map; each other leaf
-        is matched by _first_isomorphic against the class representatives,
-        then the row's new ones, drawing from the module's generator."""
+        [(rep, count)] of the leaves of no class, one per species).
+        decompose_summands labels each leaf that has a class's species,
+        so the others are new classes, told apart by their species."""
         alpha, beta = key
         rng = np.random.default_rng(
             [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
         )
-        projective = [c for c in classes if not c["label"][1]]
-        projective = [c for c in projective if is_p_restricted(c["label"][0], self.p)]
         try:
-            leaves = decompose_summands(self.module(key), rng, classes=projective)
+            leaves = decompose_summands(self.module(key), rng, classes=classes)
         except IntegrityError as e:
             raise IntegrityError(f"{self._where(key)}: {e}") from e
-        reps = [cls["rep"] for cls in classes]
         labelled, new = {}, {}
         for leaf in leaves:
-            label = leaf.label
-            if label is None:
-                found = reps + list(new)
-                i = _first_isomorphic(
-                    leaf, found, lambda y: self.hom(key, y.parent.ab), rng
-                )
-                if i is None or i >= len(reps):
-                    rep = leaf if i is None else found[i]
-                    new[rep] = new.get(rep, 0) + 1
-                    continue
-                label = classes[i]["label"]
-            labelled[label] = labelled.get(label, 0) + 1
-        return labelled, list(new.items())
+            if leaf.label is not None:
+                labelled[leaf.label] = labelled.get(leaf.label, 0) + 1
+            else:
+                rep, count = new.get(leaf.species(), (leaf, 0))
+                new[leaf.species()] = (rep, count + 1)
+        return labelled, list(new.values())
 
     def _record(self, key, counts, classes):
         """Check that the multiplicities fill M(key), then cache them."""

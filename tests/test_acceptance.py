@@ -125,10 +125,12 @@ def test_criterion_03_worked_entry(capsys):
 
 def test_criterion_04_block_structure():
     t0 = time.perf_counter()
+    records = checks.blocks(6, P, engine()) + checks.vertices(6, P, engine())
     report(
-        4, failing(checks.blocks(6, P, engine())),
+        4, failing(records),
         "signed matrix at degree 6 is lower unitriangular with diagonal "
-        "blocks K6, K3, K2 (x) K0",
+        "blocks K6, K3, K2 (x) K0, and each class's Brauer quotients "
+        "match its label's vertex",
         time.perf_counter() - t0,
     )
 
@@ -220,11 +222,12 @@ def test_criterion_10_second_prime():
     eng = engine(5)
     labels = enumerate_p2p(6, 5)
     bad = [] if len(labels) == 12 else [f"{len(labels)} labels, wanted 12"]
-    records = checks.blocks(6, 5, eng)
+    records = checks.blocks(6, 5, eng) + checks.vertices(6, 5, eng)
     records += checks.cross_engine(enumerate_p2(6), labels, eng)
     report(
         10, bad + failing(records),
-        "p=5 matrix is unitriangular with blocks K6, K1 and the engines "
+        "p=5 matrix is unitriangular with blocks K6, K1, each class's "
+        "Brauer quotients match its label's vertex, and the engines "
         "agree on every degree-6 entry",
         time.perf_counter() - t0,
     )

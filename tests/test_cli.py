@@ -462,8 +462,8 @@ def test_iso_disagreement_exit_code(capsys, monkeypatch):
 
 
 def test_iso_refusals_print_no_verdict(capsys):
-    # a bad prime or an oversized module is refused before the
-    # combinatorial verdict is printed
+    # a bad prime, an oversized module or a degree with no species is
+    # refused before the combinatorial verdict is printed
     code, out, err = run(
         ["iso", "--pair1", "2,1|1", "--pair2", "2,1,1|-", "--modular-check", "9"],
         capsys,
@@ -482,6 +482,13 @@ def test_iso_refusals_print_no_verdict(capsys):
         capsys,
     )
     assert code == 3 and out == "" and "5040" in err
+    # degree 9 = p^2 has no species: the equal fingerprints of M(8,1)
+    # and M(8|1) leave the question to it, and it is refused
+    code, out, err = run(
+        ["iso", "--pair1", "8,1|-", "--pair2", "8|1", "--modular-check", "3"],
+        capsys,
+    )
+    assert code == 1 and out == "" and "Sylow subgroups of S_9" in err
 
 
 def test_verify_small_suites(capsys):

@@ -134,34 +134,6 @@ def test_empty_tall_and_wide(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_is_invertible_matches_rank(p):
-    """Forward elimination with an early exit against the reference rank,
-    on both sides of the two-panel switch to the blocked rref."""
-    rng = np.random.default_rng([p, 17])
-    for n in (0, 1, 2, 5, 30, 60, 2 * W, 2 * W + 1, 150):
-        for kind in ("dense", "thin", "signs", "deficient", "unit"):
-            if kind == "deficient":
-                # one dependent column, placed early, middle or last
-                a = rng.integers(0, p, size=(n, n))
-                if n > 1:
-                    c = int(rng.integers(1, n))
-                    a[:, c] = (a[:, :c] @ rng.integers(0, p, size=c)) % p
-            elif kind == "unit":
-                # invertible: triangular with a nonzero diagonal, rows shuffled
-                a = np.triu(rng.integers(0, p, size=(n, n)), 1)
-                a[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
-                a = a[rng.permutation(n)]
-            else:
-                a = random_matrix(rng, p, n, n, kind)
-            want = len(ref_rref(a, p)[1]) == n
-            assert gfp.is_invertible(a, p) == want, (n, kind)
-            if kind == "unit":
-                assert want
-    for m, n in [(0, 3), (3, 0), (4, 5), (5, 4), (2 * W + 1, 2 * W)]:
-        assert not gfp.is_invertible(rng.integers(0, p, size=(m, n)), p)
-
-
-@pytest.mark.parametrize("p", PRIMES)
 def test_sparse_hom_span_shape(p):
     """Full-rank 120 x 14400 sign matrices of density 0.8%, the shape of
     a Hom basis between two modules of dimension 120 with its elements

@@ -1,6 +1,7 @@
 """Tests for the module-theoretic decomposition engine."""
 
-from math import factorial
+import types
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -500,40 +501,6 @@ def test_fingerprint_reject_needs_no_hom(monkeypatch):
     assert not modrep.modules_isomorphic(u, v)
 
 
-def test_leaf_count_mismatch_answers_false(monkeypatch):
-    """Unequal leaf counts answer False before any leaf pair is tried.
-
-    No question of degree <= 5 reaches that branch: over whole modules,
-    leaves and sums of up to three leaves of one module at p = 3 and 5,
-    every two summands with equal dimension and fingerprint have equal
-    leaf counts. So stubs drive it: the random maps of the whole
-    question are refused, and the second side lists one leaf twice.
-    Every leaf of the first side still has a partner, so only the count
-    can answer False; with equal counts the same stubs answer True. The
-    module has a part equal to p, so it is not projective, and the
-    question is not settled by the fingerprint alone.
-    """
-    m, leaves = fitting_leaves(((3, 1, 1), ()), P)
-    assert len(leaves) >= 2
-    real = modrep._summands_isomorphic
-    calls = []
-
-    def refuse_whole(a, b, hom, rng):
-        calls.append(a)
-        return len(calls) > 1 and real(a, b, hom, rng)
-
-    def ask(sides):
-        calls.clear()
-        monkeypatch.setattr(modrep.Summand, "leaves", lambda s, rng: next(sides))
-        return modrep.modules_isomorphic(m, m)
-
-    monkeypatch.setattr(modrep, "_summands_isomorphic", refuse_whole)
-    assert not ask(iter([leaves, leaves + leaves[:1]]))
-    assert len(calls) == 1
-    assert ask(iter([leaves, leaves]))
-    assert len(calls) > len(leaves)
-
-
 @pytest.mark.parametrize("p", (3, 5))
 def test_fingerprint_separates_whole_modules(p):
     """Over every module of degree <= 6, equal fingerprints exactly when
@@ -579,7 +546,7 @@ def test_whole_fingerprint_computed_once_per_module(monkeypatch):
         modrep, "_fixed_dim", lambda *args: calls.append(1) or fixed_dim(*args)
     )
     mods = [modrep.build_module(ab, P) for ab in enumerate_p2(4)]
-    classes = len(modrep._regular_class_words(4, P))
+    classes = len(modrep._normalizer_words(4, P, 0)) - 1  # all but the identity
     for u in mods:
         for v in mods:
             modrep.modules_isomorphic(u, v)
@@ -592,7 +559,7 @@ def test_whole_fingerprint_computed_once_per_module(monkeypatch):
 
 def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
     """M(3,1,1) and M(1,1|3) share dimension 20 and their traces mod 3,
-    but not their fixed points: False with no Hom and no leaves."""
+    but not their fixed points: False with no Hom and no species."""
     u = modrep.build_module(((3, 1, 1), ()), P)
     v = modrep.build_module(((1, 1), (3,)), P)
     assert u.dim == v.dim == 20
@@ -601,31 +568,35 @@ def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
         raise AssertionError("reached past the fingerprint")
 
     monkeypatch.setattr(modrep, "_hom_orbits", refuse)
-    monkeypatch.setattr(modrep.Summand, "leaves", refuse)
+    monkeypatch.setattr(modrep.Summand, "species", refuse)
     assert not modrep.modules_isomorphic(u, v)
 
 
 def test_leaf_matching_answers_false(monkeypatch):
     """With the fingerprint cut down to the dimension, the same pair
-    goes through the random maps to leaf matching, which answers False."""
+    reaches the species, which answers False: at Q_1 the multiplier
+    x -> 2x of AGL(1, 3) is a transposition, which fixes the block of
+    d-colour of M(1,1|3) with sign -1 and that of c-colour of M(3,1,1)
+    with sign +1."""
     u = modrep.build_module(((3, 1, 1), ()), P)
     v = modrep.build_module(((1, 1), (3,)), P)
-    real = modrep.Summand.leaves
+    real = modrep.Summand.species
     calls = []
 
-    def leaves(s, rng):
+    def species(s):
         calls.append(s)
-        return real(s, rng)
+        return real(s)
 
     monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
-    monkeypatch.setattr(modrep.Summand, "leaves", leaves)
+    monkeypatch.setattr(modrep.Summand, "species", species)
     assert not modrep.modules_isomorphic(u, v)
     assert len(calls) == 2
 
 
 def test_module_freed_after_leaf_matching(monkeypatch):
-    """The End basis, whole summand and leaves that a question keeps on
-    the modules do not keep them alive once the caller drops them."""
+    """The whole summand, species and Brauer quotients that a question
+    keeps on the modules do not keep them alive once the caller drops
+    them."""
     import gc
     import weakref
 
@@ -633,7 +604,7 @@ def test_module_freed_after_leaf_matching(monkeypatch):
     v = modrep.build_module(((1, 1), (3,)), P)
     monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
     assert not modrep.modules_isomorphic(u, v)
-    assert u.summand._leaves and v.summand._leaves
+    assert u.summand._species and v.summand._species
     refs = [weakref.ref(u), weakref.ref(v)]
     del u, v
     gc.collect()
@@ -656,35 +627,103 @@ def test_negative_seed_refused(monkeypatch):
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_full_module_classification_matches_part_counts(seed, monkeypatch):
-    """Every pair of degree <= 5 at p = 3 and 5 against the part-count
-    criterion. A pair of projective modules, every part below p, is
-    decided by fingerprints alone: with no Hom and no random map.
+    """Every pair of degree <= 6 at p = 3 and 5 against the part-count
+    criterion, with no Hom labelled and no random number drawn: the
+    dimension, the fingerprint and the species decide every pair.
 
     Degree 5 holds the non-isomorphic pairs sharing a summand, such as
     M(3,1,1) and M(1,1|3) at p = 3, which the fixed-point fingerprint
-    tells apart; test_leaf_matching_answers_false covers leaf matching
-    on such a pair.
+    tells apart; test_leaf_matching_answers_false has the species tell
+    that pair apart too.
     """
 
-    def refuse(*args):
-        raise AssertionError("a projective pair reached a Hom or a random map")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an iso question reached a Hom or a random draw")
 
-    projective = 0
+    questions = 0
     for p in (3, 5):
-        for n in range(0, 6):
+        for n in range(0, 7):
             pairs = enumerate_p2(n)
             mods = {ab: modrep.build_module(ab, p) for ab in pairs}
-            for i, ab in enumerate(pairs):
-                for cd in pairs[i:]:
-                    want = tabx.iso_equivalent(ab, cd)
-                    with monkeypatch.context() as m:
-                        if max(ab[0] + ab[1] + cd[0] + cd[1], default=0) < p:
-                            projective += 1
-                            m.setattr(modrep, "_hom_orbits", refuse)
-                            m.setattr(modrep, "_summands_isomorphic", refuse)
+            with monkeypatch.context() as m:
+                m.setattr(modrep, "_hom_orbits", refuse)
+                m.setattr(np.random, "default_rng", refuse)
+                for i, ab in enumerate(pairs):
+                    for cd in pairs[i:]:
+                        want = tabx.iso_equivalent(ab, cd)
                         got = modrep.modules_isomorphic(mods[ab], mods[cd], seed=seed)
-                    assert got == want, (p, ab, cd, seed)
-    assert projective > 500
+                        assert got == want, (p, ab, cd, seed)
+                        questions += 1
+    assert questions == 2 * sum(
+        len(enumerate_p2(n)) * (len(enumerate_p2(n)) + 1) // 2 for n in range(7)
+    )
+
+
+def flat_species(sp):
+    """The species as one vector of integers: dimensions and fixed-point
+    dimensions, in order."""
+    d, fixed, *quotients = sp
+    out = [d, *fixed]
+    for rank, dims in quotients:
+        out += [rank, *dims]
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_species_add_over_decompositions(p):
+    """The species of every degree-6 module is the sum, over the engine's
+    labelled decomposition, of multiplicity times class species."""
+    eng = engine(p)
+    reps = {cls["label"]: cls["rep"] for cls in eng.registry_for(6)}
+    for ab in enumerate_p2(6):
+        want = flat_species(modrep.build_module(ab, p).summand.species())
+        got = sum(
+            m * flat_species(reps[label].species())
+            for label, m in eng.decompose(ab).items()
+        )
+        assert np.array_equal(got, want), (p, ab)
+
+
+def word_perm(word, n):
+    """The permutation of the n points that the generator-index word
+    multiplies out to, as a list."""
+    perm = list(range(n))
+    for i in word:
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return perm
+
+
+def perm_order(perm):
+    order, seen = 1, set()
+    for x in range(len(perm)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            order = order * length // gcd(order, length)
+    return order
+
+
+@pytest.mark.parametrize(
+    ("n", "p", "k", "classes"), [(6, 3, 1, 4), (6, 3, 2, 5), (6, 5, 1, 4)]
+)
+def test_normalizer_words(n, p, k, classes):
+    """One word per p-regular class of N(Q_k): each permutation maps the
+    first k blocks of p points to blocks, affinely, so it normalizes
+    Q_k, and has order prime to p."""
+    words = modrep._normalizer_words(n, p, k)
+    assert len(words) == classes == len(set(words))
+    for word in words:
+        perm = word_perm(word, n)
+        assert perm_order(perm) % p, (n, p, k, word)
+        for b in range(k):
+            image = [perm[b * p + x] for x in range(p)]
+            target = image[0] // p
+            assert target < k and all(y // p == target for y in image), word
+            shift = [(y - image[0]) % p for y in image]
+            assert all(shift[x] == shift[1] * x % p for x in range(p)), word
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +827,6 @@ def test_sweep_records_label_rows(p, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a label row was split or matched again")
 
-    monkeypatch.setattr(modrep, "_summands_isomorphic", refuse)
     monkeypatch.setattr(modrep, "decompose_summands", refuse)
     labels, rows = label_rows(5, p)
     for i, (label, row) in enumerate(zip(labels, rows)):
@@ -801,83 +839,47 @@ def is_projective_label(label, p):
     return label[1] == () and is_p_restricted(label[0], p)
 
 
-def test_projective_acceptance_needs_a_registered_fingerprint(monkeypatch):
-    """In the degree-6 sweep at p = 3, a node is accepted early only as a
-    projective class registered before its row, with that class's
-    fingerprint; every other node is refused."""
+def test_early_acceptance_needs_a_registered_species(monkeypatch):
+    """In the degree-6 sweep at p = 3, every node accepted without a
+    split carries the label of a class registered before its row, and
+    has that class's species."""
     eng = modrep.DirectEngine(P)
-    real = modrep._accept_projective
+    real = modrep.decompose_summands
     seen = []
 
-    def spy(node, known, rng):
-        label = real(node, known, rng)
-        seen.append((node.parent.ab, node.fingerprint(), label))
-        return label
+    def spy(module, rng, start=None, classes=()):
+        leaves = real(module, rng, start=start, classes=classes)
+        seen.append((module.ab, [c["label"] for c in classes], leaves))
+        return leaves
 
-    monkeypatch.setattr(modrep, "_accept_projective", spy)
+    monkeypatch.setattr(modrep, "decompose_summands", spy)
     classes = eng.registry_for(6)
     labels, rows = label_rows(6, P)
     row_of = {modrep._canonical_pair(row): i for i, row in enumerate(rows)}
-    fps = {cls["label"]: cls["rep"].fingerprint() for cls in classes}
-    accepted = refused = 0
-    for ab, fp, label in seen:
-        earlier = [
-            x for x in labels[: row_of[ab]] if is_projective_label(x, P) and fps[x] == fp
-        ]
-        if earlier:
-            accepted += label is not None
-            assert label in (None, earlier[0]), (ab, label)
-        else:
-            refused += 1
-            assert label is None, (ab, fp, label)
-    assert accepted > 50 and refused > 0
+    species = {cls["label"]: cls["rep"].species() for cls in classes}
+    accepted = 0
+    for ab, known, leaves in seen:
+        assert known == labels[: row_of[ab]], ab
+        for leaf in leaves:
+            if leaf.label is not None:
+                accepted += 1
+                assert leaf.label in known, (ab, leaf.label)
+                assert leaf.species() == species[leaf.label], (ab, leaf.label)
+    assert accepted > 50
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_outputs_unchanged_without_certificates(p, monkeypatch):
-    """With the parts test and every Higman draw failing, no node is
-    certified projective: the matrices of degree <= 5 are the same, and
-    only the number of splitting rounds rises."""
-    real = modrep._split_once
-    calls = []
-
-    def count(z, p, rng):
-        calls.append(1)
-        return real(z, p, rng)
-
-    def matrices():
-        calls.clear()
-        eng = modrep.DirectEngine(p)
-        mats = [modrep.assemble_matrix(n, p, engine=eng)[1].tolist() for n in range(6)]
-        return mats, len(calls)
-
-    monkeypatch.setattr(modrep, "_split_once", count)
-    want, rounds = matrices()
-    monkeypatch.setattr(modrep, "_parts_below_p", lambda ab, p: False)
-    monkeypatch.setattr(modrep, "_higman_draw", lambda x, rng: False)
-    got, more = matrices()
-    assert got == want
-    assert more > rounds
-
-
-@pytest.mark.parametrize("p", (3, 5))
-def test_higman_certificate_agrees_with_labels(p):
-    """Every class representative of degree <= 6 certifies within
-    MAX_NONSPLIT_ROUNDS Higman draws exactly when its label is (lam, ())
-    with lam p-restricted; the trace mask of End(M) is all true exactly
-    when every part of M is below p."""
+def test_vertices_agree_with_labels(p):
+    """checks.vertices passes on every class of degree <= 6, and the
+    Brauer quotient at one p-cycle vanishes, so the representative is
+    projective, exactly for the labels (lam, ()) with lam p-restricted."""
     eng = engine(p)
-    rng = np.random.default_rng(5)
     for n in range(7):
+        assert checks.vertices(n, p, eng)[0].failures == [], (p, n)
         for cls in eng.registry_for(n):
-            rep = cls["rep"]
-            got = any(
-                modrep._higman_draw(rep, rng) for _ in range(modrep.MAX_NONSPLIT_ROUNDS)
-            )
-            assert got == is_projective_label(cls["label"], p), (p, cls["label"])
-        for ab in {modrep._canonical_pair(ab) for ab in enumerate_p2(n)}:
-            want = max(ab[0] + ab[1], default=0) < p
-            assert eng.module(ab).end.trace.all() == want, (p, ab)
+            quotients = cls["rep"].species()[2:]
+            q1 = quotients[0][0] if quotients else 0
+            assert (q1 == 0) == is_projective_label(cls["label"], p), (p, cls["label"])
 
 
 def test_record_error_names_key_and_seed(monkeypatch):
@@ -892,10 +894,10 @@ def test_record_error_names_key_and_seed(monkeypatch):
 
 def test_sweep_row_without_one_new_class_is_loud(monkeypatch):
     """A sweep row with two leaves of no earlier class stops the sweep,
-    naming the label, the module and the seed: with no random map
-    invertible, the trivial summand of M(3,1) at p = 3, which is not
-    projective, matches nothing."""
-    monkeypatch.setattr(modrep, "_summands_isomorphic", lambda a, b, hom, rng: False)
+    naming the label, the module and the seed: with every summand its
+    own species, the trivial summand of M(3,1) at p = 3 matches
+    nothing."""
+    monkeypatch.setattr(modrep.Summand, "species", lambda self: id(self))
     eng = modrep.DirectEngine(P, seed=5)
     with pytest.raises(modrep.IntegrityError, match="exactly one new class") as info:
         eng.registry_for(4)
@@ -908,24 +910,24 @@ def test_unmatched_summand_is_loud(monkeypatch):
     registered class is an error naming the module and the seed."""
     eng = modrep.DirectEngine(P, seed=6)
     eng.registry_for(4)
-    monkeypatch.setattr(modrep, "_summands_isomorphic", lambda a, b, hom, rng: False)
+    monkeypatch.setattr(modrep.Summand, "species", lambda self: id(self))
     with pytest.raises(modrep.IntegrityError, match="matches no registered") as info:
         eng.decompose(((), (4,)))
     assert "M((), (4,)) at engine seed 6" in str(info.value)
 
 
-def test_uncertified_projective_class_is_loud(monkeypatch):
-    """A projective class whose representative fails every Higman draw
-    stops the sweep, naming the class, the module and the seed."""
-    monkeypatch.setattr(modrep, "_higman_draw", lambda x, rng: False)
-    with pytest.raises(modrep.IntegrityError, match="Higman draws") as info:
-        modrep.DirectEngine(P, seed=4).registry_for(6)
-    # (4, 2) is 3-restricted, and M(4,2), its row, has a part above p
-    want = (
-        "M((2, 2, 2), ()) at engine seed 4: "
-        "the representative of the projective class ((4, 2), ())"
-    )
-    assert want in str(info.value)
+def test_swapped_labels_fail_the_vertex_check():
+    """Swapping the labels (3) and (2,1) in a copy of the degree-3
+    registry at p = 3 fails checks.vertices: the trivial module, of
+    vertex Q_1, would carry the projective label (2,1), and the
+    projective class the label (3)."""
+    classes = [dict(cls) for cls in engine().registry_for(3)]
+    by_label = {cls["label"]: cls for cls in classes}
+    a, b = by_label[((3,), ())], by_label[((2, 1), ())]
+    a["label"], b["label"] = b["label"], a["label"]
+    planted = types.SimpleNamespace(registry_for=lambda n: classes)
+    failures = checks.vertices(3, P, planted)[0].failures
+    assert sorted(label for label, _ in failures) == [((2, 1), ()), ((3,), ())]
 
 
 def test_end_has_one_home():
