@@ -16,6 +16,7 @@ from .combinat import (
     enumerate_p2p,
     mullineux,
     p_adic_expansion,
+    sign_twist_label,
     total_key,
 )
 from .modrep import (
@@ -34,7 +35,6 @@ from .reduction import (
     enumerate_lambda_supp,
     product_formula,
     rowcut_lower_bound,
-    sign_twist_label,
     signed_kostka,
 )
 from .tabx import char_vector, count_signed_ssyt, iso_equivalent, pieri_expand

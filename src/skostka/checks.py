@@ -105,15 +105,14 @@ def vertices(n, p, engine):
     nonzero Brauer quotient at Q_k, the group of k disjoint p-cycles,
     exactly when k <= |mu| + |lam(1)|: its vertex is then Q_(|mu| +
     |lam(1)|), a Sylow subgroup of a Young subgroup (Donkin, Proc. LMS
-    83, 2001), which ties each label to its representative."""
+    83, 2001), which ties each label to its species."""
     classes = engine.registry_for(n)
     bad = []
-    for cls in classes:
-        lam, mu = cls["label"]
+    for (lam, mu), species in classes.items():
         depth = size(mu) + size(digit(lam, p, 1))
-        dims = [entry[0] for entry in cls["rep"].species()[2:]]
+        dims = [entry[0] for entry in species[2:]]
         if [d > 0 for d in dims] != [k <= depth for k in range(1, n // p + 1)]:
-            bad.append((cls["label"], dims))
+            bad.append(((lam, mu), dims))
     name = "Brauer quotients of each class match its label's vertex"
     return [Record(name, bad, Counter(classes=len(classes)))]
 

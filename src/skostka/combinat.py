@@ -333,6 +333,22 @@ def mullineux(mu, p: int) -> tuple:
     return conjugate(_mullineux_regular(conjugate(mu), p))
 
 
+def sign_twist_label(x, p):
+    """The label of Y(lam|p*mu) twisted by the sign representation.
+
+    Sends (lam, mu) to (M(lam(0)) + p*mu, (lam - lam(0))/p) where M is the
+    Mullineux map on p-restricted partitions.
+    """
+    lam, mu = tuple(x[0]), tuple(x[1])
+    lam0 = digit(lam, p, 0)
+    rest = pointwise_sub(lam, lam0)
+    if any(v % p for v in rest):
+        raise AssertionError("non-digit remainder")
+    mu_new = wp(tuple(v // p for v in rest))
+    lam_new = wp(pointwise_add(mullineux(lam0, p), scale(p, mu)))
+    return lam_new, mu_new
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -7,30 +7,29 @@ when both positions carry the same c-colour and sign -1 when they carry
 the same d-colour. Generators are stored as (perm, sign) pairs, so the
 group action costs O(dim) instead of a matrix product.
 
-Decomposition runs a Fitting-style splitting tree. Random equivariant
-endomorphisms are sampled by sandwiching random elements of End(M),
-whose basis is read once per module off the contingency tables of basis
-pairs, between the tracked inclusion/projection maps of each node; the
-root, the whole module, holds none. The generalized kernels of the
-coprime factors of a minimal polynomial
-split a node; they are cut out by Chinese-remainder projectors,
-polynomials in the endomorphism, half of the factors at a time, and
-each projector is checked to be idempotent.
+The registry sweep splits modules by a Fitting-style tree. Random
+equivariant endomorphisms are sampled by sandwiching random elements of
+End(M), whose basis is read once per module off the contingency tables
+of basis pairs, between the tracked inclusion/projection maps of each
+node; the root, the whole module, holds none. The generalized kernels of
+the coprime factors of a minimal polynomial split a node; they are cut
+out by Chinese-remainder projectors, polynomials in the endomorphism,
+half of the factors at a time, and each projector is checked to be
+idempotent.
 
 Every summand of M(alpha|beta) is a p-permutation module, and its
 species (Summand.species), the Brauer characters of its Brauer
 quotients at the groups Q_k of k disjoint p-cycles, decides its
-isomorphism type exactly for n < p^2. So modules_isomorphic is exact and
-draws no random number, and a node with the species of a registered
-class is that class, accepted with no split. A node that refuses to
-split for many rounds is accepted as indecomposable, Monte Carlo; in
-the registry sweep that is only the first leaf of each new class. Each
-module is split and labelled once, against a registry of classes built
-by sweeping the label rows in the fixed total order; the sweep records
-each row's labelled decomposition. Loud integrity errors guard every
-inconsistency: multiplicities must fill the module dimension and every
-sweep step must expose exactly one new class, so a misidentification
-cannot pass silently.
+isomorphism type exactly for n < p^2, so modules_isomorphic draws no
+random number. Species add over direct sums, so the multiplicities of a
+module are one exact solve of its species against the class species,
+with no End built and nothing split. The registry of class species
+sweeps the label rows in the fixed total order: a row whose class is the
+sign twin of an earlier one is solved with the twin's species twisted by
+the sign; any other row is split, and its one leaf of no known species,
+accepted after many rounds that refuse to split (Monte Carlo), is its
+class. Loud integrity errors guard every inconsistency, so a
+misidentification cannot pass silently.
 """
 
 from functools import cached_property, lru_cache, reduce
@@ -45,6 +44,7 @@ from .combinat import (
     enumerate_partitions,
     is_p_restricted,
     label_rows,
+    sign_twist_label,
     size,
     wp,
 )
@@ -145,26 +145,17 @@ class SignedPermModule:
 
     @cached_property
     def quotients(self):
-        """Per k = 1..n//p, the Q_k-fixed words X and the action of
-        N(Q_k) on them: (X, [(target, sign)] per _normalizer_words),
-        where the word X[j] goes to sign[j] times X[target[j]].
-
-        X holds the words constant on each of the first k blocks of p
-        points; a p-cycle is even, so Q_k fixes each with sign +1, and
-        N(Q_k) permutes them.
-        """
+        """Per k = 0..n//p, (X, where): the words X constant on each of
+        the first k blocks of p points, which Q_k fixes with sign +1 as a
+        p-cycle is even, and N(Q_k) permutes; where[X[i]] = i."""
         words = np.array(self.words, dtype=np.int64).reshape(self.dim, self.n)
         out = []
-        for k in range(1, self.n // self.p + 1):
+        for k in range(self.n // self.p + 1):
             blocks = words[:, : k * self.p].reshape(self.dim, k, self.p)
             fixed = np.flatnonzero((blocks == blocks[:, :, :1]).all(axis=(1, 2)))
             where = np.zeros(self.dim, dtype=np.intp)
             where[fixed] = np.arange(len(fixed))
-            actions = []
-            for w in _normalizer_words(self.n, self.p, k):
-                perm, sign = _word_action(self, w)
-                actions.append((where[perm[fixed]], sign[fixed]))
-            out.append((fixed, actions))
+            out.append((fixed, where))
         return out
 
 
@@ -742,7 +733,6 @@ class Summand:
     whole, with C = R = None for the identity, which _between skips.
     part makes the other nodes, with equivariant inclusion C
     (dim parent x dim) and projection R (dim x dim parent), R C = I.
-    label is the class that decompose_summands matched by species.
     """
 
     def __init__(self, parent, C=None, R=None):
@@ -755,7 +745,38 @@ class Summand:
         self.n = parent.n
         self._fp = None
         self._species = None
-        self.label = None
+
+    def _fixed(self, k, words):
+        """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
+        x, with Q_0 = 1; each word s normalizes Q_k and has order prime to
+        p. A whole module's quotient is monomial, and _fixed_dim counts
+        the +1 cycles of s on its Q_k-fixed words X. At k = 0 a proper
+        summand fixes d - rank(g_x - 1), g_x = R P C, one product for all
+        words (the signed row gather of C is s^-1, which fixes what s
+        fixes). At k >= 1 its quotient is the image of E = C[X] R[:, X],
+        and s, commuting with E, fixes rank E - rank((S - I) E) of it."""
+        p, d = self.p, self.dim
+        X, where = self.parent.quotients[k]
+        actions = [_word_action(self.parent, w) for w in words]
+        actions = [(where[perm[X]], sign[X]) for perm, sign in actions]
+        if self.whole:
+            return len(X), tuple(_fixed_dim(target, sign) for target, sign in actions)
+        if not k:
+            gathers = [sign[:, None] * self.C[target] for target, sign in actions]
+            g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
+            eye = np.eye(d, dtype=np.int64)
+            return d, tuple(
+                d - gfp.rank(g_x[:, i * d : (i + 1) * d] - eye, p)
+                for i in range(len(actions))
+            )
+        E = gfp.matmul(self.C[X], self.R[:, X], p)
+        rank = gfp.rank(E, p)
+        fixed = []
+        for target, sign in actions:
+            SE = np.empty_like(E)
+            SE[target] = sign[:, None] * E
+            fixed.append(rank - gfp.rank((SE - E) % p, p) if rank else 0)
+        return rank, tuple(fixed)
 
     def fingerprint(self):
         """Iso invariant: the dimension, and dim Fix(g) for one g of
@@ -766,30 +787,10 @@ class Summand:
         the Brauer character (by Moebius inversion over the cyclic
         subgroups). So unequal fingerprints prove two summands
         non-isomorphic, and equal ones agree in the trace mod p of
-        every group element. A whole module counts the +1 cycles of each
-        monomial action. A proper summand takes d - rank(g_x - 1) with
-        g_x = R P C; the signed row gather of C is the action of g^-1,
-        which fixes what g fixes, and all classes share one product.
+        every group element.
         """
         if self._fp is None:
-            p, d = self.p, self.dim
-            actions = [
-                _word_action(self.parent, w)
-                for w in _normalizer_words(self.n, p, 0)
-                if w
-            ]
-            fixed = []
-            if self.whole:
-                fixed = [_fixed_dim(perm, sign) for perm, sign in actions]
-            elif actions:
-                gathers = [sign[:, None] * self.C[perm] for perm, sign in actions]
-                g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
-                eye = np.eye(d, dtype=np.int64)
-                fixed = [
-                    d - gfp.rank(g_x[:, k * d : (k + 1) * d] - eye, p)
-                    for k in range(len(actions))
-                ]
-            self._fp = (d, tuple(fixed))
+            self._fp = self._fixed(0, _normalizer_words(self.n, self.p, 0)[:-1])
         return self._fp
 
     def species(self):
@@ -801,13 +802,9 @@ class Summand:
         Two such modules are isomorphic exactly when their Brauer
         quotients have equal Brauer characters (Broue, Proc. AMS 93,
         1985), and for n < p^2 the quotients at the Q_k, the vertices of
-        signed Young modules (Donkin, Proc. LMS 83, 2001), suffice. The
-        quotient x(Q_k) is the image of E = C[X] R[:, X], the idempotent
-        C R cut down to the Q_k-fixed words X, or the identity on X for a
-        whole module; s commutes with E, so it fixes rank E -
-        rank((S - I) E) of it. From n = p^2 on, the Sylow subgroups of
-        S_(p^2) are vertices too, and the species is refused with
-        ValueError.
+        signed Young modules (Donkin, Proc. LMS 83, 2001), suffice. From
+        n = p^2 on, the Sylow subgroups of S_(p^2) are vertices too, and
+        the species is refused with ValueError.
         """
         if self._species is None:
             n, p = self.n, self.p
@@ -817,21 +814,26 @@ class Summand:
                     f"the Brauer quotients at the Sylow subgroups of S_{p * p}, "
                     f"which the groups of disjoint {p}-cycles do not include"
                 )
-            entries = []
-            for fixed, actions in self.parent.quotients:
-                if self.whole:
-                    E = np.eye(len(fixed), dtype=np.int64)
-                else:
-                    E = gfp.matmul(self.C[fixed], self.R[:, fixed], p)
-                rank = gfp.rank(E, p)
-                dims = []
-                for target, sign in actions:
-                    SE = np.empty_like(E)
-                    SE[target] = sign[:, None] * E
-                    dims.append(rank - gfp.rank((SE - E) % p, p) if rank else 0)
-                entries.append((rank, tuple(dims)))
-            self._species = self.fingerprint() + tuple(entries)
+            self._species = self.fingerprint() + tuple(
+                self._fixed(k, _normalizer_words(n, p, k))
+                for k in range(1, n // p + 1)
+            )
         return self._species
+
+    def twisted_species(self):
+        """The species of x (x) sgn. A p-cycle is even, so (x (x) sgn)(Q_k)
+        is x(Q_k) (x) sgn, where a word s of even length fixes what it
+        fixed, and one of odd length acts as -s, fixing the (-1)-eigenspace
+        of the semisimple s, of dimension Fix(s^2) - Fix(s), s^2 = s + s."""
+        sp = self.species()
+        out = []
+        for k, (rank, fixed) in enumerate([sp[:2], *sp[2:]]):
+            # the words of fixed: at k = 0 all but the last, the identity
+            words = _normalizer_words(self.n, self.p, k)[: len(fixed)]
+            squares = self._fixed(k, [w + w for w in words])[1]
+            pairs = zip(words, fixed, squares)
+            out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
+        return out[0] + tuple(out[1:])
 
     def restrict(self, x):
         """R x C: the endomorphism x of the parent restricted to the
@@ -938,34 +940,25 @@ def _projector_split(z, parts, p, proj=None):
     return out
 
 
-def decompose_summands(module, rng, start=None, classes=()):
+def decompose_summands(module, rng, known=frozenset()):
     """The indecomposable summands of the module, as Summand objects.
 
-    The splitting tree holds Summands, from module.summand or from the
-    optional (C, R) starting node, which restricts the splitting to that
-    summand. A node with the dimension and species of one of the
-    classes, dicts of "label" and "rep", is that class: it is accepted
-    at once with its label. Other nodes are split by endomorphisms drawn
-    from module.end and restricted to the node; Monte Carlo in that
-    choice: a node is accepted as indecomposable after
-    MAX_NONSPLIT_ROUNDS non-splitting rounds. The engine labels each
-    module's leaves once, in the registry sweep or in decompose, and
-    re-checks dimensions and label counts there, so a premature accept
-    cannot pass silently.
+    The splitting tree holds Summands, from the whole module.summand. A
+    node whose species is in known, a set of class species, is that
+    class: it is accepted at once. Other nodes are split by
+    endomorphisms drawn from module.end and restricted to the node;
+    Monte Carlo in that choice: a node is accepted as indecomposable
+    after MAX_NONSPLIT_ROUNDS non-splitting rounds.
     """
     p = module.p
-    root = module.summand if start is None else Summand(module, *start)
-    known = {cls["rep"].species(): cls["label"] for cls in classes}
-    dims = {cls["rep"].dim for cls in classes}
-    queue = [root]
+    dims = {species[0] for species in known}
+    queue = [module.summand]
     leaves = []
     while queue:
         node = queue.pop()
-        if node.dim in dims:
-            node.label = known.get(node.species())
-            if node.label is not None:
-                leaves.append(node)
-                continue
+        if node.dim in dims and node.species() in known:
+            leaves.append(node)
+            continue
         split = None
         for _ in range(MAX_NONSPLIT_ROUNDS if node.dim > 1 else 0):
             try:
@@ -982,11 +975,20 @@ def decompose_summands(module, rng, start=None, classes=()):
         else:
             queue += [node.part(C, R) for C, R in split]
     total = sum(leaf.dim for leaf in leaves)
-    if total != root.dim:
+    if total != module.dim:
         raise IntegrityError(
-            f"summand dimensions of M{module.ab} sum to {total}, not {root.dim}"
+            f"summand dimensions of M{module.ab} sum to {total}, not {module.dim}"
         )
     return leaves
+
+
+def _flat(species):
+    """The species as one int64 vector, its integers in order."""
+    d, fixed, *quotients = species
+    out = [d, *fixed]
+    for rank, dims in quotients:
+        out += [rank, *dims]
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,14 +1049,12 @@ def _canonical_pair(ab):
 
 
 class DirectEngine:
-    """Ground-truth engine decomposing modules into labelled summands.
+    """Ground-truth engine for the labelled multiplicities of modules.
 
-    Maintains, per degree, a registry of indecomposable classes built
-    by sweeping the label modules in the fixed total order, which also
-    records their decompositions; every other module is then expressed
-    in those classes, each module split and labelled once. Exposes the
-    oracle interface of the combinatorial engine: attribute p and
-    method projective_signed.
+    Keeps, per degree, a registry {label: species} of the
+    indecomposable classes (registry_for), and solves every module
+    against it (decompose). Exposes the oracle interface of the
+    combinatorial engine: attribute p and method projective_signed.
     """
 
     def __init__(self, p, seed=0):
@@ -1095,88 +1095,86 @@ class DirectEngine:
             raise DimensionCapError(dim, DIM_CAP)
 
     def registry_for(self, n):
-        """Class representatives for degree n, built label by label.
+        """{label: species} of the classes of degree n, row by row.
 
-        Every label row is checked against the cap before the sweep
-        starts, so a degree that cannot be done is refused before any
-        module is built. Each row holds exactly one summand of no earlier
-        class, once, by unitriangularity; the sweep records the row's
-        labelled decomposition, so decompose answers it from the cache.
+        Every label row is checked against the cap before any module is
+        built. A row whose class is not yet known is split: its one leaf
+        of no known species is the class, and that leaf twisted by the
+        sign is the class's sign twin, whose row then needs no split.
+        Each row's solve, holding its class once, is kept for decompose.
         """
         if n in self.registry:
             return self.registry[n]
         labels, rows = label_rows(n, self.p)
         self.check_cap(rows[0])
-        classes = []
+        known = {}
         for label, row_ab in zip(labels, rows):
             key = _canonical_pair(row_ab)
-            counts, unmatched = self._label(key, classes)
-            if len(unmatched) != 1 or unmatched[0][1] != 1:
-                raise IntegrityError(
-                    f"sweep at label {label}, {self._where(key)}: expected "
-                    f"exactly one new class of multiplicity 1, found "
-                    f"{[(r.dim, c) for r, c in unmatched]}"
-                )
-            classes.append({"label": label, "rep": unmatched[0][0]})
-            counts[label] = 1
-            self._record(key, counts, classes)
-        self.registry[n] = classes
-        return classes
+            where = f"sweep at label {label}, {self._where(key)}"
+            if label not in known:
+                leaf = self._label(key, known, where)
+                known[label] = leaf.species()
+                twin, twisted = sign_twist_label(label, self.p), leaf.twisted_species()
+                if known.setdefault(twin, twisted) != twisted:
+                    raise IntegrityError(f"{where}: its class (x) sgn is not {twin}")
+            counts = self._solve(key, known, where)
+            if counts.get(label) != 1:
+                raise IntegrityError(f"{where}: the row does not hold its class once")
+            self.decomps[key] = counts
+        self.registry[n] = known
+        return known
 
     def _where(self, key):  # the module and seed that reproduce an error
         return f"M{key} at engine seed {self.seed}"
 
-    def _label(self, key, classes):
-        """Split M(key) and label its leaves: ({label: multiplicity},
-        [(rep, count)] of the leaves of no class, one per species).
-        decompose_summands labels each leaf that has a class's species,
-        so the others are new classes, told apart by their species."""
+    def _label(self, key, known, where):
+        """Split M(key): its one leaf of no species in known."""
         alpha, beta = key
         rng = np.random.default_rng(
             [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
         )
+        species = set(known.values())
         try:
-            leaves = decompose_summands(self.module(key), rng, classes=classes)
+            leaves = decompose_summands(self.module(key), rng, known=species)
         except IntegrityError as e:
             raise IntegrityError(f"{self._where(key)}: {e}") from e
-        labelled, new = {}, {}
-        for leaf in leaves:
-            if leaf.label is not None:
-                labelled[leaf.label] = labelled.get(leaf.label, 0) + 1
-            else:
-                rep, count = new.get(leaf.species(), (leaf, 0))
-                new[leaf.species()] = (rep, count + 1)
-        return labelled, list(new.values())
+        new = [leaf for leaf in leaves if leaf.species() not in species]
+        if len(new) != 1:
+            raise IntegrityError(
+                f"{where}: expected exactly one new class of multiplicity 1, "
+                f"found new leaves of dimensions {[leaf.dim for leaf in new]}"
+            )
+        return new[0]
 
-    def _record(self, key, counts, classes):
-        """Check that the multiplicities fill M(key), then cache them."""
-        dims = {cls["label"]: cls["rep"].dim for cls in classes}
-        if sum(m * dims[l] for l, m in counts.items()) != module_dimension(key):
-            raise IntegrityError(f"multiplicities do not fill {self._where(key)}")
-        self.decomps[key] = counts
+    def _solve(self, key, known, where):
+        """{label: multiplicity} of M(key) over the classes in known, by
+        one linear solve in the flattened species, which add over direct
+        sums. The rounded least-squares answer must be non-negative and
+        reproduce the species, led by the dimension, exactly, from
+        linearly independent class species."""
+        labels = list(known)
+        A = np.array([_flat(known[label]) for label in labels]).T
+        b = _flat(self.module(key).summand.species())
+        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        x = np.rint(x).astype(np.int64)
+        if rank < len(labels) or (x < 0).any() or not np.array_equal(A @ x, b):
+            raise IntegrityError(
+                f"{where}: the species is no non-negative integer combination "
+                f"of the {len(labels)} class species (rank {rank})"
+            )
+        return {label: int(m) for label, m in zip(labels, x) if m}
 
     def decompose(self, ab):
-        """Labelled multiset {(lam, mu): multiplicity} of M(ab)."""
+        """Labelled multiset {(lam, mu): multiplicity} of M(ab): one
+        solve of its whole species, with no End built and no split."""
         key = _canonical_pair(ab)
         if key not in self.decomps:
             self.check_cap(key)
             n = size(key[0]) + size(key[1])
-            classes = self.registry_for(n)
+            known = self.registry_for(n)
             if key not in self.decomps:  # the sweep records label rows
-                counts, unmatched = self._label(key, classes)
-                if unmatched:
-                    raise IntegrityError(
-                        f"a summand of dimension {unmatched[0][0].dim} of "
-                        f"{self._where(key)} matches no registered class"
-                    )
-                self._record(key, counts, classes)
+                self.decomps[key] = self._solve(key, known, self._where(key))
         return dict(self.decomps[key])
-
-    def class_representative(self, n, label):
-        for cls in self.registry_for(n):
-            if cls["label"] == label:
-                return cls["rep"]
-        raise KeyError(label)
 
     def projective_signed(self, ab, lam0):
         lam0 = wp(lam0)

@@ -12,6 +12,7 @@ from skostka.combinat import (
     enumerate_p2p,
     is_p_restricted,
     label_rows,
+    sign_twist_label,
     wp,
 )
 
@@ -391,7 +392,7 @@ def test_whole_modules_hold_no_maps(p):
     eng.registry_for(6)
     assert len(eng.modules) > 10
     for m in eng.modules.values():
-        assert "summand" in vars(m), m.ab  # the root the sweep split
+        assert "summand" in vars(m), m.ab  # whose species the sweep solved
         s = m.summand
         assert s.whole and s.C is None and s.R is None, (p, m.ab)
         assert s.dim == modrep.Summand(m).dim == m.dim
@@ -535,8 +536,8 @@ def test_fingerprint_routes_agree(p):
 
 def test_whole_fingerprint_computed_once_per_module(monkeypatch):
     """modules_isomorphic takes each module as its whole summand, whose
-    fingerprint is counted once per module and does not keep the module
-    alive."""
+    fingerprint and species are counted once per module, one cycle count
+    per word at each Q_k, and do not keep the module alive."""
     import gc
     import weakref
 
@@ -546,11 +547,12 @@ def test_whole_fingerprint_computed_once_per_module(monkeypatch):
         modrep, "_fixed_dim", lambda *args: calls.append(1) or fixed_dim(*args)
     )
     mods = [modrep.build_module(ab, P) for ab in enumerate_p2(4)]
-    classes = len(modrep._normalizer_words(4, P, 0)) - 1  # all but the identity
+    # every module is isomorphic to itself, so each reaches its species
+    words = sum(len(modrep._normalizer_words(4, P, k)) for k in range(4 // P + 1))
     for u in mods:
         for v in mods:
             modrep.modules_isomorphic(u, v)
-    assert len(calls) == classes * len(mods)
+    assert len(calls) == (words - 1) * len(mods)  # all but the identity at k = 0
     ref = weakref.ref(mods[0])
     del mods, u, v
     gc.collect()
@@ -674,11 +676,11 @@ def test_species_add_over_decompositions(p):
     """The species of every degree-6 module is the sum, over the engine's
     labelled decomposition, of multiplicity times class species."""
     eng = engine(p)
-    reps = {cls["label"]: cls["rep"] for cls in eng.registry_for(6)}
+    species = eng.registry_for(6)
     for ab in enumerate_p2(6):
         want = flat_species(modrep.build_module(ab, p).summand.species())
         got = sum(
-            m * flat_species(reps[label].species())
+            m * flat_species(species[label])
             for label, m in eng.decompose(ab).items()
         )
         assert np.array_equal(got, want), (p, ab)
@@ -759,7 +761,7 @@ def test_krull_schmidt_dimension_fill():
     for n in range(0, 5):
         for ab in enumerate_p2(n):
             dec = eng.decompose(ab)
-            classes = {c["label"]: c["rep"].dim for c in eng.registry_for(n)}
+            classes = {l: sp[0] for l, sp in eng.registry_for(n).items()}
             total = sum(m * classes[l] for l, m in dec.items())
             assert total == modrep.module_dimension((wp(ab[0]), wp(ab[1])))
 
@@ -841,63 +843,186 @@ def is_projective_label(label, p):
 
 def test_early_acceptance_needs_a_registered_species(monkeypatch):
     """In the degree-6 sweep at p = 3, every node accepted without a
-    split carries the label of a class registered before its row, and
-    has that class's species."""
+    split has the species of a class whose row comes before its own, by
+    unitriangularity, though the known set also holds the twins of the
+    split classes."""
     eng = modrep.DirectEngine(P)
     real = modrep.decompose_summands
     seen = []
 
-    def spy(module, rng, start=None, classes=()):
-        leaves = real(module, rng, start=start, classes=classes)
-        seen.append((module.ab, [c["label"] for c in classes], leaves))
+    def spy(module, rng, known=frozenset()):
+        leaves = real(module, rng, known=known)
+        seen.append((module.ab, set(known), leaves))
         return leaves
 
     monkeypatch.setattr(modrep, "decompose_summands", spy)
     classes = eng.registry_for(6)
     labels, rows = label_rows(6, P)
     row_of = {modrep._canonical_pair(row): i for i, row in enumerate(rows)}
-    species = {cls["label"]: cls["rep"].species() for cls in classes}
     accepted = 0
     for ab, known, leaves in seen:
-        assert known == labels[: row_of[ab]], ab
+        earlier = {classes[label] for label in labels[: row_of[ab]]}
+        assert earlier <= known, ab
         for leaf in leaves:
-            if leaf.label is not None:
+            if leaf.species() in known:
                 accepted += 1
-                assert leaf.label in known, (ab, leaf.label)
-                assert leaf.species() == species[leaf.label], (ab, leaf.label)
-    assert accepted > 50
+                assert leaf.species() in earlier, ab
+    # all but the new leaf of each split row, one per summand
+    assert accepted == sum(sum(eng.decompose(ab).values()) - 1 for ab, _, _ in seen)
+    assert accepted > 10
+
+
+def twin_rows(n, p):
+    """Per label row of degree n, whether its class is the sign twin of
+    a class whose row comes earlier."""
+    labels, _ = label_rows(n, p)
+    return [labels.index(sign_twist_label(x, p)) < i for i, x in enumerate(labels)]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize(("p", "split"), [(3, 9), (5, 6)])
+def test_sweep_splits_only_rows_without_an_earlier_twin(p, split, seed, monkeypatch):
+    """The degree-6 sweep splits exactly the rows whose class has no
+    earlier sign twin, 9 of 16 at p = 3 and 6 of 12 at p = 5, and
+    builds End only for those of them above dimension 1. M(1^6) is never
+    split."""
+    real_split, real_end = modrep.decompose_summands, modrep._hom_orbits
+    splits, ends = [], []
+
+    def spy_split(module, rng, **kwargs):
+        splits.append(module.ab)
+        return real_split(module, rng, **kwargs)
+
+    def spy_end(m, n_mod):
+        ends.append(m.ab)
+        return real_end(m, n_mod)
+
+    monkeypatch.setattr(modrep, "decompose_summands", spy_split)
+    monkeypatch.setattr(modrep, "_hom_orbits", spy_end)
+    modrep.DirectEngine(p, seed=seed).registry_for(6)
+    _, rows = label_rows(6, p)
+    want = [
+        modrep._canonical_pair(row)
+        for row, twin in zip(rows, twin_rows(6, p))
+        if not twin
+    ]
+    assert len(want) == split and splits == want
+    assert ends == [key for key in want if modrep.module_dimension(key) > 1]
+    assert ((1,) * 6, ()) not in splits
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_decompose_outside_label_rows_only_solves(p, monkeypatch):
+    """After the sweeps, every module of degree <= 6 outside the label
+    rows is decomposed with no End, no split and no random draw, and
+    its multiplicities agree with the reduction engine."""
+    eng = modrep.DirectEngine(p, seed=3)
+    for n in range(7):
+        eng.registry_for(n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module outside the label rows was split")
+
+    monkeypatch.setattr(modrep.SignedPermModule, "end", property(refuse))
+    monkeypatch.setattr(modrep, "decompose_summands", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    solved = 0
+    for n in range(7):
+        labels, rows = label_rows(n, p)
+        row_keys = {modrep._canonical_pair(row) for row in rows}
+        for ab in enumerate_p2(n):
+            if modrep._canonical_pair(ab) in row_keys:
+                continue
+            dec = eng.decompose(ab)
+            for x in labels:
+                assert dec.get(x, 0) == reduction.signed_kostka(ab, x, eng), (p, ab, x)
+            solved += 1
+    assert solved == {3: 48, 5: 61}[p]
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_solved_rows_agree_with_a_split(p):
+    """An independent check of the twisted species: each row that the
+    sweep solves, split with the earlier classes known, leaves exactly
+    one leaf of no known species, and that leaf has the species the
+    registry holds for the row's class."""
+    eng = engine(p)
+    checked = 0
+    for n in range(7):
+        classes = eng.registry_for(n)
+        labels, rows = label_rows(n, p)
+        for i, twin in enumerate(twin_rows(n, p)):
+            if not twin:
+                continue
+            known = {classes[label] for label in labels[:i]}
+            m = modrep.build_module(rows[i], p)
+            leaves = modrep.decompose_summands(m, np.random.default_rng(i), known=known)
+            new = [leaf for leaf in leaves if leaf.species() not in known]
+            assert len(new) == 1, (p, labels[i])
+            assert new[0].species() == classes[labels[i]], (p, labels[i])
+            checked += 1
+    assert checked == {3: 17, 5: 14}[p]
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_vertices_agree_with_labels(p):
     """checks.vertices passes on every class of degree <= 6, and the
-    Brauer quotient at one p-cycle vanishes, so the representative is
-    projective, exactly for the labels (lam, ()) with lam p-restricted."""
+    Brauer quotient at one p-cycle vanishes, so the class is projective,
+    exactly for the labels (lam, ()) with lam p-restricted."""
     eng = engine(p)
     for n in range(7):
         assert checks.vertices(n, p, eng)[0].failures == [], (p, n)
-        for cls in eng.registry_for(n):
-            quotients = cls["rep"].species()[2:]
+        for label, species in eng.registry_for(n).items():
+            quotients = species[2:]
             q1 = quotients[0][0] if quotients else 0
-            assert (q1 == 0) == is_projective_label(cls["label"], p), (p, cls["label"])
+            assert (q1 == 0) == is_projective_label(label, p), (p, label)
 
 
-def test_record_error_names_key_and_seed(monkeypatch):
-    """The "multiplicities do not fill M" check names the module and the
-    engine seed that reproduce it."""
-    real = modrep.module_dimension
-    monkeypatch.setattr(modrep, "module_dimension", lambda ab: real(ab) + 1)
-    with pytest.raises(modrep.IntegrityError, match="do not fill") as info:
+def unflat_species(vec, like):
+    """The integer vector vec in the nested form of the species like."""
+    vec = [int(v) for v in vec]
+    d, fixed, *quotients = like
+    out, i = (vec[0], tuple(vec[1 : 1 + len(fixed)])), 1 + len(fixed)
+    for _, dims in quotients:
+        out += ((vec[i], tuple(vec[i + 1 : i + 1 + len(dims)])),)
+        i += 1 + len(dims)
+    return out
+
+
+def plant_species(monkeypatch, ab, change):
+    """Summand.species, for the whole module M(ab) only, as change(flat
+    species) in the nested form."""
+    real = modrep.Summand.species
+
+    def species(self):
+        out = real(self)
+        if self.whole and self.parent.ab == ab:
+            out = unflat_species(change(flat_species(out)), out)
+        return out
+
+    monkeypatch.setattr(modrep.Summand, "species", species)
+
+
+def test_solve_error_names_key_and_seed(monkeypatch):
+    """A sweep row that does not hold its own class once stops the
+    sweep, naming the label, the module and the engine seed: M(1,1,1),
+    given twice its species, holds Y(1,1,1) twice."""
+    plant_species(monkeypatch, ((1, 1, 1), ()), lambda v: 2 * v)
+    with pytest.raises(modrep.IntegrityError, match="its class once") as info:
         modrep.DirectEngine(P, seed=7).decompose(((2, 1), ()))
-    assert "M((3,), ()) at engine seed 7" in str(info.value)
+    want = "sweep at label ((1, 1, 1), ()), M((1, 1, 1), ()) at engine seed 7"
+    assert want in str(info.value)
 
 
 def test_sweep_row_without_one_new_class_is_loud(monkeypatch):
     """A sweep row with two leaves of no earlier class stops the sweep,
-    naming the label, the module and the seed: with every summand its
-    own species, the trivial summand of M(3,1) at p = 3 matches
+    naming the label, the module and the seed: with every split summand
+    its own species, the trivial summand of M(3,1) at p = 3 matches
     nothing."""
-    monkeypatch.setattr(modrep.Summand, "species", lambda self: id(self))
+    real = modrep.Summand.species
+    monkeypatch.setattr(
+        modrep.Summand, "species", lambda self: real(self) if self.whole else id(self)
+    )
     eng = modrep.DirectEngine(P, seed=5)
     with pytest.raises(modrep.IntegrityError, match="exactly one new class") as info:
         eng.registry_for(4)
@@ -905,15 +1030,58 @@ def test_sweep_row_without_one_new_class_is_loud(monkeypatch):
     assert want in str(info.value)
 
 
+def test_wrong_twin_is_loud(monkeypatch):
+    """A twin label naming a wrong earlier class stops the sweep, naming
+    the label, the module and the seed: Y(3,1) twisted by the sign is
+    Y(2,1,1), not the trivial module."""
+    real = modrep.sign_twist_label
+    monkeypatch.setattr(
+        modrep,
+        "sign_twist_label",
+        lambda x, p: ((4,), ()) if x == ((3, 1), ()) else real(x, p),
+    )
+    with pytest.raises(modrep.IntegrityError, match=r"\(x\) sgn is not") as info:
+        modrep.DirectEngine(P, seed=2).registry_for(4)
+    want = "sweep at label ((3, 1), ()), M((3, 1), ()) at engine seed 2"
+    assert want in str(info.value)
+
+
 def test_unmatched_summand_is_loud(monkeypatch):
-    """A summand of a module outside the label rows that matches no
-    registered class is an error naming the module and the seed."""
+    """A module outside the label rows whose species needs a negative
+    multiplicity fails the solve, naming the module and the seed; so do
+    linearly dependent class species, even where rounding the
+    least-squares answer would reproduce the module: with Y(2,2) given
+    the species of Y(2,1,1), the two multiplicities 2 and 0 in M(1,1|2)
+    come out as 1 and 1."""
     eng = modrep.DirectEngine(P, seed=6)
-    eng.registry_for(4)
-    monkeypatch.setattr(modrep.Summand, "species", lambda self: id(self))
-    with pytest.raises(modrep.IntegrityError, match="matches no registered") as info:
+    classes = eng.registry_for(4)
+    trivial = flat_species(classes[((4,), ())])
+    y31 = flat_species(classes[((3, 1), ())])
+    plant_species(monkeypatch, ((), (4,)), lambda v: y31 - trivial)
+    with pytest.raises(modrep.IntegrityError, match="no non-negative") as info:
         eng.decompose(((), (4,)))
     assert "M((), (4,)) at engine seed 6" in str(info.value)
+    classes[((2, 2), ())] = classes[((2, 1, 1), ())]
+    with pytest.raises(modrep.IntegrityError, match=r"rank 5\)") as info:
+        eng.decompose(((), (2, 1, 1)))
+    assert "M((1, 1), (2,)) at engine seed 6" in str(info.value)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_perturbed_species_fails_the_solve(p, monkeypatch):
+    """One more in any one coordinate of the species of M(1,1,1|2) makes
+    it no non-negative integer combination of the class species."""
+    ab = ((1, 1, 1), (2,))
+    eng = modrep.DirectEngine(p, seed=4)
+    eng.registry_for(5)
+    size = len(flat_species(modrep.build_module(ab, p).summand.species()))
+    for j in range(size):
+        with monkeypatch.context() as m:
+            plant_species(m, ab, lambda v: v + np.eye(size, dtype=np.int64)[j])
+            with pytest.raises(modrep.IntegrityError, match="no non-negative") as info:
+                eng.decompose(ab)
+        assert f"M{ab} at engine seed 4" in str(info.value), (p, j)
+    assert eng.decompose(ab) == modrep.DirectEngine(p).decompose(ab)
 
 
 def test_swapped_labels_fail_the_vertex_check():
@@ -921,10 +1089,9 @@ def test_swapped_labels_fail_the_vertex_check():
     registry at p = 3 fails checks.vertices: the trivial module, of
     vertex Q_1, would carry the projective label (2,1), and the
     projective class the label (3)."""
-    classes = [dict(cls) for cls in engine().registry_for(3)]
-    by_label = {cls["label"]: cls for cls in classes}
-    a, b = by_label[((3,), ())], by_label[((2, 1), ())]
-    a["label"], b["label"] = b["label"], a["label"]
+    classes = dict(engine().registry_for(3))
+    a, b = ((3,), ()), ((2, 1), ())
+    classes[a], classes[b] = classes[b], classes[a]
     planted = types.SimpleNamespace(registry_for=lambda n: classes)
     failures = checks.vertices(3, P, planted)[0].failures
     assert sorted(label for label, _ in failures) == [((2, 1), ()), ((3,), ())]
@@ -945,12 +1112,10 @@ def test_composition_input_normalized():
 
 
 def test_class_representative_dims():
-    eng = engine()
-    reps = {c["label"]: c["rep"].dim for c in eng.registry_for(4)}
-    assert len(reps) == len(enumerate_p2p(4, P))
-    assert reps[((4,), ())] == 1
+    """The registry holds one species per label, led by the class's
+    dimension: M(3,1) is the trivial module plus the 3-dimensional
+    Y(3,1), as 3 does not divide 4."""
+    reps = {label: sp[0] for label, sp in engine().registry_for(4).items()}
+    assert sorted(reps) == sorted(enumerate_p2p(4, P))
+    assert reps[((4,), ())] == 1 and reps[((3, 1), ())] == 3
     assert all(d >= 1 for d in reps.values())
-    y31 = eng.class_representative(4, ((3, 1), ()))
-    assert modrep.modules_isomorphic(y31, y31)
-    with pytest.raises(KeyError):
-        eng.class_representative(4, ((9,), ()))
