@@ -920,7 +920,9 @@ def _projector_split(z, parts, p, proj=None):
     C, R = proj[:, pivots], r[:k]
     if not np.array_equal(gfp.matmul(R, C, p), np.eye(k, dtype=np.int64)):
         raise IntegrityError("Chinese-remainder projector is not idempotent")
-    free = np.setdiff1d(np.arange(d), pivots)
+    keep = np.ones(d, bool)
+    keep[pivots] = False
+    free = np.flatnonzero(keep)
     N = np.zeros((d, d - k), dtype=np.int64)
     N[free, np.arange(d - k)] = 1
     N[pivots] = gfp._mod(-R[:, free], p)

@@ -161,12 +161,47 @@ def _memo(oracle):
         return oracle._skostka_memo
 
 
+@lru_cache(maxsize=None)
+def _normal_pair(alpha, beta):
+    """(wp alpha, wp beta, |alpha|, |beta|) for one row.
+
+    A negative entry raises on every call: lru_cache stores no exception.
+    """
+    alpha, beta = wp(alpha), wp(beta)
+    return alpha, beta, size(alpha), size(beta)
+
+
+@lru_cache(maxsize=None)
+def _label_data(lam, mu, p):
+    """What signed_kostka needs of the label (lam, mu) at p.
+
+    Returns (n, base, lam_digits, mu_digits, lam0, lo, hi): the degree
+    n = |lam| + p|mu|; whether the label is a base case (mu empty, lam
+    p-restricted); and otherwise the digits of lam and mu, lam(0), and
+    the range [lo, hi] = [p|mu|, p|mu| + |lam(0)|] that |beta| must lie
+    in for the supported set to be nonempty. A bad p, lam or mu raises
+    on every call, as lru_cache stores no exception.
+    """
+    check_odd_prime(p)
+    n = size(lam) + p * size(mu)
+    if mu == () and is_p_restricted(lam, p):
+        return n, True, (), (), (), 0, 0
+    lam_digits = tuple(p_adic_expansion(lam, p))
+    mu_digits = tuple(p_adic_expansion(mu, p))
+    lam0 = lam_digits[0] if lam_digits else ()
+    lo = p * size(mu)
+    return n, False, lam_digits, mu_digits, lam0, lo, lo + size(lam0)
+
+
 def signed_kostka(ab, x, oracle):
     """Multiplicity of Y(lam|p*mu) in M(alpha|beta), x = (lam, mu).
 
     Evaluates the reduction formula: a sum over the supported level
     tuples of the base multiplicity at level 0 times plain factors at the
-    higher levels. Base cases go straight to the oracle.
+    higher levels. Base cases go straight to the oracle. Values are
+    memoised on the oracle under the normalised row; a miss reads the row
+    and the label from two tables, and returns 0 without enumerating when
+    an exact size or residue bound shows the supported set empty.
     """
     p = oracle.p
     lam, mu = tuple(x[0]), tuple(x[1])
@@ -176,27 +211,29 @@ def signed_kostka(ab, x, oracle):
     key = (tuple(ab[0]), tuple(ab[1]), lam, mu)
     if key in memo:
         return memo[key]
-    check_odd_prime(p)
-    alpha, beta = wp(ab[0]), wp(ab[1])
-    if size(alpha) + size(beta) != size(lam) + p * size(mu):
+    n, base, lam_digits, mu_digits, lam0, lo, hi = _label_data(lam, mu, p)
+    alpha, beta, a, b = _normal_pair(key[0], key[1])
+    if a + b != n:
         raise ValueError("size mismatch")
     key = (alpha, beta, lam, mu)
     if key in memo:
         return memo[key]
-    if mu == () and is_p_restricted(lam, p):
+    # A supported tuple has |dlt^(0)| = |beta| - p|mu| = b - lo and
+    # |gam^(0)| = |lam(0)| - |dlt^(0)| = hi - b (size bound), and since
+    # alpha_j = sum_i p^i gam^(i)_j, gam^(0)_j is at least alpha_j mod p,
+    # and likewise for dlt^(0) (residue bound). Outside them the supported
+    # set is empty. The bounds live here, not in enumerate_lambda_supp,
+    # which vanishing_check uses as the independent side of the
+    # vanishing identity.
+    if base:
         val = oracle.projective_signed((alpha, beta), lam)
+    elif (
+        not lo <= b <= hi
+        or sum(v % p for v in beta) > b - lo
+        or sum(v % p for v in alpha) > hi - b
+    ):
+        val = 0
     else:
-        lam_digits = p_adic_expansion(lam, p)
-        lam0 = lam_digits[0] if lam_digits else ()
-        # A supported tuple has |dlt^(0)| = |beta| - p|mu| and
-        # |gam^(0)| + |dlt^(0)| = |lam(0)|, so outside these bounds the
-        # supported set is empty. The bound lives here, not in
-        # enumerate_lambda_supp, which vanishing_check uses as the
-        # independent side of the vanishing identity.
-        if not 0 <= size(beta) - p * size(mu) <= size(lam0):
-            memo[key] = 0
-            return 0
-        mu_digits = p_adic_expansion(mu, p)
         val = 0
         for gam, dlt in enumerate_lambda_supp((alpha, beta), (lam, mu), p):
             term = oracle.projective_signed((wp(gam[0]), wp(dlt[0])), lam0)

@@ -335,6 +335,31 @@ def test_size_bound_only_skips_empty_supports():
     assert fired == 11270
 
 
+def outside_residue_bound(ab, x, p):
+    """The second early-out of signed_kostka: the residues mod p of beta,
+    or of alpha, sum to more than |dlt^(0)| = |beta| - p|mu|, or than
+    |gam^(0)| = |lam(0)| - |dlt^(0)|."""
+    d0 = size(ab[1]) - p * size(x[1])
+    g0 = size(digit(x[0], p, 0)) - d0
+    return sum(v % p for v in ab[1]) > d0 or sum(v % p for v in ab[0]) > g0
+
+
+def test_residue_bound_only_skips_empty_supports():
+    fired = 0
+    for p in (3, 5):
+        for n in range(10):
+            for ab in enumerate_p2(n):
+                for x in enumerate_p2p(n, p):
+                    if x[1] == () and is_p_restricted(x[0], p):
+                        continue
+                    if outside_size_bound(ab, x, p):
+                        continue
+                    if outside_residue_bound(ab, x, p):
+                        fired += 1
+                        assert enumerate_lambda_supp(ab, x, p) == [], (p, ab, x)
+    assert fired == 5548
+
+
 class PositiveOracle:
     """Every base multiplicity is positive, so a nonempty supported set
     always gives a positive sum."""
@@ -376,6 +401,44 @@ def test_signed_kostka_is_the_support_sum():
                 assert signed_kostka(ab, x, oracle) == want, (ab, x)
                 nonzero += want != 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize(
+    "ab, x, p",
+    [
+        (((2, -1), (1,)), ((2,), ()), 3),  # a negative entry
+        (((2, 1), (1,)), ((2, 1), ()), 3),  # a size mismatch
+        (((2, 1), (1,)), ((1, 3), ()), 3),  # lam is not a partition
+        (((2, 1), (1,)), ((0, 1), (1,)), 3),  # nor here, with mu nonempty
+        (((2, 1), (1,)), ((1,), (0, 1)), 3),  # mu is not a partition
+        (((2,), (2,)), ((1, 1, 1, 1), ()), 2),  # p = 2
+    ],
+)
+def test_bad_input_raises_on_every_call(ab, x, p):
+    # the row and label tables are lru_caches, which store no exception
+    oracle = PositiveOracle(p)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            signed_kostka(ab, x, oracle)
+
+
+def scrambled(seq):
+    """seq reversed with zeros spliced in, so wp(scrambled(seq)) == seq."""
+    out = [0]
+    for v in reversed(seq):
+        out += [v, 0]
+    return tuple(out)
+
+
+def test_unnormalised_rows_match_normalised_rows():
+    cold, warm = PositiveOracle(3), PositiveOracle(3)
+    for n in range(7):
+        for alpha, beta in enumerate_p2(n):
+            raw = (scrambled(alpha), list(scrambled(beta)))
+            for x in enumerate_p2p(n, 3):
+                want = signed_kostka((alpha, beta), x, warm)
+                assert signed_kostka(raw, x, cold) == want, (alpha, beta, x)
+                assert signed_kostka(raw, x, warm) == want, (alpha, beta, x)
 
 
 def test_nonzero_witness_matches_support():
