@@ -110,7 +110,7 @@ def vertices(n, p, engine):
     bad = []
     for (lam, mu), species in classes.items():
         depth = size(mu) + size(digit(lam, p, 1))
-        dims = [entry[0] for entry in species[2:]]
+        dims = [rank for rank, _ in species[1:]]
         if [d > 0 for d in dims] != [k <= depth for k in range(1, n // p + 1)]:
             bad.append(((lam, mu), dims))
     name = "Brauer quotients of each class match its label's vertex"
@@ -211,7 +211,7 @@ def identities(pairs, labels, p, engine):
     ]
 
 
-def iso(class_degrees, char_degrees, p, seed=0):
+def iso(class_degrees, char_degrees, p):
     """Combinatorial iso classes against module isomorphism over GF(p)
     at each class degree; character vectors constant on the classes at
     each char degree."""
@@ -223,7 +223,7 @@ def iso(class_degrees, char_degrees, p, seed=0):
         for i, ab in enumerate(pairs):
             for j in range(i, len(pairs)):
                 want = tabx.iso_equivalent(ab, pairs[j])
-                got = modrep.modules_isomorphic(mods[i], mods[j], seed=seed)
+                got = modrep.modules_isomorphic(mods[i], mods[j])
                 if got != want:
                     bad.append((ab, pairs[j], "module", got, "tableaux", want))
         name = f"classification at degree {m} matches the module level"

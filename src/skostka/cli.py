@@ -360,19 +360,14 @@ def cmd_iso(args):
         u = modrep.build_module(ab, p)
         v = modrep.build_module(cd, p)
         try:
-            modular = modrep.modules_isomorphic(u, v, seed=args.seed)
+            modular = modrep.modules_isomorphic(u, v)
         except ValueError as e:
             raise UsageError(str(e))
     print("isomorphic" if combinatorial else "not isomorphic")
     if modular is not None:
-        print(
-            "module-level: "
-            + ("isomorphic" if modular else "not isomorphic")
-        )
+        print("module-level: " + ("isomorphic" if modular else "not isomorphic"))
         if modular != combinatorial:
-            raise MismatchError(
-                "combinatorial and module-level verdicts disagree"
-            )
+            raise MismatchError("combinatorial and module-level verdicts disagree")
     return EXIT_OK
 
 
@@ -407,7 +402,7 @@ def suite_rowcut(n, p, seed):
 
 
 def suite_iso(n, p, seed):
-    return checks.iso([min(n, 5)], [min(n, 8)], p, seed=seed)
+    return checks.iso([min(n, 5)], [min(n, 8)], p)
 
 
 def suite_tableaux(n, p, seed):
@@ -526,7 +521,6 @@ def build_parser():
     i.add_argument("--pair1", required=True)
     i.add_argument("--pair2", required=True)
     i.add_argument("--modular-check", type=int, default=None, metavar="P")
-    i.add_argument("--seed", type=seed_value, default=0)
     i.set_defaults(func=cmd_iso)
 
     v = sub.add_parser("verify", help="run a verification suite")

@@ -151,13 +151,9 @@ def rref(a, p):
             if moved.size:
                 a[r + moved, c0:] = a[r + order[moved], c0:]
             top = a[r : r + k, c0:]
-            block = top[:, found]
-            # rows that are already reduced (S = 1), as in the sparse Hom
-            # spans of the isomorphism test, need no product at all
-            if not np.array_equal(block, identity(k)):
-                aug = np.concatenate([block, identity(k)], axis=1)
-                _eliminate(aug, p)
-                top[...] = matmul(aug[:, k:], top, p)
+            aug = np.concatenate([top[:, found], identity(k)], axis=1)
+            _eliminate(aug, p)
+            top[...] = matmul(aug[:, k:], top, p)
             cols = [c0 + c for c in found]
             mult = a[:, cols]
             mult[r : r + k] = 0

@@ -18,18 +18,19 @@ half of the factors at a time, and each projector is checked to be
 idempotent.
 
 Every summand of M(alpha|beta) is a p-permutation module, and its
-species (Summand.species), the Brauer characters of its Brauer
-quotients at the groups Q_k of k disjoint p-cycles, decides its
-isomorphism type exactly for n < p^2, so modules_isomorphic draws no
-random number. Species add over direct sums, so the multiplicities of a
-module are one exact solve of its species against the class species,
-with no End built and nothing split. The registry of class species
-sweeps the label rows in the fixed total order: a row whose class is the
-sign twin of an earlier one is solved with the twin's species twisted by
-the sign; any other row is split, and its one leaf of no known species,
-accepted after many rounds that refuse to split (Monte Carlo), is its
-class. Loud integrity errors guard every inconsistency, so a
-misidentification cannot pass silently.
+species (Summand.species), one entry Summand.brauer(k) per group Q_k of
+k disjoint p-cycles, k = 0..n//p, decides its isomorphism type exactly
+for n < p^2, so modules_isomorphic draws no random number. An entry is
+the dimension and the Brauer character of the Brauer quotient at Q_k;
+at Q_0 = 1 it is the fingerprint. Species add over direct sums, so the
+multiplicities of a module are one exact solve of its species against
+the class species, with no End built and nothing split. The registry of
+class species sweeps the label rows in the fixed total order: a row
+whose class is the sign twin of an earlier one is solved with the
+twin's species twisted by the sign; any other row is split, and its one
+leaf of no known species, accepted after many rounds that refuse to
+split (Monte Carlo), is its class. Loud integrity errors guard every
+inconsistency, so a misidentification cannot pass silently.
 """
 
 from functools import cached_property, lru_cache, reduce
@@ -64,12 +65,13 @@ MAX_NONSPLIT_ROUNDS = 30
 class DimensionCapError(RuntimeError):
     """Raised when a module would exceed the configured basis-size cap."""
 
-    def __init__(self, dim, cap):
+    def __init__(self, module, dim, cap):
         need = HOM_BYTES_PER_CELL * dim * dim
         size = f"{need / 1e9:.3g} GB" if need >= 1e9 else f"{need / 1e6:.0f} MB"
         super().__init__(
-            f"module dimension {dim} exceeds the cap {cap}: labelling the "
-            f"Hom orbits of its endomorphisms would take about {size} of memory"
+            f"{module} has dimension {dim}, over the cap {cap}: labelling the "
+            f"Hom orbits of the endomorphisms of a module that large would "
+            f"take about {size} of memory"
         )
         self.dim = dim
         self.cap = cap
@@ -167,7 +169,7 @@ def build_module(ab, p):
         raise ValueError("negative entries in the content pair")
     dim = module_dimension((alpha, beta))
     if dim > DIM_CAP:
-        raise DimensionCapError(dim, DIM_CAP)
+        raise DimensionCapError(f"M{(alpha, beta)}", dim, DIM_CAP)
     n = size(alpha) + size(beta)
     r = len(alpha)
     words = _multiset_words(alpha + beta)
@@ -730,9 +732,9 @@ def _factor_poly(coeffs, p):
 class Summand:
     """A direct summand of a signed permutation module, a node of the
     splitting tree. Summand(parent), with no maps, is the whole parent:
-    whole, with C = R = None for the identity, which _between skips.
-    part makes the other nodes, with equivariant inclusion C
-    (dim parent x dim) and projection R (dim x dim parent), R C = I.
+    whole, with C = R = None for the identity. part makes the other
+    nodes, with equivariant inclusion C (dim parent x dim) and
+    projection R (dim x dim parent), R C = I.
     """
 
     def __init__(self, parent, C=None, R=None):
@@ -743,8 +745,8 @@ class Summand:
         self.dim = parent.dim if self.whole else C.shape[1]
         self.p = parent.p
         self.n = parent.n
-        self._fp = None
-        self._species = None
+        self._brauer = {}  # brauer(k) by k
+        self._all = None  # species(), brauer(k) for every k
 
     def _fixed(self, k, words):
         """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
@@ -778,9 +780,17 @@ class Summand:
             fixed.append(rank - gfp.rank((SE - E) % p, p) if rank else 0)
         return rank, tuple(fixed)
 
+    def brauer(self, k):
+        """(dim x(Q_k), dim Fix(s) on x(Q_k) per _normalizer_words s), once;
+        at k = 0, where x(Q_0) = x, the last word, the identity, is left out."""
+        if k not in self._brauer:
+            words = _normalizer_words(self.n, self.p, k)
+            self._brauer[k] = self._fixed(k, words[:-1] if k == 0 else words)
+        return self._brauer[k]
+
     def fingerprint(self):
-        """Iso invariant: the dimension, and dim Fix(g) for one g of
-        each p-regular class but 1.
+        """Iso invariant: brauer(0), the dimension and dim Fix(g) for one
+        g of each p-regular class but 1.
 
         g has order prime to p, so it acts semisimply, and as every
         class of S_n is rational these fixed-point dimensions determine
@@ -789,13 +799,11 @@ class Summand:
         non-isomorphic, and equal ones agree in the trace mod p of
         every group element.
         """
-        if self._fp is None:
-            self._fp = self._fixed(0, _normalizer_words(self.n, self.p, 0)[:-1])
-        return self._fp
+        return self.brauer(0)
 
     def species(self):
-        """Exact iso invariant: the fingerprint, then per k = 1..n//p
-        (dim x(Q_k), dim Fix(s) on x(Q_k) for each _normalizer_words s).
+        """Exact iso invariant: (brauer(k) for k = 0..n//p), the
+        fingerprint first, computed once.
 
         x is a p-permutation module, as M is induced from a linear
         character of a Young subgroup that is trivial on p-subgroups.
@@ -806,7 +814,7 @@ class Summand:
         n = p^2 on, the Sylow subgroups of S_(p^2) are vertices too, and
         the species is refused with ValueError.
         """
-        if self._species is None:
+        if self._all is None:
             n, p = self.n, self.p
             if n >= p * p:
                 raise ValueError(
@@ -814,31 +822,29 @@ class Summand:
                     f"the Brauer quotients at the Sylow subgroups of S_{p * p}, "
                     f"which the groups of disjoint {p}-cycles do not include"
                 )
-            self._species = self.fingerprint() + tuple(
-                self._fixed(k, _normalizer_words(n, p, k))
-                for k in range(1, n // p + 1)
-            )
-        return self._species
+            self._all = (self.fingerprint(), *map(self.brauer, range(1, n // p + 1)))
+        return self._all
 
-    def twisted_species(self):
+    def species_twisted(self):
         """The species of x (x) sgn. A p-cycle is even, so (x (x) sgn)(Q_k)
         is x(Q_k) (x) sgn, where a word s of even length fixes what it
         fixed, and one of odd length acts as -s, fixing the (-1)-eigenspace
         of the semisimple s, of dimension Fix(s^2) - Fix(s), s^2 = s + s."""
-        sp = self.species()
         out = []
-        for k, (rank, fixed) in enumerate([sp[:2], *sp[2:]]):
+        for k, (rank, fixed) in enumerate(self.species()):
             # the words of fixed: at k = 0 all but the last, the identity
             words = _normalizer_words(self.n, self.p, k)[: len(fixed)]
             squares = self._fixed(k, [w + w for w in words])[1]
             pairs = zip(words, fixed, squares)
             out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
-        return out[0] + tuple(out[1:])
+        return tuple(out)
 
     def restrict(self, x):
         """R x C: the endomorphism x of the parent restricted to the
-        summand."""
-        return _between(self, self, x)
+        summand; the whole module, which holds no maps, takes no product."""
+        if self.whole:
+            return x
+        return gfp.matmul(gfp.matmul(self.R, x, self.p), self.C, self.p)
 
     def part(self, C, R):
         """The child node whose inclusion and projection into this node
@@ -847,16 +853,6 @@ class Summand:
             p = self.p
             C, R = gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p)
         return Summand(self.parent, C, R)
-
-
-def _between(a, b, x):
-    """b.R x a.C, the map x between the parents of a and b as a map a -> b;
-    the side of a whole module, which holds no maps, takes no product."""
-    if b.R is not None:
-        x = gfp.matmul(b.R, x, a.p)
-    if a.C is not None:
-        x = gfp.matmul(x, a.C, a.p)
-    return x
 
 
 def _split_once(z, p, rng):
@@ -953,7 +949,7 @@ def decompose_summands(module, rng, known=frozenset()):
     after MAX_NONSPLIT_ROUNDS non-splitting rounds.
     """
     p = module.p
-    dims = {species[0] for species in known}
+    dims = {species[0][0] for species in known}
     queue = [module.summand]
     leaves = []
     while queue:
@@ -986,10 +982,7 @@ def decompose_summands(module, rng, known=frozenset()):
 
 def _flat(species):
     """The species as one int64 vector, its integers in order."""
-    d, fixed, *quotients = species
-    out = [d, *fixed]
-    for rank, dims in quotients:
-        out += [rank, *dims]
+    out = [x for rank, fixed in species for x in (rank, *fixed)]
     return np.array(out, dtype=np.int64)
 
 
@@ -1040,8 +1033,8 @@ def modules_isomorphic(u, v, seed=0):
 def _canonical_pair(ab):
     """Sort both rows and move size-1 parts of beta over to alpha.
 
-    Modules agreeing after this move are isomorphic, so decompositions
-    are cached and Hom bases shared under the canonical key.
+    Modules agreeing after this move are isomorphic, so the engine
+    builds, solves and caches one module per canonical key.
     """
     alpha, beta = wp(ab[0]), wp(ab[1])
     ones = sum(1 for x in beta if x == 1)
@@ -1085,16 +1078,18 @@ class DirectEngine:
 
     def check_cap(self, ab):
         """Refuse, before building anything, a module that decompose
-        cannot do: raises DimensionCapError, naming the dimension, when
-        M(ab) or a label row of its degree, which the registry sweeps,
-        is over the cap."""
+        cannot do: raises DimensionCapError, naming the module, when M(ab)
+        is over the cap, or when the degree n of M(ab) is not yet swept
+        and M(1^n) is. The sweep builds every label row, and M(1^n), of
+        dimension n!, is the largest of them."""
         key = _canonical_pair(ab)
         n = size(key[0]) + size(key[1])
         dim = module_dimension(key)
-        if dim <= DIM_CAP and n not in self.registry:
-            dim = max(module_dimension(row) for row in label_rows(n, self.p)[1])
         if dim > DIM_CAP:
-            raise DimensionCapError(dim, DIM_CAP)
+            raise DimensionCapError(f"M{key}", dim, DIM_CAP)
+        if n not in self.registry and factorial(n) > DIM_CAP:
+            row = f"M{((1,) * n, ())}, which the degree-{n} sweep would build,"
+            raise DimensionCapError(row, factorial(n), DIM_CAP)
 
     def registry_for(self, n):
         """{label: species} of the classes of degree n, row by row.
@@ -1116,7 +1111,7 @@ class DirectEngine:
             if label not in known:
                 leaf = self._label(key, known, where)
                 known[label] = leaf.species()
-                twin, twisted = sign_twist_label(label, self.p), leaf.twisted_species()
+                twin, twisted = sign_twist_label(label, self.p), leaf.species_twisted()
                 if known.setdefault(twin, twisted) != twisted:
                     raise IntegrityError(f"{where}: its class (x) sgn is not {twin}")
             counts = self._solve(key, known, where)

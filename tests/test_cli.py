@@ -363,6 +363,16 @@ def test_matrix_degree_seven_refused_before_building(tmp_path, capsys, monkeypat
     assert built == []
 
 
+def test_matrix_degree_seven_names_the_module(tmp_path, capsys):
+    """The refusal names M(1^7), the largest label row of degree 7,
+    which the sweep would build, and its dimension 7! = 5040."""
+    code, _, err = run(
+        ["matrix", "--n", "7", "--p", "3", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == 3
+    assert "(1, 1, 1, 1, 1, 1, 1)" in err and "5040" in err
+
+
 def test_cap_message_rounds_large_sizes(tmp_path, capsys):
     # M(1^18) has dimension 18!, so 30 bytes a cell come to 1.2e24 GB
     code, _, err = run(
@@ -654,11 +664,9 @@ def test_verify_tableaux_fails_on_wrong_pieri(capsys, monkeypatch):
         "entry --p 3 --alpha 1,1,1 --beta 3 --lambda 2,2,1,1 --mu - "
         "--method reduction --seed -1",
         "decompose --alpha 2,1 --beta - --p 3 --seed -1",
-        # equal fingerprints: the question gets as far as drawing random maps
-        "iso --pair1 2,1|- --pair2 2,1|- --modular-check 3 --seed -1",
         "verify --suite iso --n 3 --p 3 --seed -1",
     ],
-    ids=["matrix", "entry", "decompose", "iso", "verify"],
+    ids=["matrix", "entry", "decompose", "verify"],
 )
 def test_negative_seed_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -666,6 +674,15 @@ def test_negative_seed_is_a_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert e.value.code == cli.EXIT_USAGE and out == ""
     assert "argument --seed: expected a non-negative integer" in err
+
+
+def test_iso_takes_no_seed(capsys):
+    """An iso question draws no random number, so iso has no --seed."""
+    with pytest.raises(SystemExit) as e:
+        cli.main("iso --pair1 2,1|- --pair2 2,1|- --modular-check 3 --seed 1".split())
+    out, err = capsys.readouterr()
+    assert e.value.code == cli.EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --seed 1" in err
 
 
 def test_bad_flag_exits_one(capsys):

@@ -574,7 +574,7 @@ def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
     assert not modrep.modules_isomorphic(u, v)
 
 
-def test_leaf_matching_answers_false(monkeypatch):
+def test_quotient_species_answers_false(monkeypatch):
     """With the fingerprint cut down to the dimension, the same pair
     reaches the species, which answers False: at Q_1 the multiplier
     x -> 2x of AGL(1, 3) is a transposition, which fixes the block of
@@ -595,7 +595,7 @@ def test_leaf_matching_answers_false(monkeypatch):
     assert len(calls) == 2
 
 
-def test_module_freed_after_leaf_matching(monkeypatch):
+def test_module_freed_after_quotient_species(monkeypatch):
     """The whole summand, species and Brauer quotients that a question
     keeps on the modules do not keep them alive once the caller drops
     them."""
@@ -606,7 +606,7 @@ def test_module_freed_after_leaf_matching(monkeypatch):
     v = modrep.build_module(((1, 1), (3,)), P)
     monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
     assert not modrep.modules_isomorphic(u, v)
-    assert u.summand._species and v.summand._species
+    assert u.summand._all and v.summand._all
     refs = [weakref.ref(u), weakref.ref(v)]
     del u, v
     gc.collect()
@@ -635,7 +635,7 @@ def test_full_module_classification_matches_part_counts(seed, monkeypatch):
 
     Degree 5 holds the non-isomorphic pairs sharing a summand, such as
     M(3,1,1) and M(1,1|3) at p = 3, which the fixed-point fingerprint
-    tells apart; test_leaf_matching_answers_false has the species tell
+    tells apart; test_quotient_species_answers_false has the species tell
     that pair apart too.
     """
 
@@ -661,14 +661,28 @@ def test_full_module_classification_matches_part_counts(seed, monkeypatch):
     )
 
 
-def flat_species(sp):
-    """The species as one vector of integers: dimensions and fixed-point
-    dimensions, in order."""
-    d, fixed, *quotients = sp
-    out = [d, *fixed]
-    for rank, dims in quotients:
-        out += [rank, *dims]
-    return np.array(out, dtype=np.int64)
+# sha256 of the flattened class species of degree <= 6 at p = 3 and 5,
+# 71 classes, keyed "p:label"; engine seeds 0 and 2 give the same value
+CLASS_SPECIES_SHA256 = "afc1a5bc3be1985b47a88e45b03f8aa9539e323751a1e5f99f2df5f260fbaaf2"
+
+
+def test_class_species_pinned():
+    """The class species of every degree <= 6 keep their values: no
+    change to how a species is stored or computed may move one of its
+    integers. The products behind them run on float32 BLAS, so this
+    also runs on one BLAS thread in CI."""
+    import hashlib
+    import json
+
+    species = {
+        f"{p}:{checks.format_label(label, p)}": modrep._flat(sp).tolist()
+        for p in (3, 5)
+        for n in range(7)
+        for label, sp in engine(p).registry_for(n).items()
+    }
+    assert len(species) == 71
+    text = json.dumps(species, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_SPECIES_SHA256
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -678,9 +692,9 @@ def test_species_add_over_decompositions(p):
     eng = engine(p)
     species = eng.registry_for(6)
     for ab in enumerate_p2(6):
-        want = flat_species(modrep.build_module(ab, p).summand.species())
+        want = modrep._flat(modrep.build_module(ab, p).summand.species())
         got = sum(
-            m * flat_species(species[label])
+            m * modrep._flat(species[label])
             for label, m in eng.decompose(ab).items()
         )
         assert np.array_equal(got, want), (p, ab)
@@ -761,7 +775,7 @@ def test_krull_schmidt_dimension_fill():
     for n in range(0, 5):
         for ab in enumerate_p2(n):
             dec = eng.decompose(ab)
-            classes = {l: sp[0] for l, sp in eng.registry_for(n).items()}
+            classes = {l: sp[0][0] for l, sp in eng.registry_for(n).items()}
             total = sum(m * classes[l] for l, m in dec.items())
             assert total == modrep.module_dimension((wp(ab[0]), wp(ab[1])))
 
@@ -973,20 +987,18 @@ def test_vertices_agree_with_labels(p):
     for n in range(7):
         assert checks.vertices(n, p, eng)[0].failures == [], (p, n)
         for label, species in eng.registry_for(n).items():
-            quotients = species[2:]
-            q1 = quotients[0][0] if quotients else 0
+            q1 = species[1][0] if len(species) > 1 else 0
             assert (q1 == 0) == is_projective_label(label, p), (p, label)
 
 
 def unflat_species(vec, like):
-    """The integer vector vec in the nested form of the species like."""
-    vec = [int(v) for v in vec]
-    d, fixed, *quotients = like
-    out, i = (vec[0], tuple(vec[1 : 1 + len(fixed)])), 1 + len(fixed)
-    for _, dims in quotients:
-        out += ((vec[i], tuple(vec[i + 1 : i + 1 + len(dims)])),)
-        i += 1 + len(dims)
-    return out
+    """The integer vector vec in the shape of the species like, one
+    (rank, fixed dims) entry per k."""
+    vec, out, i = [int(v) for v in vec], [], 0
+    for _, fixed in like:
+        out.append((vec[i], tuple(vec[i + 1 : i + 1 + len(fixed)])))
+        i += 1 + len(fixed)
+    return tuple(out)
 
 
 def plant_species(monkeypatch, ab, change):
@@ -997,7 +1009,7 @@ def plant_species(monkeypatch, ab, change):
     def species(self):
         out = real(self)
         if self.whole and self.parent.ab == ab:
-            out = unflat_species(change(flat_species(out)), out)
+            out = unflat_species(change(modrep._flat(out)), out)
         return out
 
     monkeypatch.setattr(modrep.Summand, "species", species)
@@ -1055,8 +1067,8 @@ def test_unmatched_summand_is_loud(monkeypatch):
     come out as 1 and 1."""
     eng = modrep.DirectEngine(P, seed=6)
     classes = eng.registry_for(4)
-    trivial = flat_species(classes[((4,), ())])
-    y31 = flat_species(classes[((3, 1), ())])
+    trivial = modrep._flat(classes[((4,), ())])
+    y31 = modrep._flat(classes[((3, 1), ())])
     plant_species(monkeypatch, ((), (4,)), lambda v: y31 - trivial)
     with pytest.raises(modrep.IntegrityError, match="no non-negative") as info:
         eng.decompose(((), (4,)))
@@ -1074,7 +1086,7 @@ def test_perturbed_species_fails_the_solve(p, monkeypatch):
     ab = ((1, 1, 1), (2,))
     eng = modrep.DirectEngine(p, seed=4)
     eng.registry_for(5)
-    size = len(flat_species(modrep.build_module(ab, p).summand.species()))
+    size = len(modrep._flat(modrep.build_module(ab, p).summand.species()))
     for j in range(size):
         with monkeypatch.context() as m:
             plant_species(m, ab, lambda v: v + np.eye(size, dtype=np.int64)[j])
@@ -1115,7 +1127,7 @@ def test_class_representative_dims():
     """The registry holds one species per label, led by the class's
     dimension: M(3,1) is the trivial module plus the 3-dimensional
     Y(3,1), as 3 does not divide 4."""
-    reps = {label: sp[0] for label, sp in engine().registry_for(4).items()}
+    reps = {label: sp[0][0] for label, sp in engine().registry_for(4).items()}
     assert sorted(reps) == sorted(enumerate_p2p(4, P))
     assert reps[((4,), ())] == 1 and reps[((3, 1), ())] == 3
     assert all(d >= 1 for d in reps.values())
