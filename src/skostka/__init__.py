@@ -11,7 +11,6 @@ filtration-level view. The consistency checks (checks) run as the
 
 from . import combinat, gfp, modrep, reduction, tabx
 from .combinat import (
-    cmp_total,
     enumerate_p2,
     enumerate_p2p,
     mullineux,
@@ -25,10 +24,7 @@ from .modrep import (
     IntegrityError,
     assemble_matrix,
     build_module,
-    decompose_labelled,
-    hom_basis,
     modules_isomorphic,
-    projective_oracle,
 )
 from .reduction import (
     enumerate_lambda,
@@ -48,16 +44,13 @@ __all__ = [
     "assemble_matrix",
     "build_module",
     "char_vector",
-    "cmp_total",
     "combinat",
     "count_signed_ssyt",
-    "decompose_labelled",
     "enumerate_lambda",
     "enumerate_lambda_supp",
     "enumerate_p2",
     "enumerate_p2p",
     "gfp",
-    "hom_basis",
     "iso_equivalent",
     "modrep",
     "modules_isomorphic",
@@ -65,7 +58,6 @@ __all__ = [
     "p_adic_expansion",
     "pieri_expand",
     "product_formula",
-    "projective_oracle",
     "reduction",
     "rowcut_lower_bound",
     "sign_twist_label",

@@ -19,7 +19,7 @@ from .combinat import (
     conjugate,
     digit,
     enumerate_p2,
-    enumerate_partitions,
+    partitions_of,
     scale,
     size,
 )
@@ -248,7 +248,7 @@ def tableaux(degrees):
         pairs = enumerate_p2(m)
         pieri = [ab for ab in pairs if tabx.char_vector(ab) != tabx.pieri_expand(ab)]
         one = [ab for ab in pairs if count(ab[0] + (1,) * size(ab[1]), ab) != 1]
-        parts = enumerate_partitions(m)
+        parts = partitions_of(m)
         plain = []
         for lam in parts:
             for alpha in parts:

@@ -106,9 +106,6 @@ class KostkaMatrix:
             if any(x < 0 for x in row):
                 raise UsageError("matrix entries must be nonnegative")
 
-    def label_pairs(self):
-        return [parse_label(s, self.p) for s in self.labels]
-
     def to_json(self, engine, seed):
         return {
             "version": CACHE_VERSION,

@@ -131,12 +131,6 @@ def total_key(x):
     return (sum(mu), tuple(-m for m in mu), tuple(-l for l in lam))
 
 
-def cmp_total(x, y) -> int:
-    """-1/0/+1 comparison; x earlier than y gives -1."""
-    kx, ky = total_key(x), total_key(y)
-    return -1 if kx < ky else (0 if kx == ky else 1)
-
-
 # ---------------------------------------------------------------------------
 # p-adic expansion into p-restricted digits
 
@@ -368,11 +362,6 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     return tuple(out)
 
 
-def enumerate_partitions(n: int) -> list:
-    """Partitions of n, descending dictionary order."""
-    return list(partitions_of(n))
-
-
 def enumerate_p2(n: int) -> list:
     """Pairs of partitions (alpha, beta) with |alpha| + |beta| = n.
 
@@ -417,5 +406,5 @@ def label_rows(n: int, p: int, signed: bool = True) -> tuple:
     if signed:
         labels = enumerate_p2p(n, p)
     else:
-        labels = [(lam, ()) for lam in enumerate_partitions(n)]
+        labels = [(lam, ()) for lam in partitions_of(n)]
     return labels, [(lam, scale(p, mu)) for lam, mu in labels]

@@ -53,10 +53,6 @@ def normalize(a, p):
     return _mod(np.array(a, dtype=np.int64), p)
 
 
-def identity(k):
-    return np.eye(k, dtype=np.int64)
-
-
 # every integer of absolute value below these is exact in the dtype, and
 # so is every sum and product of two of them that stays below it
 _EXACT_BELOW = ((np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**63))
@@ -151,7 +147,7 @@ def rref(a, p):
             if moved.size:
                 a[r + moved, c0:] = a[r + order[moved], c0:]
             top = a[r : r + k, c0:]
-            aug = np.concatenate([top[:, found], identity(k)], axis=1)
+            aug = np.concatenate([top[:, found], np.eye(k, dtype=np.int64)], axis=1)
             _eliminate(aug, p)
             top[...] = matmul(aug[:, k:], top, p)
             cols = [c0 + c for c in found]
@@ -203,7 +199,7 @@ def inverse(a, p):
     m, n = a.shape
     if m != n:
         raise ValueError("inverse requires a square matrix")
-    aug = np.concatenate([a, identity(n)], axis=1)
+    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
     r, pivots = rref(aug, p)
     if any(c >= n for c in pivots):
         return None

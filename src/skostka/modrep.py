@@ -42,9 +42,8 @@ import numpy as np
 from . import gfp
 from .combinat import (
     check_odd_prime,
-    enumerate_partitions,
-    is_p_restricted,
     label_rows,
+    partitions_of,
     sign_twist_label,
     size,
     wp,
@@ -237,7 +236,7 @@ def _normalizer_words(n, p, k):
     any n, the identity last.
     """
     blocks = []  # images of the first kp points
-    for shape in enumerate_partitions(k):
+    for shape in partitions_of(k):
         lengths = sorted(set(shape), reverse=True)
         multisets = [
             combinations_with_replacement(range(1, p), shape.count(length))
@@ -252,7 +251,7 @@ def _normalizer_words(n, p, k):
                 first += length
             blocks.append(perm)
     others = []  # images of the other points
-    for rest in enumerate_partitions(n - k * p):
+    for rest in partitions_of(n - k * p):
         if any(part % p == 0 for part in rest):
             continue
         perm, start = [], k * p
@@ -323,11 +322,6 @@ class HomBasis:
 
     def sample(self, rng, p):
         return self.element(rng.integers(0, p, self.num), p)
-
-    def matrices(self, p):
-        """The basis elements as int64 matrices."""
-        eye = np.eye(self.num, dtype=np.int64)
-        return [self.element(eye[i], p).astype(np.int64) for i in range(self.num)]
 
 
 def _key_digits(ab, cd):
@@ -404,11 +398,6 @@ def _hom_orbits(m, n_mod):
     cell *= 2
     cell += odd
     return HomBasis(cell.shape, table.ravel()[cell.ravel()], num)
-
-
-def hom_basis(m, n_mod):
-    """All intertwiners m -> n_mod, as dense matrices."""
-    return _hom_orbits(m, n_mod).matrices(m.p)
 
 
 # ---------------------------------------------------------------------------
@@ -1179,22 +1168,6 @@ class DirectEngine:
         if size(alpha) + size(beta) != size(lam0):
             return 0
         return self.decompose((alpha, beta)).get((lam0, ()), 0)
-
-
-def decompose_labelled(ab, p, seed=0, engine=None):
-    """Labelled multiset of the indecomposable summands of M(ab)."""
-    if engine is None:
-        engine = DirectEngine(p, seed=seed)
-    return engine.decompose(ab)
-
-
-def projective_oracle(ab, lam0, p, engine=None):
-    """Multiplicity of the class (lam0, empty) in M(ab), lam0 p-restricted."""
-    if not is_p_restricted(wp(lam0), p):
-        raise ValueError("the base label must be p-restricted")
-    if engine is None:
-        engine = DirectEngine(p)
-    return engine.projective_signed(ab, lam0)
 
 
 def assemble_matrix(n, p, signed=True, engine=None):

@@ -153,14 +153,6 @@ def enumerate_lambda_supp(ab, x, p):
     return out
 
 
-def _memo(oracle):
-    try:
-        return oracle._skostka_memo
-    except AttributeError:
-        oracle._skostka_memo = {}
-        return oracle._skostka_memo
-
-
 @lru_cache(maxsize=None)
 def _normal_pair(alpha, beta):
     """(wp alpha, wp beta, |alpha|, |beta|) for one row.
@@ -205,7 +197,7 @@ def signed_kostka(ab, x, oracle):
     """
     p = oracle.p
     lam, mu = tuple(x[0]), tuple(x[1])
-    memo = _memo(oracle)
+    memo = vars(oracle).setdefault("_skostka_memo", {})
     # memo keys are normalised and were checked when stored, so a hit on
     # the raw input needs neither
     key = (tuple(ab[0]), tuple(ab[1]), lam, mu)

@@ -16,18 +16,13 @@ d_1..d_s; a tableau is returned as a tuple of rows of colour codes.
 from .combinat import conjugate, is_partition, partitions_of, size, wp
 
 
-def _check_pair(ab):
-    alpha, beta = ab
-    return tuple(alpha), tuple(beta)
-
-
 def signed_tableaux(lam, ab):
     """All signed tableaux of shape lam and type ab, lexicographically.
 
     The colouring word is read row by row; tableaux are produced in
     increasing lexicographic order of that word.
     """
-    alpha, beta = _check_pair(ab)
+    alpha, beta = map(tuple, ab)
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError("shape must be a partition")
@@ -91,7 +86,7 @@ def char_vector(ab):
     Maps every partition lam of |ab| with a nonzero signed tableau count
     to that count.
     """
-    alpha, beta = _check_pair(ab)
+    alpha, beta = map(tuple, ab)
     n = size(alpha) + size(beta)
     vec = {}
     for lam in partitions_of(n):
@@ -134,7 +129,7 @@ def pieri_expand(ab):
     Independent oracle for char_vector: the coefficient of s_lam equals
     the signed tableau count.
     """
-    alpha, beta = _check_pair(ab)
+    alpha, beta = map(tuple, ab)
     coeffs = {(): 1}
     for a in alpha:
         nxt = {}
@@ -196,8 +191,8 @@ def iso_equivalent(ab, cd):
     True iff the two alpha parts agree after stripping trailing 1s, and
     likewise the two beta parts; requires equal total sizes.
     """
-    alpha, beta = _check_pair(ab)
-    sigma, tau = _check_pair(cd)
+    alpha, beta = map(tuple, ab)
+    sigma, tau = map(tuple, cd)
     for x in (alpha, beta, sigma, tau):
         if not is_partition(x):
             raise ValueError("iso test requires partitions")
@@ -216,7 +211,7 @@ def canonical_label(ab):
     pairs are iso_equivalent iff their cores agree and their total sizes
     agree.
     """
-    alpha, beta = _check_pair(ab)
+    alpha, beta = map(tuple, ab)
     ca, a = _strip_trailing_ones(alpha)
     cb, c = _strip_trailing_ones(beta)
     return (ca, cb), (a, c)

@@ -8,7 +8,6 @@ from skostka import reduction
 from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
-    cmp_total,
     dominates,
     dominates_pair,
     enumerate_p2,
@@ -127,7 +126,7 @@ def mullineux_involution():
 
 
 def order_refinement():
-    """total_key and cmp_total refine label dominance; n <= 8, p = 3."""
+    """total_key refines label dominance; n <= 8, p = 3."""
     for n in range(9):
         labels = enumerate_p2p(n, P)
         for x in labels:
@@ -140,8 +139,6 @@ def order_refinement():
                     continue
                 if dom and not total_key(x) < total_key(y):
                     return f"order does not refine dominance at {x}, {y}"
-                if dom and cmp_total(x, y) != -1:
-                    return f"cmp_total disagrees at {x}, {y}"
     return None
 
 

@@ -59,7 +59,7 @@ def small_matrix():
 
 def test_matrix_validation():
     km = small_matrix()
-    assert km.label_pairs() == [((2,), ()), ((1, 1), ())]
+    assert [cli.parse_label(s, P) for s in km.labels] == [((2,), ()), ((1, 1), ())]
     with pytest.raises(cli.UsageError):
         cli.KostkaMatrix(2, P, True, ["2|-", "1,1|-"], [[1, 1], [1, 1]])
     with pytest.raises(cli.UsageError):

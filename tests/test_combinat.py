@@ -6,14 +6,12 @@ from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
     check_odd_prime,
-    cmp_total,
     conjugate,
     digit,
     dominates,
     dominates_pair,
     enumerate_p2,
     enumerate_p2p,
-    enumerate_partitions,
     is_p_regular,
     is_p_restricted,
     is_partition,
@@ -265,10 +263,10 @@ def test_p_regular():
 # --- enumeration and the total order ----------------------------------------
 
 
-def test_enumerate_partitions_order():
-    assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert enumerate_partitions(0) == [()]
-    assert len(enumerate_partitions(12)) == 77
+def test_partitions_of_order():
+    assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert partitions_of(0) == ((),)
+    assert len(partitions_of(12)) == 77
 
 
 def test_enumerate_p2p_published_order():
@@ -335,11 +333,11 @@ def test_total_order_refines_dominance():
     assert sweeps.order_refinement() is None
 
 
-def test_cmp_total():
-    assert cmp_total(((6,), ()), ((5, 1), ())) == -1
-    assert cmp_total(((), (2,)), ((), (1, 1))) == -1
-    assert cmp_total(((3,), (1,)), ((3,), (1,))) == 0
-    assert cmp_total(((), (1, 1)), ((1, 1, 1), (1,))) == 1
+def test_total_key_order():
+    assert total_key(((6,), ())) < total_key(((5, 1), ()))
+    assert total_key(((), (2,))) < total_key(((), (1, 1)))
+    assert total_key(((3,), (1,))) == total_key(((3,), (1,)))
+    assert total_key(((), (1, 1))) > total_key(((1, 1, 1), (1,)))
 
 
 # --- hypothesis properties --------------------------------------------------

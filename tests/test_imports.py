@@ -1,6 +1,7 @@
-"""The public API, and the package loads neither scipy nor sympy: both
-are test-only oracles."""
+"""The public API, the README's library tour, and the package loads
+neither scipy nor sympy: both are test-only oracles."""
 
+import ast
 import os
 import re
 import subprocess
@@ -8,9 +9,10 @@ import sys
 from pathlib import Path
 
 import skostka
-from skostka import gfp, modrep
+from skostka import combinat, gfp, modrep
 
 SRC = str(Path(skostka.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_cli_import_loads_neither_scipy_nor_sympy():
@@ -61,16 +63,13 @@ PUBLIC = [
     "assemble_matrix",
     "build_module",
     "char_vector",
-    "cmp_total",
     "combinat",
     "count_signed_ssyt",
-    "decompose_labelled",
     "enumerate_lambda",
     "enumerate_lambda_supp",
     "enumerate_p2",
     "enumerate_p2p",
     "gfp",
-    "hom_basis",
     "iso_equivalent",
     "modrep",
     "modules_isomorphic",
@@ -78,7 +77,6 @@ PUBLIC = [
     "p_adic_expansion",
     "pieri_expand",
     "product_formula",
-    "projective_oracle",
     "reduction",
     "rowcut_lower_bound",
     "sign_twist_label",
@@ -109,3 +107,40 @@ def test_fitting_splitting_is_the_only_decomposition():
     for mod in (skostka, modrep):
         assert [n for n in dir(mod) if removed.search(n)] == []
     assert [n for n in dir(gfp) if re.search("solve|independent_rows", n)] == []
+
+
+def test_one_door_to_the_direct_engine():
+    # multiplicities come from DirectEngine.decompose and projective_signed
+    # alone; dense Hom elements from HomBasis.element, partitions from
+    # partitions_of, the order from total_key and identities from np.eye
+    removed = {
+        "decompose_labelled",
+        "projective_oracle",
+        "hom_basis",
+        "cmp_total",
+        "enumerate_partitions",
+        "identity",
+    }
+    for mod in (skostka, modrep, combinat, gfp):
+        assert sorted(removed.intersection(dir(mod))) == [], mod.__name__
+    assert not hasattr(modrep.HomBasis, "matrices")
+
+
+def test_readme_library_tour():
+    # run the README's quick tour as printed, then check its formula entry
+    # against the engine's own decomposition of the same module
+    tour = README.read_text().split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    engine, ab = namespace["engine"], namespace["ab"]
+    decomposition = engine.decompose(ab)
+    assert decomposition
+    (call,) = [
+        node
+        for node in ast.walk(ast.parse(code))
+        if getattr(getattr(node, "func", None), "id", "") == "signed_kostka"
+    ]
+    entry = eval(ast.unparse(call), namespace)
+    x = eval(ast.unparse(call.args[1]), namespace)
+    assert entry == decomposition.get(x, 0)

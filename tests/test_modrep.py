@@ -128,7 +128,7 @@ def test_prime_above_cap_refused():
     # the float64 rung at the largest prime: semisimple, so M(2,1) is
     # the sum of its two Specht modules
     assert gfp.product_dtype(3, largest) is np.float64
-    assert modrep.decompose_labelled(((2, 1), ()), largest) == {
+    assert modrep.DirectEngine(largest).decompose(((2, 1), ())) == {
         ((3,), ()): 1,
         ((2, 1), ()): 1,
     }
@@ -163,9 +163,10 @@ def test_hom_dimension_fixtures():
 def test_hom_basis_elements_intertwine():
     m = modrep.build_module(((2, 1), ()), P)
     n_mod = modrep.build_module(((1, 1), (1,)), P)
-    basis = modrep.hom_basis(m, n_mod)
-    assert basis
-    for x in basis:
+    hom = modrep._hom_orbits(m, n_mod)
+    assert hom.num
+    for e in np.eye(hom.num, dtype=np.int64):
+        x = hom.element(e, P).astype(np.int64)
         for g in range(m.n - 1):
             a = generator_matrix(m, g)
             b = generator_matrix(n_mod, g)
@@ -761,13 +762,11 @@ def test_decompose_published_rows():
     }
 
 
-def test_projective_oracle_values():
+def test_projective_signed_values():
     eng = engine()
-    assert modrep.projective_oracle(((1, 1, 1), (3,)), (2, 2, 1, 1), P, engine=eng) == 3
-    assert modrep.projective_oracle(((1, 1, 1), ()), (2, 1), P, engine=eng) == 1
-    assert modrep.projective_oracle(((2, 2), ()), (2, 2), P, engine=eng) == 1
-    with pytest.raises(ValueError):
-        modrep.projective_oracle(((3,), ()), (3,), P, engine=eng)
+    assert eng.projective_signed(((1, 1, 1), (3,)), (2, 2, 1, 1)) == 3
+    assert eng.projective_signed(((1, 1, 1), ()), (2, 1)) == 1
+    assert eng.projective_signed(((2, 2), ()), (2, 2)) == 1
 
 
 def test_krull_schmidt_dimension_fill():
@@ -813,9 +812,10 @@ def test_sign_twist_relabelling():
 
 
 def test_decomposition_determinism():
-    a = modrep.decompose_labelled(((2, 1, 1), ()), P, seed=0)
-    b = modrep.decompose_labelled(((2, 1, 1), ()), P, seed=0)
-    c = modrep.decompose_labelled(((2, 1, 1), ()), P, seed=7)
+    a, b, c = (
+        modrep.DirectEngine(P, seed=seed).decompose(((2, 1, 1), ()))
+        for seed in (0, 0, 7)
+    )
     assert a == b == c
 
 
