@@ -291,14 +291,12 @@ def cmd_entry(args):
     ab = (wp(alpha), wp(beta))
     x = (lam, mu)
     eng = direct_engine(args.p, args.seed)
-    if args.method in ("direct", "both"):
-        # refuse a direct side over the cap before the reduction side runs
-        eng.check_cap(ab)
     values = {}
-    if args.method in ("reduction", "both"):
-        values["reduction"] = reduction.signed_kostka(ab, x, eng)
+    # the direct side first, so that its refusal comes before any reduction
     if args.method in ("direct", "both"):
         values["direct"] = eng.decompose(ab).get(x, 0)
+    if args.method in ("reduction", "both"):
+        values["reduction"] = reduction.signed_kostka(ab, x, eng)
     if args.method == "both" and values["direct"] != values["reduction"]:
         raise MismatchError(
             f"engines disagree: direct {values['direct']}, "

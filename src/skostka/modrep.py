@@ -22,15 +22,14 @@ species (Summand.species), one entry Summand.brauer(k) per group Q_k of
 k disjoint p-cycles, k = 0..n//p, decides its isomorphism type exactly
 for n < p^2, so modules_isomorphic draws no random number. An entry is
 the dimension and the Brauer character of the Brauer quotient at Q_k;
-at Q_0 = 1 it is the fingerprint. Species add over direct sums, so the
-multiplicities of a module are one exact solve of its species against
-the class species, with no End built and nothing split. The registry of
-class species sweeps the label rows in the fixed total order: a row
-whose class is the sign twin of an earlier one is solved with the
-twin's species twisted by the sign; any other row is split, and its one
-leaf of no known species, accepted after many rounds that refuse to
-split (Monte Carlo), is its class. Loud integrity errors guard every
-inconsistency, so a misidentification cannot pass silently.
+at Q_0 = 1 it is the fingerprint. Species add over direct sums, and a
+whole module's is counted from its label, so the multiplicities of a
+module are one exact solve. The registry of class species sweeps the
+label rows in the fixed total order: a row whose class is the sign
+twin of an earlier one is solved with the twin's species twisted by
+the sign; any other row is built and split, and its one leaf of no
+known species, accepted after many rounds that refuse to split (Monte
+Carlo), is its class. Loud integrity errors guard every inconsistency.
 """
 
 from functools import cached_property, lru_cache, reduce
@@ -49,10 +48,6 @@ from .combinat import (
     wp,
 )
 
-# Labelling the Hom orbits of End(M) peaks at about HOM_BYTES_PER_CELL
-# bytes per cell (26-28 measured by ru_maxrss at dimensions 720 and
-# 1260), so 2520^2 cells come to about 0.2 GB.
-HOM_BYTES_PER_CELL = 30
 DIM_CAP = 2520
 # The largest p for which every engine product is exact in float64: their
 # inner dimensions are at most DIM_CAP and their entries below p, so
@@ -62,18 +57,7 @@ MAX_NONSPLIT_ROUNDS = 30
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a module would exceed the configured basis-size cap."""
-
-    def __init__(self, module, dim, cap):
-        need = HOM_BYTES_PER_CELL * dim * dim
-        size = f"{need / 1e9:.3g} GB" if need >= 1e9 else f"{need / 1e6:.0f} MB"
-        super().__init__(
-            f"{module} has dimension {dim}, over the cap {cap}: labelling the "
-            f"Hom orbits of the endomorphisms of a module that large would "
-            f"take about {size} of memory"
-        )
-        self.dim = dim
-        self.cap = cap
+    """Raised before building a module over the cap or sweeping n >= p^2."""
 
 
 class IntegrityError(RuntimeError):
@@ -97,6 +81,14 @@ def module_dimension(ab):
     for part in tuple(alpha) + tuple(beta):
         d //= factorial(part)
     return d
+
+
+def _check_dim(ab):
+    """module_dimension(ab), refused with DimensionCapError over the cap."""
+    dim = module_dimension(ab)
+    if dim > DIM_CAP:
+        raise DimensionCapError(f"M{ab} has dimension {dim}, over the cap {DIM_CAP}")
+    return dim
 
 
 def _multiset_words(counts):
@@ -139,16 +131,9 @@ class SignedPermModule:
         return _hom_orbits(self, self)
 
     @cached_property
-    def summand(self):
-        """The whole module as a Summand, the root of its splitting tree,
-        whose fingerprint and species are then computed once per module."""
-        return Summand(self)
-
-    @cached_property
     def quotients(self):
         """Per k = 0..n//p, (X, where): the words X constant on each of
-        the first k blocks of p points, which Q_k fixes with sign +1 as a
-        p-cycle is even, and N(Q_k) permutes; where[X[i]] = i."""
+        the first k blocks of p points, which N(Q_k) permutes; where[X[i]] = i."""
         words = np.array(self.words, dtype=np.int64).reshape(self.dim, self.n)
         out = []
         for k in range(self.n // self.p + 1):
@@ -166,9 +151,7 @@ def build_module(ab, p):
     alpha, beta = tuple(ab[0]), tuple(ab[1])
     if any(x < 0 for x in alpha + beta):
         raise ValueError("negative entries in the content pair")
-    dim = module_dimension((alpha, beta))
-    if dim > DIM_CAP:
-        raise DimensionCapError(f"M{(alpha, beta)}", dim, DIM_CAP)
+    dim = _check_dim((alpha, beta))
     n = size(alpha) + size(beta)
     r = len(alpha)
     words = _multiset_words(alpha + beta)
@@ -233,7 +216,7 @@ def _normalizer_words(n, p, k):
     next by the identity and the last to the first by x -> a x. The
     other points take a p-regular cycle type of S_(n - kp), on runs of
     consecutive points. k = 0 lists the p-regular classes of S_n, at
-    any n, the identity last.
+    any n, but the identity, which fixes all of x(Q_0) = x.
     """
     blocks = []  # images of the first kp points
     for shape in partitions_of(k):
@@ -252,7 +235,7 @@ def _normalizer_words(n, p, k):
             blocks.append(perm)
     others = []  # images of the other points
     for rest in partitions_of(n - k * p):
-        if any(part % p == 0 for part in rest):
+        if any(part % p == 0 for part in rest) or rest == (1,) * n:
             continue
         perm, start = [], k * p
         for part in rest:
@@ -262,25 +245,60 @@ def _normalizer_words(n, p, k):
     return tuple(_perm_word(a + b) for a in blocks for b in others)
 
 
-def _fixed_dim(perm, sign):
-    """dim ker(g - 1) for the monomial action g: e_j -> sign[j] e_perm[j].
+@lru_cache(maxsize=None)
+def _orbit_shapes(n, p, k, word):
+    """Per power h = s^j, j = 0..o-1, of the word s of order o, the
+    orbits of <h, t> on the points as (size, sign of h there) pairs, t
+    the p-cycles x -> x + 1 on the first k blocks; per word."""
+    s = list(range(n))
+    for i in word:
+        s[i], s[i + 1] = s[i + 1], s[i]
+    t = [x - x % p + (x + 1) % p if x < k * p else x for x in range(n)]
+    shapes, h = [], list(range(n))
+    while not shapes or h != list(range(n)):
+        low = list(range(n))  # per point, the least point of its orbit
+        for _ in range(n):
+            low = [min(low[x], low[h[x]], low[t[x]]) for x in range(n)]
+        # the sign of h on an orbit is the parity of its inversions there
+        pairs = [(x, y) for y in range(n) for x in range(y) if low[x] == low[y]]
+        inv = [low[x] for x, y in pairs if h[x] > h[y]]
+        shapes.append(tuple((low.count(o), (-1) ** inv.count(o)) for o in set(low)))
+        h = [s[x] for x in h]
+    return tuple(shapes)
 
-    Each cycle of perm spans a g-invariant block, on which g to the
-    cycle length is the product of the signs around the cycle: +1 fixes
-    one line, and -1 fixes nothing as p is odd. So the answer is the
-    number of cycles whose sign product is +1. Every point walks its
-    cycle once, keeping the running sign product and the smallest point
-    passed; a cycle is counted at its smallest point.
-    """
-    idx = np.arange(len(perm))
-    cur, prod, low = perm, sign, perm
-    closed = np.where(cur == idx, prod, 0)
-    while not closed.all():
-        prod = prod * sign[cur]
-        cur = perm[cur]
-        low = np.minimum(low, cur)
-        closed = np.where((closed == 0) & (cur == idx), prod, closed)
-    return int(np.count_nonzero((low == idx) & (closed == 1)))
+
+@lru_cache(maxsize=None)
+def _counted(ab, p, k, words):
+    """(dim M(Q_k), (dim Fix(s) on M(Q_k) per word s)) for M = M(ab), from
+    its label. M(Q_k) has the basis of the colour words constant on the
+    first k blocks (Q_k fixes them with sign +1, a p-cycle being even);
+    h in N(Q_k) fixes those constant on the orbits of <h, t>, with its
+    sign on the d-coloured ones, so its trace counts signed colourings of
+    the orbits, and s of order o prime to p fixes (1/o) sum_j trace(s^j)."""
+    n, r = size(ab[0]) + size(ab[1]), len(ab[0])
+
+    def trace(shape):
+        ways = {tuple(ab[0]) + tuple(ab[1]): 1}
+        for m, sign in shape:
+            left = {}
+            for rest, w in ways.items():
+                for i, c in enumerate(rest):
+                    if c >= m:
+                        key = rest[:i] + (c - m,) + rest[i + 1 :]
+                        left[key] = left.get(key, 0) + (w if i < r else sign * w)
+            ways = left
+        return sum(ways.values())
+
+    shapes = [_orbit_shapes(n, p, k, word) for word in ((), *words)]
+    dim, *fixed = [sum(map(trace, powers)) // len(powers) for powers in shapes]
+    return dim, tuple(fixed)
+
+
+def _whole_species(ab, p):
+    """Summand.species of the whole module M(ab), n < p^2, by _counted."""
+    n = size(ab[0]) + size(ab[1])
+    quotients = range(n // p + 1)
+    return tuple(_counted(ab, p, k, _normalizer_words(n, p, k)) for k in quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +753,22 @@ class Summand:
         self.p = parent.p
         self.n = parent.n
         self._brauer = {}  # brauer(k) by k
-        self._all = None  # species(), brauer(k) for every k
 
     def _fixed(self, k, words):
         """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
         x, with Q_0 = 1; each word s normalizes Q_k and has order prime to
-        p. A whole module's quotient is monomial, and _fixed_dim counts
-        the +1 cycles of s on its Q_k-fixed words X. At k = 0 a proper
+        p. A whole module's is counted (_counted). At k = 0 a proper
         summand fixes d - rank(g_x - 1), g_x = R P C, one product for all
         words (the signed row gather of C is s^-1, which fixes what s
         fixes). At k >= 1 its quotient is the image of E = C[X] R[:, X],
-        and s, commuting with E, fixes rank E - rank((S - I) E) of it."""
+        X the Q_k-fixed words, and s, commuting with E, fixes
+        rank E - rank((S - I) E) of it."""
         p, d = self.p, self.dim
+        if self.whole:
+            return _counted(self.parent.ab, p, k, words)
         X, where = self.parent.quotients[k]
         actions = [_word_action(self.parent, w) for w in words]
         actions = [(where[perm[X]], sign[X]) for perm, sign in actions]
-        if self.whole:
-            return len(X), tuple(_fixed_dim(target, sign) for target, sign in actions)
         if not k:
             gathers = [sign[:, None] * self.C[target] for target, sign in actions]
             g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
@@ -770,11 +787,9 @@ class Summand:
         return rank, tuple(fixed)
 
     def brauer(self, k):
-        """(dim x(Q_k), dim Fix(s) on x(Q_k) per _normalizer_words s), once;
-        at k = 0, where x(Q_0) = x, the last word, the identity, is left out."""
+        """(dim x(Q_k), dim Fix(s) on x(Q_k) per _normalizer_words s), once."""
         if k not in self._brauer:
-            words = _normalizer_words(self.n, self.p, k)
-            self._brauer[k] = self._fixed(k, words[:-1] if k == 0 else words)
+            self._brauer[k] = self._fixed(k, _normalizer_words(self.n, self.p, k))
         return self._brauer[k]
 
     def fingerprint(self):
@@ -791,8 +806,7 @@ class Summand:
         return self.brauer(0)
 
     def species(self):
-        """Exact iso invariant: (brauer(k) for k = 0..n//p), the
-        fingerprint first, computed once.
+        """Exact iso invariant: (brauer(k) for k = 0..n//p), fingerprint first.
 
         x is a p-permutation module, as M is induced from a linear
         character of a Young subgroup that is trivial on p-subgroups.
@@ -803,16 +817,13 @@ class Summand:
         n = p^2 on, the Sylow subgroups of S_(p^2) are vertices too, and
         the species is refused with ValueError.
         """
-        if self._all is None:
-            n, p = self.n, self.p
-            if n >= p * p:
-                raise ValueError(
-                    f"no species at degree {n} >= p^2 = {p * p}: it would need "
-                    f"the Brauer quotients at the Sylow subgroups of S_{p * p}, "
-                    f"which the groups of disjoint {p}-cycles do not include"
-                )
-            self._all = (self.fingerprint(), *map(self.brauer, range(1, n // p + 1)))
-        return self._all
+        n, p = self.n, self.p
+        if n >= p * p:
+            raise ValueError(
+                f"no species at degree {n} >= p^2 = {p * p}: it would need the "
+                f"Brauer quotients at the Sylow subgroups of S_{p * p} too"
+            )
+        return (self.fingerprint(), *map(self.brauer, range(1, n // p + 1)))
 
     def species_twisted(self):
         """The species of x (x) sgn. A p-cycle is even, so (x (x) sgn)(Q_k)
@@ -821,9 +832,8 @@ class Summand:
         of the semisimple s, of dimension Fix(s^2) - Fix(s), s^2 = s + s."""
         out = []
         for k, (rank, fixed) in enumerate(self.species()):
-            # the words of fixed: at k = 0 all but the last, the identity
-            words = _normalizer_words(self.n, self.p, k)[: len(fixed)]
-            squares = self._fixed(k, [w + w for w in words])[1]
+            words = _normalizer_words(self.n, self.p, k)
+            squares = self._fixed(k, tuple(w + w for w in words))[1]
             pairs = zip(words, fixed, squares)
             out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
         return tuple(out)
@@ -930,7 +940,7 @@ def _projector_split(z, parts, p, proj=None):
 def decompose_summands(module, rng, known=frozenset()):
     """The indecomposable summands of the module, as Summand objects.
 
-    The splitting tree holds Summands, from the whole module.summand. A
+    The splitting tree holds Summands, from the whole module. A
     node whose species is in known, a set of class species, is that
     class: it is accepted at once. Other nodes are split by
     endomorphisms drawn from module.end and restricted to the node;
@@ -939,7 +949,7 @@ def decompose_summands(module, rng, known=frozenset()):
     """
     p = module.p
     dims = {species[0][0] for species in known}
-    queue = [module.summand]
+    queue = [Summand(module)]
     leaves = []
     while queue:
         node = queue.pop()
@@ -990,7 +1000,7 @@ def _as_summand(u):
     if isinstance(u, Summand):
         return u
     if isinstance(u, SignedPermModule):
-        return u.summand
+        return Summand(u)
     raise TypeError("expected a SignedPermModule or a Summand")
 
 
@@ -1065,42 +1075,36 @@ class DirectEngine:
             self.homs[key] = m.end if m is n_mod else _hom_orbits(m, n_mod)
         return self.homs[key]
 
-    def check_cap(self, ab):
-        """Refuse, before building anything, a module that decompose
-        cannot do: raises DimensionCapError, naming the module, when M(ab)
-        is over the cap, or when the degree n of M(ab) is not yet swept
-        and M(1^n) is. The sweep builds every label row, and M(1^n), of
-        dimension n!, is the largest of them."""
-        key = _canonical_pair(ab)
-        n = size(key[0]) + size(key[1])
-        dim = module_dimension(key)
-        if dim > DIM_CAP:
-            raise DimensionCapError(f"M{key}", dim, DIM_CAP)
-        if n not in self.registry and factorial(n) > DIM_CAP:
-            row = f"M{((1,) * n, ())}, which the degree-{n} sweep would build,"
-            raise DimensionCapError(row, factorial(n), DIM_CAP)
-
     def registry_for(self, n):
         """{label: species} of the classes of degree n, row by row.
 
-        Every label row is checked against the cap before any module is
-        built. A row whose class is not yet known is split: its one leaf
-        of no known species is the class, and that leaf twisted by the
-        sign is the class's sign twin, whose row then needs no split.
-        Each row's solve, holding its class once, is kept for decompose.
-        """
+        DimensionCapError refuses n >= p^2, or a row to split over the
+        cap, before anything is built. A row whose class is not yet known
+        is split: its one leaf of no known species is the class, and that
+        leaf twisted by the sign is the class's sign twin, whose row is
+        solved. Each row's solve, holding its class once, is kept."""
         if n in self.registry:
             return self.registry[n]
-        labels, rows = label_rows(n, self.p)
-        self.check_cap(rows[0])
+        p = self.p
+        if n >= p * p:
+            raise DimensionCapError(
+                f"degree {n} >= p^2 = {p * p}, where no species decides isomorphism"
+            )
+        labels, rows = label_rows(n, p)
+        keys = [_canonical_pair(row) for row in rows]
+        split, seen = [], set()  # seen: the split labels and their twins
+        for label, key in zip(labels, keys):
+            split.append(label not in seen)
+            if split[-1]:
+                seen |= {label, sign_twist_label(label, p)}
+                _check_dim(key)
         known = {}
-        for label, row_ab in zip(labels, rows):
-            key = _canonical_pair(row_ab)
+        for label, key, fresh in zip(labels, keys, split):
             where = f"sweep at label {label}, {self._where(key)}"
-            if label not in known:
+            if fresh:
                 leaf = self._label(key, known, where)
                 known[label] = leaf.species()
-                twin, twisted = sign_twist_label(label, self.p), leaf.species_twisted()
+                twin, twisted = sign_twist_label(label, p), leaf.species_twisted()
                 if known.setdefault(twin, twisted) != twisted:
                     raise IntegrityError(f"{where}: its class (x) sgn is not {twin}")
             counts = self._solve(key, known, where)
@@ -1133,14 +1137,14 @@ class DirectEngine:
         return new[0]
 
     def _solve(self, key, known, where):
-        """{label: multiplicity} of M(key) over the classes in known, by
-        one linear solve in the flattened species, which add over direct
-        sums. The rounded least-squares answer must be non-negative and
-        reproduce the species, led by the dimension, exactly, from
-        linearly independent class species."""
+        """{label: multiplicity} of M(key) over the classes in known: one
+        linear solve in the flattened species, which add over direct sums,
+        that of M(key) counted from its label. The rounded least-squares
+        answer must be non-negative and reproduce the species, led by the
+        dimension, exactly, from linearly independent class species."""
         labels = list(known)
         A = np.array([_flat(known[label]) for label in labels]).T
-        b = _flat(self.module(key).summand.species())
+        b = _flat(_whole_species(key, self.p))
         x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
         x = np.rint(x).astype(np.int64)
         if rank < len(labels) or (x < 0).any() or not np.array_equal(A @ x, b):
@@ -1152,12 +1156,10 @@ class DirectEngine:
 
     def decompose(self, ab):
         """Labelled multiset {(lam, mu): multiplicity} of M(ab): one
-        solve of its whole species, with no End built and no split."""
+        solve of its counted species against registry_for, no module built."""
         key = _canonical_pair(ab)
         if key not in self.decomps:
-            self.check_cap(key)
-            n = size(key[0]) + size(key[1])
-            known = self.registry_for(n)
+            known = self.registry_for(size(key[0]) + size(key[1]))
             if key not in self.decomps:  # the sweep records label rows
                 self.decomps[key] = self._solve(key, known, self._where(key))
         return dict(self.decomps[key])

@@ -336,59 +336,71 @@ def test_decompose_examples(capsys):
     assert out.splitlines() == ["2,2,1,1|-: 1", "-|6: 1", "-|3,3: 1"]
 
 
-def test_decompose_dimension_cap(capsys):
+def refuse_builds(monkeypatch):
+    """build_module, raising on a call: a refusal must come first."""
+
+    def refuse(ab, *args, **kwargs):
+        raise AssertionError(f"build_module{ab} called before the refusal")
+
+    monkeypatch.setattr(modrep, "build_module", refuse)
+
+
+def test_decompose_dimension_cap(capsys, monkeypatch):
+    """M(1^9) at p = 5 needs the degree-9 sweep, which would split
+    M(5,1,1,1,1), over the cap: exit 3 before any module is built."""
+    refuse_builds(monkeypatch)
     code, _, err = run(
-        ["decompose", "--p", "3", "--alpha", "1,1,1,1,1,1,1,1", "--beta", "-"],
+        ["decompose", "--p", "5", "--alpha", "1,1,1,1,1,1,1,1,1", "--beta", "-"],
         capsys,
     )
-    assert code == 3 and "dimension cap" in err
+    assert code == 3 and "dimension cap" in err and "3024" in err
 
 
-def test_matrix_degree_seven_refused_before_building(tmp_path, capsys, monkeypatch):
-    built = []
-
-    def counting_build(ab, *args, **kwargs):
-        # stop at the first build rather than sweep degree 7 for real
-        built.append(ab)
-        raise RuntimeError(f"build_module{ab} called before the cap check")
-
-    monkeypatch.setattr(modrep, "build_module", counting_build)
+def test_matrix_degree_nine_refused_before_building(tmp_path, capsys, monkeypatch):
+    """Degree 9 = p^2 at p = 3 has no species, so its sweep is refused
+    before any module is built."""
+    refuse_builds(monkeypatch)
     code, _, err = run(
-        ["matrix", "--n", "7", "--p", "3", "--signed", "--engine", "direct",
+        ["matrix", "--n", "9", "--p", "3", "--signed", "--engine", "direct",
          "--cache-dir", str(tmp_path)],
         capsys,
     )
     assert code == 3 and "dimension cap" in err
-    assert "5040" in err and str(modrep.DIM_CAP) in err
-    assert built == []
+    assert "degree 9 >= p^2 = 9" in err
 
 
-def test_matrix_degree_seven_names_the_module(tmp_path, capsys):
-    """The refusal names M(1^7), the largest label row of degree 7,
-    which the sweep would build, and its dimension 7! = 5040."""
+def test_matrix_degree_nine_names_the_module(tmp_path, capsys, monkeypatch):
+    """At p = 5 the refusal names M(5,1,1,1,1), the first row the
+    degree-9 sweep would split over the cap, of dimension 9!/5! = 3024;
+    M(1^9), of dimension 9!, is counted, not split, so it is not named."""
+    refuse_builds(monkeypatch)
     code, _, err = run(
-        ["matrix", "--n", "7", "--p", "3", "--cache-dir", str(tmp_path)], capsys
+        ["matrix", "--n", "9", "--p", "5", "--cache-dir", str(tmp_path)], capsys
     )
     assert code == 3
-    assert "(1, 1, 1, 1, 1, 1, 1)" in err and "5040" in err
+    assert "M((5, 1, 1, 1, 1), ())" in err and "3024" in err
+    assert str(modrep.DIM_CAP) in err
 
 
-def test_cap_message_rounds_large_sizes(tmp_path, capsys):
-    # M(1^18) has dimension 18!, so 30 bytes a cell come to 1.2e24 GB
+def test_cap_message_quotes_no_memory(tmp_path, capsys):
+    """The reduction side at degree 18 asks the direct engine below it
+    for a degree past p^2; the refusal names the degree and p^2, and
+    quotes no memory figure."""
     code, _, err = run(
         ["matrix", "--n", "18", "--p", "3", "--engine", "reduction",
          "--cache-dir", str(tmp_path)],
         capsys,
     )
     assert code == 3
-    assert "would take about 1.23e+24 GB of memory" in err
+    assert "degree 18 >= p^2 = 9" in err
+    assert "memory" not in err and "GB" not in err
 
 
 @pytest.mark.parametrize("method", ["both", "direct"])
 def test_entry_over_the_cap_refused_before_the_reduction(capsys, monkeypatch, method):
-    """The worked degree-15 entry: its direct side, M(1,1,1|6,3,3), is
-    over the cap, so the command exits 3 without starting the reduction
-    side or building a module."""
+    """The worked degree-15 entry: its direct side needs the degree-15
+    sweep, past p^2 = 9, so the command exits 3 without starting the
+    reduction side or building a module."""
     called = []
 
     def refuse(*args, **kwargs):
@@ -403,8 +415,34 @@ def test_entry_over_the_cap_refused_before_the_reduction(capsys, monkeypatch, me
         capsys,
     )
     assert code == 3 and out == "" and "dimension cap" in err
-    assert str(modrep.module_dimension(((1, 1, 1), (6, 3, 3)))) in err
+    assert "degree 15 >= p^2 = 9" in err
     assert called == []
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_matrix_degree_seven_engines_agree(p, tmp_path, capsys):
+    """Degree 7, past 6! but with every row it splits within the cap, is
+    answered, and the two engines agree on it."""
+    code, out, err = run(
+        ["matrix", "--n", "7", "--p", str(p), "--signed", "--engine", "both",
+         "--format", "csv", "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + len(enumerate_p2p(7, p))
+
+
+def test_decompose_regular_module_of_degree_seven(capsys):
+    """M(1^7), of dimension 7! over the cap, is solved from its counted
+    species, never built: at p = 3 its multiplicities are the dimensions
+    of the 3-modular simple modules of S_7, as for any regular module."""
+    code, out, _ = run(
+        ["decompose", "--p", "3", "--alpha", "1,1,1,1,1,1,1", "--beta", "-"], capsys
+    )
+    assert code == 0
+    assert [int(line.split(": ")[1]) for line in out.splitlines()] == [
+        13, 15, 6, 20, 15, 1, 13, 6, 1
+    ]
 
 
 def test_entry_both_engines_readme_example(capsys):

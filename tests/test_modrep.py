@@ -1,5 +1,6 @@
 """Tests for the module-theoretic decomposition engine."""
 
+import functools
 import types
 from math import factorial, gcd
 
@@ -103,10 +104,13 @@ def test_generator_matrix_matches_word_encoding():
 
 def test_dimension_cap():
     # M(1^7) has dimension 5040, over the cap, and is refused before any
-    # basis word is built
+    # basis word is built; the message names the module, its dimension
+    # and the cap
     with pytest.raises(modrep.DimensionCapError) as info:
         modrep.build_module(((1,) * 7, ()), P)
-    assert info.value.dim == 5040 and info.value.cap == modrep.DIM_CAP
+    msg = str(info.value)
+    assert "M((1, 1, 1, 1, 1, 1, 1), ())" in msg
+    assert "5040" in msg and str(modrep.DIM_CAP) in msg
 
 
 def test_even_prime_rejected():
@@ -387,16 +391,18 @@ def test_leaf_summand_equivariance():
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_whole_modules_hold_no_maps(p):
-    """After the degree-6 sweep, the whole summand of every canonical
-    module holds no maps and takes its dimension from the module."""
+    """After the degree-6 sweep, the whole summand of every module it
+    built, one per split row, holds no maps, takes its dimension from
+    the module and has the species counted from its label."""
     eng = engine(p)
     eng.registry_for(6)
-    assert len(eng.modules) > 10
-    for m in eng.modules.values():
-        assert "summand" in vars(m), m.ab  # whose species the sweep solved
-        s = m.summand
+    built = [m for m in eng.modules.values() if m.n == 6]
+    assert len(built) == {3: 9, 5: 6}[p]
+    for m in built:
+        s = modrep.Summand(m)
         assert s.whole and s.C is None and s.R is None, (p, m.ab)
-        assert s.dim == modrep.Summand(m).dim == m.dim
+        assert s.dim == m.dim
+        assert s.species() == modrep._whole_species(m.ab, p), (p, m.ab)
 
 
 def float64_product(a, b, p):
@@ -521,9 +527,9 @@ def test_fingerprint_separates_whole_modules(p):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_fingerprint_routes_agree(p):
-    """The rank route of a proper summand agrees with the cycle count of
-    the whole module: each module of degree <= 4 is also taken as a
-    summand whose inclusion is a permutation matrix."""
+    """The rank route of a proper summand agrees with the count from the
+    label of the whole module: each module of degree <= 4 is also taken
+    as a summand whose inclusion is a permutation matrix."""
     for n in range(2, 5):
         for ab in enumerate_p2(n):
             m = modrep.build_module(ab, p)
@@ -537,25 +543,29 @@ def test_fingerprint_routes_agree(p):
 
 def test_whole_fingerprint_computed_once_per_module(monkeypatch):
     """modules_isomorphic takes each module as its whole summand, whose
-    fingerprint and species are counted once per module, one cycle count
-    per word at each Q_k, and do not keep the module alive."""
+    fingerprint and species are counted from the label once per label,
+    one count per Q_k, with no word or generator table read, and do not
+    keep the module alive."""
     import gc
     import weakref
 
     calls = []
-    fixed_dim = modrep._fixed_dim
+    counted = modrep._counted.__wrapped__
     monkeypatch.setattr(
-        modrep, "_fixed_dim", lambda *args: calls.append(1) or fixed_dim(*args)
+        modrep,
+        "_counted",
+        functools.lru_cache()(lambda *args: calls.append(1) or counted(*args)),
     )
     mods = [modrep.build_module(ab, P) for ab in enumerate_p2(4)]
+    for m in mods:
+        m.words = m.perms = m.signs = None  # the tables the count must not read
     # every module is isomorphic to itself, so each reaches its species
-    words = sum(len(modrep._normalizer_words(4, P, k)) for k in range(4 // P + 1))
     for u in mods:
         for v in mods:
             modrep.modules_isomorphic(u, v)
-    assert len(calls) == (words - 1) * len(mods)  # all but the identity at k = 0
+    assert len(calls) == (4 // P + 1) * len(mods)
     ref = weakref.ref(mods[0])
-    del mods, u, v
+    del mods, u, v, m
     gc.collect()
     assert ref() is None
 
@@ -597,9 +607,8 @@ def test_quotient_species_answers_false(monkeypatch):
 
 
 def test_module_freed_after_quotient_species(monkeypatch):
-    """The whole summand, species and Brauer quotients that a question
-    keeps on the modules do not keep them alive once the caller drops
-    them."""
+    """The species that a question counts, kept per label, do not keep
+    the modules alive once the caller drops them."""
     import gc
     import weakref
 
@@ -607,7 +616,6 @@ def test_module_freed_after_quotient_species(monkeypatch):
     v = modrep.build_module(((1, 1), (3,)), P)
     monkeypatch.setattr(modrep.Summand, "fingerprint", lambda self: (self.dim, ()))
     assert not modrep.modules_isomorphic(u, v)
-    assert u.summand._all and v.summand._all
     refs = [weakref.ref(u), weakref.ref(v)]
     del u, v
     gc.collect()
@@ -688,17 +696,90 @@ def test_class_species_pinned():
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_species_add_over_decompositions(p):
-    """The species of every degree-6 module is the sum, over the engine's
-    labelled decomposition, of multiplicity times class species."""
+    """The species of every degree-6 module, read off its built
+    generator tables, is the sum, over the engine's labelled
+    decomposition, of multiplicity times class species."""
     eng = engine(p)
     species = eng.registry_for(6)
     for ab in enumerate_p2(6):
-        want = modrep._flat(modrep.build_module(ab, p).summand.species())
+        want = modrep._flat(built_species(modrep.build_module(ab, p)))
         got = sum(
             m * modrep._flat(species[label])
             for label, m in eng.decompose(ab).items()
         )
         assert np.array_equal(got, want), (p, ab)
+
+
+def monomial_fixed_dim(perm, sign):
+    """dim ker(g - 1) for the monomial action g: e_j -> sign[j] e_perm[j].
+
+    Each cycle of perm spans a g-invariant block, on which g to the
+    cycle length is the product of the signs around the cycle: +1 fixes
+    one line, and -1 fixes nothing as p is odd. So the answer is the
+    number of cycles whose sign product is +1. Every point walks its
+    cycle once, keeping the running sign product and the smallest point
+    passed; a cycle is counted at its smallest point.
+    """
+    idx = np.arange(len(perm))
+    cur, prod, low = perm, sign, perm
+    closed = np.where(cur == idx, prod, 0)
+    while not closed.all():
+        prod = prod * sign[cur]
+        cur = perm[cur]
+        low = np.minimum(low, cur)
+        closed = np.where((closed == 0) & (cur == idx), prod, closed)
+    return int(np.count_nonzero((low == idx) & (closed == 1)))
+
+
+def built_species(m):
+    """The species of the whole built module m from its generator
+    tables: per k, the Q_k-fixed words X, and per word s the +1 cycles
+    of the monomial action of s on them."""
+    out = []
+    for k in range(m.n // m.p + 1):
+        X, where = m.quotients[k]
+        fixed = []
+        for word in modrep._normalizer_words(m.n, m.p, k):
+            perm, sign = modrep._word_action(m, word)
+            fixed.append(monomial_fixed_dim(where[perm[X]], sign[X]))
+        out.append((len(X), tuple(fixed)))
+    return tuple(out)
+
+
+def counted_against_built(p):
+    """(modules, mismatches) over every canonical module of degree <= 7
+    within the cap: the counted species against the built one."""
+    keys = {modrep._canonical_pair(ab) for n in range(8) for ab in enumerate_p2(n)}
+    keys = [key for key in keys if modrep.module_dimension(key) <= modrep.DIM_CAP]
+    wrong = [
+        key
+        for key in sorted(keys)
+        if modrep._whole_species(key, p) != built_species(modrep.build_module(key, p))
+    ]
+    return len(keys), wrong
+
+
+def test_counted_species_equal_built_species(monkeypatch):
+    """The species counted from the label equals the one read off the
+    built generator tables on all 218 canonical modules of degree <= 7
+    within the cap at p = 3 and 5; with a planted wrong sign, every
+    d-coloured orbit counted +1, the count is caught."""
+    total = 0
+    for p in (3, 5):
+        size, wrong = counted_against_built(p)
+        assert wrong == [], p
+        total += size
+    assert total == 218
+    real = modrep._orbit_shapes
+    monkeypatch.setattr(
+        modrep,
+        "_orbit_shapes",
+        lambda *args: tuple(tuple((m, 1) for m, _ in shape) for shape in real(*args)),
+    )
+    # a fresh count cache, so that no count from the true signs is reused
+    fresh = functools.lru_cache()(modrep._counted.__wrapped__)
+    monkeypatch.setattr(modrep, "_counted", fresh)
+    assert counted_against_built(3)[1]
 
 
 def word_perm(word, n):
@@ -925,6 +1006,24 @@ def test_sweep_splits_only_rows_without_an_earlier_twin(p, split, seed, monkeypa
     assert ((1,) * 6, ()) not in splits
 
 
+@pytest.mark.parametrize(("p", "split"), [(3, 9), (5, 6)])
+def test_sweep_builds_only_the_rows_it_splits(p, split, monkeypatch):
+    """The degree-6 sweep builds a module only for a row it splits, 9 of
+    16 at p = 3 and 6 of 12 at p = 5, none of dimension over 120; the
+    rows it solves, M(1^6) of dimension 720 among them, are counted from
+    their labels."""
+    real = modrep.build_module
+    dims = []
+
+    def spy(ab, p):
+        dims.append(modrep.module_dimension(ab))
+        return real(ab, p)
+
+    monkeypatch.setattr(modrep, "build_module", spy)
+    modrep.DirectEngine(p).registry_for(6)
+    assert len(dims) == split and max(dims) <= 120
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_decompose_outside_label_rows_only_solves(p, monkeypatch):
     """After the sweeps, every module of degree <= 6 outside the label
@@ -1002,17 +1101,17 @@ def unflat_species(vec, like):
 
 
 def plant_species(monkeypatch, ab, change):
-    """Summand.species, for the whole module M(ab) only, as change(flat
-    species) in the nested form."""
-    real = modrep.Summand.species
+    """The counted species of the whole module M(ab), which the solve
+    reads, as change(flat species) in the nested form."""
+    real = modrep._whole_species
 
-    def species(self):
-        out = real(self)
-        if self.whole and self.parent.ab == ab:
+    def species(key, p):
+        out = real(key, p)
+        if key == ab:
             out = unflat_species(change(modrep._flat(out)), out)
         return out
 
-    monkeypatch.setattr(modrep.Summand, "species", species)
+    monkeypatch.setattr(modrep, "_whole_species", species)
 
 
 def test_solve_error_names_key_and_seed(monkeypatch):
@@ -1086,7 +1185,7 @@ def test_perturbed_species_fails_the_solve(p, monkeypatch):
     ab = ((1, 1, 1), (2,))
     eng = modrep.DirectEngine(p, seed=4)
     eng.registry_for(5)
-    size = len(modrep._flat(modrep.build_module(ab, p).summand.species()))
+    size = len(modrep._flat(modrep._whole_species(ab, p)))
     for j in range(size):
         with monkeypatch.context() as m:
             plant_species(m, ab, lambda v: v + np.eye(size, dtype=np.int64)[j])
