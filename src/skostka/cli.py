@@ -547,7 +547,7 @@ def main(argv=None):
         print(f"integrity failure: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except modrep.DimensionCapError as e:
-        print(f"dimension cap: {e}", file=sys.stderr)
+        print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -32,6 +32,8 @@ not depend on the panel width, on which rows serve as pivots, or on the
 order of the updates: every basis produced downstream is reproducible.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .combinat import check_odd_prime
@@ -88,6 +90,23 @@ def matmul(a, b, p):
 
 def _inv_scalar(x, p):
     return pow(int(x), p - 2, p)
+
+
+@lru_cache(maxsize=None)
+def _inverses(p):
+    """The table of x^-1 mod p for x = 0..p-1, 0 at 0: x^(p-2) by
+    repeated squaring over the whole range at once; every product stays
+    below p^2."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = _mod(out * x, p)
+        x = _mod(x * x, p)
+        e >>= 1
+    out[0] = 0
+    return out
 
 
 def _eliminate(a, p, r=0):
@@ -166,7 +185,50 @@ def rref(a, p):
 
 
 def rank(a, p):
-    return len(rref(a, p)[1])
+    """The rank of a matrix (m, n), or of each matrix of a stack (b, m,
+    n) as an int64 array of b ranks.
+
+    A stack at most two panels wide, where rref runs the pivot loop, is
+    eliminated in one pass over its columns for every matrix at once;
+    a wider one goes matrix by matrix through the blocked rref.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return len(rref(a, p)[1])
+    if a.shape[2] > 2 * PANEL:
+        return np.array([len(rref(x, p)[1]) for x in a], dtype=np.int64)
+    return _stack_rank(normalize(a, p), p)
+
+
+def _stack_rank(a, p):
+    """Ranks of a reduced int64 stack (b, m, n), overwritten.
+
+    Per column c, each matrix takes as pivot its first row that is not
+    yet a pivot and is nonzero at c, and clears c in its other such
+    rows; the pivot rows are left as they are, as only their number
+    counts."""
+    b, m, n = a.shape
+    inv = _inverses(p)
+    free = np.ones((b, m), dtype=bool)  # rows not yet a pivot
+    for c in range(n):
+        col = a[:, :, c] * free
+        live = np.flatnonzero(col.any(axis=1))
+        if not live.size:
+            continue
+        every = live.size == b  # then work on a view, not a copy
+        if not every:
+            col = col[live]
+        here = np.arange(live.size)
+        r = (col != 0).argmax(axis=1)
+        rest = a[:, :, c:] if every else a[live, :, c:]
+        row = _mod(rest[here, r] * inv[col[here, r]][:, None], p)
+        free[live, r] = False
+        col[here, r] = 0
+        rest -= col[:, :, None] * row[:, None, :]
+        _mod(rest, p)
+        if not every:
+            a[live, :, c:] = rest
+    return m - free.sum(axis=1)
 
 
 def nullspace(a, p):

@@ -15,7 +15,12 @@ node; the root, the whole module, holds none. The generalized kernels of
 the coprime factors of a minimal polynomial split a node; they are cut
 out by Chinese-remainder projectors, polynomials in the endomorphism,
 half of the factors at a time, and each projector is checked to be
-idempotent.
+idempotent. A node that one random endomorphism leaves whole is decided
+exactly in its endomorphism algebra eAe, read inside A = End_G(M) from
+row 0 and the first-cell columns of the orbit basis (condensation, as in
+Lux, Mueller and Ringe, J. Symbolic Comput. 1994): when every element
+is a unit or nilpotent the node is certified indecomposable, and else
+an element found there splits it.
 
 Every summand of M(alpha|beta) is a p-permutation module, and its
 species (Summand.species), one entry Summand.brauer(k) per group Q_k of
@@ -28,8 +33,8 @@ module are one exact solve. The registry of class species sweeps the
 label rows in the fixed total order: a row whose class is the sign
 twin of an earlier one is solved with the twin's species twisted by
 the sign; any other row is built and split, and its one leaf of no
-known species, accepted after many rounds that refuse to split (Monte
-Carlo), is its class. Loud integrity errors guard every inconsistency.
+known species, certified indecomposable, is its class. Loud integrity
+errors guard every inconsistency.
 """
 
 from functools import cached_property, lru_cache, reduce
@@ -53,7 +58,13 @@ DIM_CAP = 2520
 # inner dimensions are at most DIM_CAP and their entries below p, so
 # DIM_CAP (p-1)^2 < 2^53.
 PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
-MAX_NONSPLIT_ROUNDS = 30
+# the bound on the cells of a block of work in End_G(M), and on the
+# entries of the elements of End(x) that the certificate tests at once
+CELL_BLOCK = 2**18
+# the lines of End(x) that the certificate tests before it tries random
+# elements, and the number of those it tries
+LINES = 2**20
+TRIES = 16
 
 
 class DimensionCapError(RuntimeError):
@@ -340,6 +351,33 @@ class HomBasis:
 
     def sample(self, rng, p):
         return self.element(rng.integers(0, p, self.num), p)
+
+    @cached_property
+    def first_cells(self):
+        """The column of each basis element's first cell, in row 0, where
+        it is +1: its coordinate in an element is that element's entry
+        there."""
+        return np.unique(self.index[: self.shape[1]], return_index=True)[1][: self.num]
+
+    def left_rows(self, v, p):
+        """Z with Z[k] = v X_k, for the basis elements X_k and a row
+        vector v over the rows: one weighted count over the index, a
+        bounded block of rows at a time, of each cell's v-entry into
+        (basis element, sign, column)."""
+        rows, cols = self.shape
+        index = self.index.reshape(self.shape)
+        spread = np.arange(cols)
+        acc = np.zeros((2 * self.num + 1) * cols)
+        live = np.flatnonzero(v)
+        step = max(1, CELL_BLOCK // cols)
+        for i in range(0, live.size, step):
+            block = live[i : i + step]
+            keys = index[block] * cols + spread
+            weights = np.repeat(v[block].astype(np.float64), cols)
+            acc += np.bincount(keys.ravel(), weights, minlength=acc.size)
+        # sums of at most rows entries below p: exact in float64
+        acc = acc.astype(np.int64).reshape(2 * self.num + 1, cols)
+        return gfp._mod(acc[: self.num] - acc[self.num : -1], p)
 
 
 def _key_digits(ab, cd):
@@ -758,11 +796,12 @@ class Summand:
         """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
         x, with Q_0 = 1; each word s normalizes Q_k and has order prime to
         p. A whole module's is counted (_counted). At k = 0 a proper
-        summand fixes d - rank(g_x - 1), g_x = R P C, one product for all
-        words (the signed row gather of C is s^-1, which fixes what s
-        fixes). At k >= 1 its quotient is the image of E = C[X] R[:, X],
-        X the Q_k-fixed words, and s, commuting with E, fixes
-        rank E - rank((S - I) E) of it."""
+        summand fixes d - rank(g_x - 1), g_x = R P C, one product and one
+        stack of ranks for all words (the signed row gather of C is s^-1,
+        which fixes what s fixes). At k >= 1 its quotient is the image of
+        E = C[X] R[:, X], X the Q_k-fixed words, and s, commuting with E,
+        fixes rank E - rank((S - I) E) of it; E and every (S - I) E are
+        ranked in one stack."""
         p, d = self.p, self.dim
         if self.whole:
             return _counted(self.parent.ab, p, k, words)
@@ -772,19 +811,19 @@ class Summand:
         if not k:
             gathers = [sign[:, None] * self.C[target] for target, sign in actions]
             g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
-            eye = np.eye(d, dtype=np.int64)
-            return d, tuple(
-                d - gfp.rank(g_x[:, i * d : (i + 1) * d] - eye, p)
-                for i in range(len(actions))
-            )
+            # word i's matrix is g_x[:, i d : (i + 1) d]; take I off in place
+            stack = g_x.reshape(d, len(words), d)
+            diag = np.arange(d)
+            stack[diag, :, diag] -= 1
+            return d, tuple(d - r for r in gfp.rank(stack.transpose(1, 0, 2), p).tolist())
         E = gfp.matmul(self.C[X], self.R[:, X], p)
-        rank = gfp.rank(E, p)
-        fixed = []
-        for target, sign in actions:
-            SE = np.empty_like(E)
+        stack = np.empty((len(words) + 1, *E.shape), dtype=np.int64)
+        stack[0] = E
+        for SE, (target, sign) in zip(stack[1:], actions):
             SE[target] = sign[:, None] * E
-            fixed.append(rank - gfp.rank((SE - E) % p, p) if rank else 0)
-        return rank, tuple(fixed)
+            SE -= E
+        rank, *ranks = gfp.rank(stack, p).tolist()
+        return rank, tuple(rank - r for r in ranks)
 
     def brauer(self, k):
         """(dim x(Q_k), dim Fix(s) on x(Q_k) per _normalizer_words s), once."""
@@ -937,36 +976,145 @@ def _projector_split(z, parts, p, proj=None):
     return out
 
 
+def _node_algebra(node):
+    """(basis, reg): End_G(x) of the node x, as eAe inside A = End_G(M).
+
+    e = C R is the node's idempotent in A. The elements e X_k e span eAe,
+    and an element of A is its coordinates, its entries at the first
+    cells (0, w_k) of row 0 (HomBasis.first_cells). So the rows of
+    Z = (e[0] X_k)_k, one weighted count over the index, times e[:, w]
+    are the coordinates of the e X_k e, and their rref holds a basis of
+    eAe, m_x rows with pivots P. The coordinate of b_i b_j at pivot l is
+    its entry sum_v b_i[0, v] b_j[v, w_P_l], which reads row 0 of b_i and
+    the columns w_P of b_j; as b_i b_j lies in eAe, these are its
+    coefficients in the basis. reg[i] is the m_x x m_x matrix of left
+    multiplication by b_i on eAe, which is End_G(x) by a -> R a C.
+    """
+    end, p = node.parent.end, node.p
+    rows, cols = end.shape
+    w = end.first_cells
+    if node.whole:  # e = 1
+        z = end.left_rows(np.eye(1, rows, dtype=np.int64)[0], p)
+        coords = z[:, w]
+    else:
+        z = end.left_rows(gfp.matmul(node.C[:1], node.R, p)[0], p)
+        coords = gfp.matmul(z, gfp.matmul(node.C, node.R[:, w], p), p)
+    basis, pivots = gfp.rref(coords, p)
+    m = len(pivots)
+    basis = basis[:m]
+    # per basis element, its gather table as in HomBasis.element
+    table = np.concatenate([basis, gfp._mod(-basis, p), np.zeros((m, 1), np.int64)], 1)
+    index = end.index.reshape(end.shape)
+    row0 = table[:, index[0]]
+    reg = np.empty((m, m, m), dtype=np.int64)
+    step = max(1, CELL_BLOCK // (m * rows))
+    for l in range(0, m, step):
+        at = w[list(pivots[l : l + step])]
+        right = table[:, index[:, at]].transpose(1, 0, 2).reshape(rows, -1)
+        prod = gfp.matmul(row0, right, p).reshape(m, m, len(at))
+        reg[:, l : l + len(at)] = prod.transpose(0, 2, 1)
+    return basis, reg
+
+
+def _lines(m, p):
+    """Every nonzero vector of GF(p)^m whose first nonzero entry is 1,
+    one per line, in blocks of at most CELL_BLOCK / m^2 rows: those
+    whose 1 is last first, then by the number of entries after the 1,
+    so that small blocks come first."""
+    size = max(1, CELL_BLOCK // (m * m))
+    for free in range(m):
+        for start in range(0, p**free, size):
+            digits = np.arange(start, min(start + size, p**free))
+            block = np.zeros((digits.size, m), dtype=np.int64)
+            block[:, m - 1 - free] = 1
+            for i in range(free):
+                block[:, m - 1 - i] = digits % p
+                digits //= p
+            yield block
+
+
+def _nonlocal_element(reg, p, rng):
+    """Coefficients of an element of the algebra whose left regular
+    representation on the basis b_i is sum c_i reg[i], one that splits
+    a module whose endomorphism algebra it is; None when there is none.
+
+    Scaling keeps an element a unit or nilpotent, so one element per line
+    is tested: a unit when its representation has full rank, nilpotent
+    when its 2^t-th power, 2^t >= m, is zero. One that is neither splits
+    the module (Fitting), and None means the algebra is local: the module
+    is indecomposable. Past LINES lines, as at a large p from m = 2 on,
+    up to TRIES random elements are tried first; one whose minimal
+    polynomial has two coprime factors splits the module too.
+    """
+    m = reg.shape[0]
+    flat = reg.reshape(m, m * m)
+    if (p**m - 1) // (p - 1) > LINES:
+        for _ in range(TRIES):
+            coeffs = rng.integers(0, p, m)
+            element = gfp.matmul(coeffs[None, :], flat, p).reshape(m, m)
+            if len(_factor_poly(matrix_minpoly(element, p, rng), p)) > 1:
+                return coeffs
+    for coeffs in _lines(m, p):
+        elements = gfp.matmul(coeffs, flat, p).reshape(-1, m, m)
+        units = gfp.rank(elements, p) == m
+        power = elements[~units]
+        for _ in range((m - 1).bit_length()):
+            power = gfp.matmul(power, power, p)
+        hit = np.flatnonzero(power.reshape(len(power), m * m).any(axis=1))
+        if hit.size:
+            return coeffs[~units][hit[0]]
+    return None
+
+
+def _split_node(node, rng):
+    """Split the node, or None when it is indecomposable.
+
+    One round splits by a random endomorphism. When it refuses, End(x) =
+    eAe (_node_algebra) is searched for an element that splits x
+    (_nonlocal_element): none certifies x indecomposable, and the one
+    found splits x, as its minimal polynomial has two coprime factors."""
+    end, p = node.parent.end, node.p
+    split = _split_once(node.restrict(end.sample(rng, p)), p, rng)
+    if split is not None:
+        return split
+    basis, reg = _node_algebra(node)
+    coeffs = _nonlocal_element(reg, p, rng)
+    if coeffs is None:
+        return None
+    a = end.element(gfp.matmul(coeffs[None, :], basis, p)[0], p)
+    split = _split_once(node.restrict(a), p, rng)
+    if split is None:
+        raise IntegrityError("the witness that End(x) is not local did not split the node")
+    return split
+
+
 def decompose_summands(module, rng, known=frozenset()):
     """The indecomposable summands of the module, as Summand objects.
 
-    The splitting tree holds Summands, from the whole module. A
-    node whose species is in known, a set of class species, is that
-    class: it is accepted at once. Other nodes are split by
-    endomorphisms drawn from module.end and restricted to the node;
-    Monte Carlo in that choice: a node is accepted as indecomposable
-    after MAX_NONSPLIT_ROUNDS non-splitting rounds.
+    The splitting tree holds Summands, from the whole module. A node
+    whose species is in known, a set of class species, is that class:
+    it is accepted at once, its fingerprint tested before its species.
+    Any other node of dimension above 1 is split by an endomorphism
+    drawn from module.end and restricted to the node; if that round
+    refuses, the node is certified indecomposable, or split by a witness,
+    from its endomorphism algebra (_split_node). No leaf rests on luck:
+    each is of a known class, certified, or of dimension 1.
     """
-    p = module.p
-    dims = {species[0][0] for species in known}
+    prints = {species[0] for species in known}
+    dims = {fingerprint[0] for fingerprint in prints}
     queue = [Summand(module)]
     leaves = []
     while queue:
         node = queue.pop()
-        if node.dim in dims and node.species() in known:
+        if node.dim in dims and node.fingerprint() in prints and node.species() in known:
             leaves.append(node)
             continue
-        split = None
-        for _ in range(MAX_NONSPLIT_ROUNDS if node.dim > 1 else 0):
-            try:
-                z = node.restrict(module.end.sample(rng, p))
-                split = _split_once(z, p, rng)
-            except IntegrityError as e:
-                raise IntegrityError(
-                    f"splitting a node of dimension {node.dim} of M{module.ab}: {e}"
-                ) from e
-            if split is not None:
-                break
+        try:
+            split = _split_node(node, rng) if node.dim > 1 else None
+        except IntegrityError as e:
+            raise IntegrityError(
+                f"splitting a node of dimension {node.dim} of M{module.ab}: {e}"
+            ) from e
         if split is None:
             leaves.append(node)
         else:

@@ -353,7 +353,7 @@ def test_decompose_dimension_cap(capsys, monkeypatch):
         ["decompose", "--p", "5", "--alpha", "1,1,1,1,1,1,1,1,1", "--beta", "-"],
         capsys,
     )
-    assert code == 3 and "dimension cap" in err and "3024" in err
+    assert code == 3 and "refused:" in err and "3024" in err
 
 
 def test_matrix_degree_nine_refused_before_building(tmp_path, capsys, monkeypatch):
@@ -365,7 +365,7 @@ def test_matrix_degree_nine_refused_before_building(tmp_path, capsys, monkeypatc
          "--cache-dir", str(tmp_path)],
         capsys,
     )
-    assert code == 3 and "dimension cap" in err
+    assert code == 3 and "refused:" in err
     assert "degree 9 >= p^2 = 9" in err
 
 
@@ -414,7 +414,7 @@ def test_entry_over_the_cap_refused_before_the_reduction(capsys, monkeypatch, me
          "--lambda", "2,2,1,1", "--mu", "2,1", "--method", method],
         capsys,
     )
-    assert code == 3 and out == "" and "dimension cap" in err
+    assert code == 3 and out == "" and "refused:" in err
     assert "degree 15 >= p^2 = 9" in err
     assert called == []
 

@@ -151,6 +151,63 @@ def test_sparse_hom_span_shape(p):
     assert len(piv0) == m
 
 
+def ref_ranks(stack, p):
+    return [len(ref_rref(a, p)[1]) for a in stack]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_batched_rank_against_rref(p):
+    """gfp.rank on a stack (b, m, n) gives, per matrix, the rank of its
+    reference rref: one elimination over the stack up to two panels
+    wide, one rref per matrix past that. Covers zero, rank-deficient,
+    1 x 1 and empty stacks, and negative entries."""
+    rng = np.random.default_rng([p, 7])
+    stacks = [
+        np.zeros((0, 4, 4), dtype=np.int64),
+        np.zeros((3, 0, 5), dtype=np.int64),
+        np.zeros((3, 5, 0), dtype=np.int64),
+        np.zeros((0, 3, 2 * W + 1), dtype=np.int64),
+        np.zeros((4, 6, 6), dtype=np.int64),
+        rng.integers(0, p, (9, 1, 1)),
+        np.arange(p).reshape(p, 1, 1),
+        rng.integers(-p, p, (6, 5, 8)),
+        rng.integers(0, p, (6, 8, 5)),
+    ]
+    # rank at most k < m: thin products, one per matrix
+    for b, m, n, k in [(7, 12, 12, 5), (5, 2 * W, 2 * W, W - 3), (3, 40, 2 * W + 9, 11)]:
+        stacks.append(np.stack([random_matrix(rng, p, m, k, "dense") @
+                                random_matrix(rng, p, k, n, "dense") for _ in range(b)]))
+    # a stack mixing full, deficient and zero matrices
+    mixed = rng.integers(0, p, (5, 10, 10))
+    mixed[1, 7:] = mixed[1, :3]
+    mixed[2, :, 4] = 2 * mixed[2, :, 0]
+    mixed[3] = 0
+    mixed[4] = np.eye(10, dtype=np.int64)
+    stacks.append(mixed)
+    for stack in stacks:
+        got = gfp.rank(stack, p)
+        assert got.dtype == np.int64 and got.shape == (len(stack),)
+        assert got.tolist() == ref_ranks(stack, p), stack.shape
+    assert gfp.rank(mixed, p).tolist()[3:] == [0, 10]
+    assert max(gfp.rank(stacks[-2], p)) <= 11
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    b=st.integers(0, 6),
+    m=st.integers(0, 2 * W),
+    n=st.integers(0, 2 * W + 4),
+    kind=st.sampled_from(["dense", "thin", "signs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_rank_random_shapes(p, b, m, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_matrix(rng, p, m, n, kind) for _ in range(b)], dtype=np.int64)
+    stack = stack.reshape(b, m, n)
+    assert gfp.rank(stack, p).tolist() == ref_ranks(stack, p)
+
+
 def test_rref_leaves_input_alone():
     a = np.random.default_rng(0).integers(-5, 5, size=(2 * W, 3 * W))
     before = a.copy()

@@ -902,7 +902,7 @@ def test_decomposition_determinism():
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_decomposition_seed_sweep(p):
-    # the Monte Carlo splitting must not change the labelled answer
+    # the random splitting draws must not change the labelled answer
     pairs = [ab for n in range(6) for ab in enumerate_p2(n)]
     first = None
     for seed in range(5):
