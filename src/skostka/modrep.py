@@ -7,36 +7,40 @@ when both positions carry the same c-colour and sign -1 when they carry
 the same d-colour. Generators are stored as (perm, sign) pairs, so the
 group action costs O(dim) instead of a matrix product.
 
-The registry sweep splits modules by a Fitting-style tree. Random
-equivariant endomorphisms are sampled by sandwiching random elements of
-End(M), whose basis is read once per module off the contingency tables
-of basis pairs, between the tracked inclusion/projection maps of each
-node; the root, the whole module, holds none. The generalized kernels of
-the coprime factors of a minimal polynomial split a node; they are cut
-out by Chinese-remainder projectors, polynomials in the endomorphism,
-half of the factors at a time, and each projector is checked to be
-idempotent. A node that one random endomorphism leaves whole is decided
-exactly in its endomorphism algebra eAe, read inside A = End_G(M) from
-row 0 and the first-cell columns of the orbit basis (condensation, as in
-Lux, Mueller and Ringe, J. Symbolic Comput. 1994): when every element
-is a unit or nilpotent the node is certified indecomposable, and else
-an element found there splits it.
+The registry sweep splits modules by a Fitting-style tree inside the
+endomorphism algebra A = End_G(M), not on M (condensation, as in Lux,
+Mueller and Ringe, J. Symbolic Comput. 1994; for permutation modules A
+is a Schur-algebra piece, Green, LNM 830). The orbit basis of A is read
+once per module off the contingency tables of basis pairs, and a
+product in A off row 0 and the first-cell columns of that basis
+(HomBasis.left), so no matrix of the module's dimension is formed. A
+node of the tree is an idempotent e of A, held as its coordinates over
+GF(p); the root, the whole module, is e = 1. A node is split by z =
+e a e for a random element a: the coprime factors of the minimal
+polynomial of z in eAe cut it apart by Chinese-remainder idempotents,
+polynomials in z times e, half of the factors at a time, each checked
+to be idempotent and orthogonal to its complement. A node that one
+random z leaves whole is decided exactly in eAe: when every element is
+a unit or nilpotent the node is certified indecomposable, and else an
+element found there splits it.
 
 Every summand of M(alpha|beta) is a p-permutation module, and its
 species (Summand.species), one entry Summand.brauer(k) per group Q_k of
 k disjoint p-cycles, k = 0..n//p, decides its isomorphism type exactly
 for n < p^2, so modules_isomorphic draws no random number. An entry is
 the dimension and the Brauer character of the Brauer quotient at Q_k;
-at Q_0 = 1 it is the fingerprint. Species add over direct sums, and a
-whole module's is counted from its label, so the multiplicities of a
-module are one exact solve. The registry of class species sweeps the
-label rows in the fixed total order: a row whose class is the sign
-twin of an earlier one is solved with the twin's species twisted by
-the sign; any other row is built and split, and its one leaf of no
-known species, certified indecomposable, is its class. Loud integrity
-errors guard every inconsistency.
+at Q_0 = 1 it is the fingerprint, read from traces of e lifted to an
+idempotent over Z/q, and at k >= 1 from ranks of the gather e[X, X].
+Species add over direct sums, and a whole module's is counted from its
+label, so the multiplicities of a module are one exact solve. The
+registry of class species sweeps the label rows in the fixed total
+order: a row whose class is the sign twin of an earlier one is solved
+with the twin's species twisted by the sign; any other row is built and
+split, and its one leaf of no known species, certified indecomposable,
+is its class. Loud integrity errors guard every inconsistency.
 """
 
+import random
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from math import factorial, isqrt
@@ -58,8 +62,14 @@ DIM_CAP = 2520
 # inner dimensions are at most DIM_CAP and their entries below p, so
 # DIM_CAP (p-1)^2 < 2^53.
 PRIME_CAP = 1 + isqrt((2**53 - 1) // DIM_CAP)
-# the bound on the cells of a block of work in End_G(M), and on the
-# entries of the elements of End(x) that the certificate tests at once
+# The largest modulus of a lift (SignedPermModule.lift_modulus), the least
+# power of p above 2 dim + 1 <= 5041: 5039^2, at the largest prime below
+# 5041; past 5041 it is p itself, below PRIME_CAP. A product over Z/q has
+# inner dimension at most DIM_CAP, so DIM_CAP (LIFT_CAP - 1)^2 < 2^63 keeps
+# it exact in int64.
+LIFT_CAP = 5039**2
+# the bound on the entries of the elements of End(x) that the certificate
+# tests at once
 CELL_BLOCK = 2**18
 # the lines of End(x) that the certificate tests before it tries random
 # elements, and the number of those it tries
@@ -135,11 +145,57 @@ class SignedPermModule:
         self.dim = len(words)
         self.perms = perms
         self.signs = signs
+        self._traces = {}  # trace_rows by words
 
     @cached_property
     def end(self):
         """End(M) as a HomBasis, labelled once per module."""
         return _hom_orbits(self, self)
+
+    @cached_property
+    def lift_modulus(self):
+        """q, the least power of p above 2 dim + 1: a trace of an element
+        of End(M_Z) on a summand, of absolute value at most dim, is fixed
+        by its residue mod q. At most LIFT_CAP."""
+        q = self.p
+        while q <= 2 * self.dim + 1:
+            q *= self.p
+        return q
+
+    def trace_rows(self, words):
+        """(T, inverse): per word s, of order o prime to p, the row T_s over
+        Z/q, q = lift_modulus, with T_s a = sum_j tr(s^j a) mod q for the
+        coordinates a of an element of End(M), and inverse[s] = o^-1 mod q.
+
+        tr(s^j a) sums, over the basis words u, the sign of s^j at u times
+        the entry of a at the cell (u, s^j u): one gather of dim cells of
+        the Hom index per power. The powers run until the action returns
+        to the identity, which takes o steps or a divisor of o, over which
+        the average is the same. Kept per words."""
+        if words not in self._traces:
+            end, q, d = self.end, self.lift_modulus, self.dim
+            cells, identity = np.arange(d) * d, np.arange(d)
+            rows, orders = [], []
+            for word in words:
+                s = _word_action(self, word)
+                perm, sign = identity, np.ones(d, dtype=np.int64)
+                acc, o = np.zeros(2 * end.num + 1), 0
+                while not o or (perm != identity).any() or (sign != 1).any():
+                    acc += np.bincount(end.index[cells + perm], sign, acc.size)
+                    perm, sign = _compose_words(*s, perm, sign)
+                    o += 1
+                rows.append(acc[: end.num] - acc[end.num : -1])
+                orders.append(o)
+            rows = np.array(rows, dtype=np.int64).reshape(len(words), end.num)
+            inverse = np.array([pow(o, -1, q) for o in orders], dtype=np.int64)
+            self._traces[words] = gfp._mod(rows, q), inverse
+        return self._traces[words]
+
+    def fixed_cells(self, k):
+        """The Hom-index entries of the cells (X[i], X[j]), X the Q_k-fixed
+        words: an element's table gathers there to its block e[X, X]."""
+        X = self.quotients[k][0]
+        return self.end.index.reshape(self.end.shape)[np.ix_(X, X)]
 
     @cached_property
     def quotients(self):
@@ -331,8 +387,9 @@ class HomBasis:
     basis element k, num + k when it carries -1 times it, and 2 num
     when the cell is forced to zero. An element is then one gather, made
     in gfp.product_dtype of its larger side, so that its products on
-    either side take it without a copy. The engine samples End(M) to
-    split modules; no isomorphism question needs a Hom space.
+    either side take it without a copy; the engine itself holds elements
+    of End(M) only as coefficients, and multiplies them with left and
+    right. No isomorphism question needs a Hom space.
     """
 
     def __init__(self, shape, index, num):
@@ -340,17 +397,23 @@ class HomBasis:
         self.index = index
         self.num = num
 
-    def element(self, coeffs, p):
+    def table(self, coeffs, p, dtype=np.int64):
+        """The gather table of the element with these coefficients mod p."""
         v = np.asarray(coeffs, dtype=np.int64) % p
-        dtype = gfp.product_dtype(max(self.shape), p)
         table = np.empty(2 * self.num + 1, dtype=dtype)
         table[: self.num] = v
         table[self.num : -1] = (-v) % p
         table[-1] = 0
-        return table[self.index].reshape(self.shape)
+        return table
+
+    def element(self, coeffs, p):
+        dtype = gfp.product_dtype(max(self.shape), p)
+        return self.table(coeffs, p, dtype)[self.index].reshape(self.shape)
 
     def sample(self, rng, p):
-        return self.element(rng.integers(0, p, self.num), p)
+        """The coefficients of a random element, drawn from the
+        random.Random rng."""
+        return np.array([rng.randrange(p) for _ in range(self.num)], dtype=np.int64)
 
     @cached_property
     def first_cells(self):
@@ -359,25 +422,63 @@ class HomBasis:
         there."""
         return np.unique(self.index[: self.shape[1]], return_index=True)[1][: self.num]
 
-    def left_rows(self, v, p):
-        """Z with Z[k] = v X_k, for the basis elements X_k and a row
-        vector v over the rows: one weighted count over the index, a
-        bounded block of rows at a time, of each cell's v-entry into
-        (basis element, sign, column)."""
-        rows, cols = self.shape
+    # End(M) as an algebra A, on coefficients: below, the Hom space is
+    # End(M), whose basis element 0 is the identity, as the diagonal is
+    # the orbit of the first cell (0, 0)
+
+    @cached_property
+    def one(self):
+        """The coefficients of the identity of End(M)."""
+        return np.eye(1, self.num, dtype=np.int64)[0]
+
+    @cached_property
+    def _cells(self):
+        """The cells (v, w_l) of the first-cell columns, w = first_cells,
+        at which both the cell and the cell (0, v) of row 0 carry basis
+        elements, as flat arrays: the keys l num + O and l num + O0 of the
+        products, the element O of the cell, the element O0 of (0, v), and
+        the product of the two signs."""
+        m = self.num
         index = self.index.reshape(self.shape)
-        spread = np.arange(cols)
-        acc = np.zeros((2 * self.num + 1) * cols)
-        live = np.flatnonzero(v)
-        step = max(1, CELL_BLOCK // cols)
-        for i in range(0, live.size, step):
-            block = live[i : i + step]
-            keys = index[block] * cols + spread
-            weights = np.repeat(v[block].astype(np.float64), cols)
-            acc += np.bincount(keys.ravel(), weights, minlength=acc.size)
-        # sums of at most rows entries below p: exact in float64
-        acc = acc.astype(np.int64).reshape(2 * self.num + 1, cols)
-        return gfp._mod(acc[: self.num] - acc[self.num : -1], p)
+        cols, row0 = index[:, self.first_cells], index[0]
+        v, l = np.nonzero((cols < 2 * m) & (row0 < 2 * m)[:, None])
+        col, row = cols[v, l], row0[v]
+        sign = np.where((col < m) == (row < m), 1.0, -1.0)
+        col, row = col % m, row % m
+        return l * m + col, l * m + row, col, row, sign
+
+    def left(self, a, q, rows=None):
+        """L_a over Z/q: the num x num matrix of x -> a x on coefficients,
+        for the coefficients a of an element of End(M), or its given rows;
+        for a stack of coefficient rows, the stack of their matrices.
+
+        The coefficient of a X_O on X_O'' is its entry at the first cell
+        (0, w) of O'', sum_v a[0, v] X_O[v, w]: a weighted count of the
+        cells (v, w) of the first-cell columns, each weighted by the entry
+        a[0, v] of row 0, so no num^3 table of structure constants is
+        formed. Its sums, of at most dim terms below q <= LIFT_CAP, are
+        exact in float64, and it is held in the dtype of its products."""
+        key, _, col, row, sign = self._cells
+        m, out = self.num, self.num
+        if rows is not None:
+            at = np.full(m, -1)
+            at[rows] = np.arange(len(rows))
+            l = at[key // m]
+            keep = l >= 0
+            key, row, sign = l[keep] * m + col[keep], row[keep], sign[keep]
+            out = len(rows)
+        a = np.asarray(a)
+        acc = np.array([np.bincount(key, sign * x[row], out * m) for x in a.reshape(-1, m)])
+        acc = gfp._mod(acc.astype(np.int64), q).astype(gfp.product_dtype(m, q), copy=False)
+        return acc.reshape(*a.shape[:-1], out, m)
+
+    def right(self, b, q):
+        """R_b over Z/q: the matrix of x -> x b, from the same cells. The
+        coefficient of X_O b on X_O'' is sum_v X_O[0, v] b[v, w], so each
+        cell counts b[v, w] towards the element O0 of (0, v)."""
+        _, key, col, _, sign = self._cells
+        acc = gfp._mod(np.bincount(key, sign * b[col], self.num**2).astype(np.int64), q)
+        return acc.astype(gfp.product_dtype(self.num, q)).reshape(self.num, self.num)
 
 
 def _key_digits(ab, cd):
@@ -626,22 +727,26 @@ def _vector_minpoly(z, v, p):
     raise IntegrityError("Krylov iteration failed to close")
 
 
-def matrix_minpoly(z, p, rng, powers=None):
-    """Monic minimal polynomial of the matrix z over GF(p).
+def matrix_minpoly(z, p, rng, start=None):
+    """Monic minimal polynomial of the matrix z over GF(p), or of z on the
+    Krylov space of the vector start when one is given.
 
-    The powers of z that the check m(z) = 0 takes are kept in powers,
-    the _Powers table of z, when one is given.
+    With no start, random vectors drawn from the random.Random rng are
+    taken until the least common multiple of their polynomials
+    annihilates z. With a start, one Krylov run gives the answer exactly,
+    with no draw and no check.
     """
     d = z.shape[0]
+    if start is not None:
+        return _vector_minpoly(z.astype(gfp.product_dtype(d, p), copy=False), start, p)
     if d == 0:
         return [1]
-    if powers is None:
-        powers = _Powers(z, p)
+    powers = _Powers(z, p)
     m = [1]
     for _ in range(6):
-        v = rng.integers(0, p, d)
+        v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         if not v.any():
-            v[int(rng.integers(0, d))] = 1
+            v[rng.randrange(d)] = 1
         m = _poly_lcm(m, _vector_minpoly(powers.z, v, p), p)
         if len(m) > 1 and not _poly_eval_matrix(m, powers).any():
             return m
@@ -736,7 +841,7 @@ def _equal_degree(f, d, p, rng):
         return [f]
     e = (p**d - 1) // 2
     while True:
-        a = _poly_trim(rng.integers(0, p, len(f) - 1).tolist())
+        a = _poly_trim([rng.randrange(p) for _ in range(len(f) - 1)])
         g = _poly_gcd(f, _poly_sub(_poly_powmod(a, e, f, p), [1], p), p)
         if 1 < len(g) < len(f):
             return _equal_degree(g, d, p, rng) + _equal_degree(
@@ -759,7 +864,7 @@ def _factor_poly(coeffs, p):
     f = _poly_monic(f, p)
     if len(f) == 2:
         return [(f, 1)]
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     out = [
         (q, mult)
         for g, mult in _squarefree(f, p)
@@ -774,49 +879,104 @@ def _factor_poly(coeffs, p):
 # Fitting decomposition into indecomposable summands
 
 
+@lru_cache(maxsize=None)
+def _newton(q, p):
+    """The coefficients mod q, from x^1 up, of the composite of N(x) =
+    3 x^2 - 2 x^3 with itself until p^(2^k) >= q, for a power q of p:
+    x^2 = x mod p^j gives N(x)^2 = N(x) mod p^(2j), so the composite
+    takes an idempotent mod p to one mod q."""
+    out, precision = [0, 1], p
+    while precision < q:
+        square = _poly_mul(out, out, q)
+        cube = _poly_mul(square, out, q)
+        out = _poly_sub([3 * c for c in square], [2 * c for c in cube], q)
+        precision *= precision
+    return out[1:]
+
+
 class Summand:
-    """A direct summand of a signed permutation module, a node of the
-    splitting tree. Summand(parent), with no maps, is the whole parent:
-    whole, with C = R = None for the identity. part makes the other
-    nodes, with equivariant inclusion C (dim parent x dim) and
-    projection R (dim x dim parent), R C = I.
+    """A direct summand x = eM of a signed permutation module M, a node of
+    the splitting tree: e is an idempotent of A = End_G(M), held as its
+    coefficients over GF(p) in the orbit basis of parent.end.
+    Summand(parent), with no e, is the whole parent: whole, with e = 1
+    left implicit, so that the whole module's species is counted from
+    its label with no End(M) built.
+
+    e may be given as any integer vector r = e mod p, with left, the
+    matrix L_r of x -> r x on A over Z/q, q = parent.lift_modulus, when
+    it is known; the lift of e is a polynomial in r, evaluated by L_r.
+    The splitting tree hands each node its r and L_r, and drops L_r once
+    the node is done.
     """
 
-    def __init__(self, parent, C=None, R=None):
+    def __init__(self, parent, e=None, left=None):
         self.parent = parent
-        self.C = C
-        self.R = R
-        self.whole = C is None
-        self.dim = parent.dim if self.whole else C.shape[1]
+        self.whole = e is None
         self.p = parent.p
         self.n = parent.n
+        if not self.whole:
+            self.e = gfp.normalize(e, self.p)
+            self._rep = gfp.normalize(e, parent.lift_modulus)
+        else:
+            self.e = None
+        self._left = left
         self._brauer = {}  # brauer(k) by k
+
+    def over_q(self):
+        """(r, L_r) over Z/q: the identity for the whole module."""
+        if self.whole:
+            one = self.parent.end.one
+            return one, np.eye(len(one), dtype=np.int64)
+        if self._left is None:
+            self._left = self.parent.end.left(self._rep, self.parent.lift_modulus)
+        return self._rep, self._left
+
+    @cached_property
+    def dim(self):
+        """dim x, the trace of the lifted idempotent for a proper summand."""
+        return self.parent.dim if self.whole else self._fixed(0, ())[0]
+
+    @cached_property
+    def _lifted(self):
+        """The idempotent e' of A over Z/q, q = parent.lift_modulus, that
+        e lifts to: Newton's iteration e <- 3 e^2 - 2 e^3, each step of
+        which doubles the power of p to which e^2 = e holds, run as one
+        polynomial in r (_newton), which needs no product but by L_r. The
+        orbit basis is a Z-basis of End_ZG(M_Z), so A has integer
+        structure constants; r^2 = r mod p is checked. Lifts from other
+        r are conjugate in A, which commutes with the group, so their
+        traces against group elements are the same."""
+        q, p = self.parent.lift_modulus, self.p
+        r, left = self.over_q()
+        if ((gfp.matmul(left, r, q) - r) % p).any():
+            raise IntegrityError("the idempotent to lift is not idempotent mod p")
+        return _poly_eval_vector(_newton(q, p), left, r, q)
 
     def _fixed(self, k, words):
         """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
-        x, with Q_0 = 1; each word s normalizes Q_k and has order prime to
-        p. A whole module's is counted (_counted). At k = 0 a proper
-        summand fixes d - rank(g_x - 1), g_x = R P C, one product and one
-        stack of ranks for all words (the signed row gather of C is s^-1,
-        which fixes what s fixes). At k >= 1 its quotient is the image of
-        E = C[X] R[:, X], X the Q_k-fixed words, and s, commuting with E,
-        fixes rank E - rank((S - I) E) of it; E and every (S - I) E are
-        ranked in one stack."""
-        p, d = self.p, self.dim
+        x, with Q_0 = 1; each word s normalizes Q_k and has order o prime
+        to p. A whole module's is counted (_counted). At k = 0 a proper
+        summand's is read from its lifted idempotent e': s fixes
+        (1/o) sum_j tr(s^j e') of x, the average of its Brauer character
+        over <s>, an integer in [0, dim x] read from its residue mod q
+        (SignedPermModule.trace_rows; the empty word gives dim x). At
+        k >= 1 its quotient is the image of E = e[X, X], X the Q_k-fixed
+        words, and s, commuting with E, fixes rank E - rank((S - I) E) of
+        it; E and every (S - I) E are ranked in one stack."""
+        p, parent = self.p, self.parent
         if self.whole:
-            return _counted(self.parent.ab, p, k, words)
-        X, where = self.parent.quotients[k]
-        actions = [_word_action(self.parent, w) for w in words]
-        actions = [(where[perm[X]], sign[X]) for perm, sign in actions]
+            return _counted(parent.ab, p, k, words)
         if not k:
-            gathers = [sign[:, None] * self.C[target] for target, sign in actions]
-            g_x = gfp.matmul(self.R, np.hstack(gathers) % p, p)
-            # word i's matrix is g_x[:, i d : (i + 1) d]; take I off in place
-            stack = g_x.reshape(d, len(words), d)
-            diag = np.arange(d)
-            stack[diag, :, diag] -= 1
-            return d, tuple(d - r for r in gfp.rank(stack.transpose(1, 0, 2), p).tolist())
-        E = gfp.matmul(self.C[X], self.R[:, X], p)
+            q = parent.lift_modulus
+            rows, inverse = parent.trace_rows(((), *words))
+            dim, *fixed = (gfp.matmul(rows, self._lifted, q) * inverse % q).tolist()
+            if dim > parent.dim or max(fixed, default=0) > dim:
+                raise IntegrityError("a lifted trace is not the dimension of a fixed space")
+            return dim, tuple(fixed)
+        X, where = parent.quotients[k]
+        actions = [_word_action(parent, w) for w in words]
+        actions = [(where[perm[X]], sign[X]) for perm, sign in actions]
+        E = parent.end.table(self.e, p)[parent.fixed_cells(k)]
         stack = np.empty((len(words) + 1, *E.shape), dtype=np.int64)
         stack[0] = E
         for SE, (target, sign) in zip(stack[1:], actions):
@@ -877,142 +1037,105 @@ class Summand:
             out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
         return tuple(out)
 
-    def restrict(self, x):
-        """R x C: the endomorphism x of the parent restricted to the
-        summand; the whole module, which holds no maps, takes no product."""
+    def sandwich(self, a):
+        """e a e, for the coefficients a of an element of A; the whole
+        module, whose e is 1, takes no product."""
+        p = self.p
         if self.whole:
-            return x
-        return gfp.matmul(gfp.matmul(self.R, x, self.p), self.C, self.p)
-
-    def part(self, C, R):
-        """The child node whose inclusion and projection into this node
-        are C and R, as a Summand of the parent."""
-        if not self.whole:
-            p = self.p
-            C, R = gfp.matmul(self.C, C, p), gfp.matmul(R, self.R, p)
-        return Summand(self.parent, C, R)
+            return a % p
+        a_e = gfp.matmul(self.parent.end.left(a, p), self.e, p)
+        return gfp.matmul(self.over_q()[1], a_e, self.parent.lift_modulus) % p
 
 
-def _split_once(z, p, rng):
-    """Split along the coprime minpoly factors of z, or None.
+def _poly_eval_vector(coeffs, left, v, p):
+    """coeffs(z) v by Horner's rule, for left the matrix of x -> z x,
+    converted once to the dtype of its products."""
+    left = left.astype(gfp.product_dtype(len(left), p), copy=False)
+    out = np.zeros_like(v)
+    for c in reversed([int(c) % p for c in coeffs]):
+        out = gfp._mod(gfp.matmul(left, out, p) + c * v, p)
+    return out
 
-    The minimal polynomial m = prod f_i^(m_i) of z, with k >= 2 coprime
-    parts f_i^(m_i), cuts the space into the generalized kernels
-    ker f_i(z)^(m_i). Each is invariant under everything commuting with
-    z, in particular under the group action, so they are direct
-    summands of the node. Returns [(C_i, R_i)] in factor order, with
-    R_i C_j = delta_ij I and z C_i = C_i (R_i z C_i); the kernels are
-    found by _projector_split. The first projector is evaluated from the
-    powers of z that the minimal polynomial's check took, and the table
-    is dropped before the elimination.
+
+def _split_once(end, r, left_r, q, z, p, rng):
+    """Split the node of idempotent e = r mod p, left_r the matrix L_r
+    over Z/q, along the coprime factors of the minimal polynomial of z in
+    eAe, z = e z e, or None.
+
+    Left multiplication by z maps eA into itself, and its minimal
+    polynomial there is that of z in eAe, whose identity is e: eA is
+    spanned over A by e, so it is the minimal polynomial on the Krylov
+    space of e, which takes no draw and no check. It is also that of z
+    on the node eM. Its k >= 2 coprime parts f_i^(m_i) cut the node into
+    the generalized kernels of the f_i(z)^(m_i), invariant under all that
+    commutes with z, the group action included: direct summands, whose
+    idempotents _crt_split finds. Returns them in factor order, as
+    [(r_i, L_r_i)] over Z/q.
     """
-    powers = _Powers(z, p)
-    m = matrix_minpoly(z, p, rng, powers)
+    left = end.left(z, p)
+    m = matrix_minpoly(left, p, rng, start=r % p)
     factors = _factor_poly(m, p)
     if len(factors) < 2:
         return None
     parts = [_poly_prod([f] * mult, p) for f, mult in factors]
-    proj = _crt_projector(parts, powers)
-    del powers
-    return _projector_split(z, parts, p, proj)
+    return _crt_split(end, left, r, left_r, q, parts, p)
 
 
-def _crt_projector(parts, powers):
-    """E = e(z) for the first cut of _projector_split, from the _Powers
-    table of z."""
-    p = powers.p
-    half = len(parts) // 2
-    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
-    return _poly_eval_matrix(_poly_mul(h, _poly_invmod(h, g, p), p), powers)
-
-
-def _projector_split(z, parts, p, proj=None):
-    """Blocks of z along coprime parts whose product annihilates z.
+def _crt_split(end, left, r, left_r, q, parts, p):
+    """[(r_i, L_r_i)] over Z/q: the idempotents e_i = r_i mod p of the
+    node e = r mod p, left_r its L_r, along coprime parts whose product is
+    the minimal polynomial of z in eAe, left the matrix of x -> z x.
 
     The parts are cut into two halves with products g and h. The
-    polynomial e = h (h^-1 mod g) is 1 modulo g and 0 modulo h, so
-    E = e(z) is the projector onto the kernel of g(z) along that of
-    h(z) (Chinese remainders). One rref serves both halves. E = C R with
-    R the k nonzero rows of the rref and C = E[:, pivots], so E is
-    idempotent exactly when R C = I, which is checked. The kernel of E,
-    the image of I - E, has the basis N read off the rref, which is the
-    identity on the free columns; so (I - E)[free] gives coordinates on
-    it. As E commutes with z and R E = R, the first block R z C is
-    R z[:, pivots], and the second is z[free] N. Each half recurses on
-    its block; blocks come out in the order of the parts. E is formed by
-    _crt_projector unless given.
+    polynomial f = h (h^-1 mod g) is 1 modulo g and 0 modulo h, so
+    e_1 = f(z) e is the idempotent onto the generalized kernel of g(z)
+    along that of h(z) (Chinese remainders), and e_2 = e - e_1 the
+    other; e_1^2 = e_1 and e_1 e_2 = 0 are checked in A, by L_e_1, read
+    over Z/q. The other is r_2 = r - e_1, with L_r_2 = L_r - L_e_1. Each
+    half recurses with the same z, as f'(z) e_1 = f'(z e_1) e_1; the
+    idempotents come out in the order of the parts.
     """
-    d = z.shape[0]
     half = len(parts) // 2
-    if proj is None:
-        proj = _crt_projector(parts, _Powers(z, p))
-    r, pivots = gfp.rref(proj, p)
-    pivots = list(pivots)
-    k = len(pivots)
-    if k in (0, d):
+    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
+    e = r % p
+    e1 = _poly_eval_vector(_poly_mul(h, _poly_invmod(h, g, p), p), left, e, p)
+    e2 = gfp._mod(e - e1, p)
+    if not e1.any() or not e2.any():
         raise IntegrityError("minpoly factor with an empty kernel")
-    C, R = proj[:, pivots], r[:k]
-    if not np.array_equal(gfp.matmul(R, C, p), np.eye(k, dtype=np.int64)):
-        raise IntegrityError("Chinese-remainder projector is not idempotent")
-    keep = np.ones(d, bool)
-    keep[pivots] = False
-    free = np.flatnonzero(keep)
-    N = np.zeros((d, d - k), dtype=np.int64)
-    N[free, np.arange(d - k)] = 1
-    N[pivots] = gfp._mod(-R[:, free], p)
-    comp = -proj[free]
-    comp[np.arange(d - k), free] += 1
-    gfp._mod(comp, p)
+    left1 = end.left(e1, q)
+    if (gfp.matmul(left1, e1, q) % p != e1).any() or (gfp.matmul(left1, e2, q) % p).any():
+        raise IntegrityError("Chinese-remainder idempotent is not idempotent")
+    r2 = gfp._mod(r - e1, q)
+    left2 = gfp._mod((left_r - left1).astype(np.int64), q).astype(left1.dtype)
     out = []
-    for c, r, sub, left, right in (
-        (C, R, parts[:half], R, z[:, pivots]),
-        (N, comp, parts[half:], z[free], N),
-    ):
-        if len(sub) == 1:
-            out.append((c, r))
-            continue
-        for cc, rr in _projector_split(gfp.matmul(left, right, p), sub, p):
-            out.append((gfp.matmul(c, cc, p), gfp.matmul(rr, r, p)))
+    for sub, ri, li in ((parts[:half], e1, left1), (parts[half:], r2, left2)):
+        out += [(ri, li)] if len(sub) == 1 else _crt_split(end, left, ri, li, q, sub, p)
     return out
 
 
 def _node_algebra(node):
-    """(basis, reg): End_G(x) of the node x, as eAe inside A = End_G(M).
+    """(basis, reg): End_G(x) of the node x = eM, as eAe inside A.
 
-    e = C R is the node's idempotent in A. The elements e X_k e span eAe,
-    and an element of A is its coordinates, its entries at the first
-    cells (0, w_k) of row 0 (HomBasis.first_cells). So the rows of
-    Z = (e[0] X_k)_k, one weighted count over the index, times e[:, w]
-    are the coordinates of the e X_k e, and their rref holds a basis of
-    eAe, m_x rows with pivots P. The coordinate of b_i b_j at pivot l is
-    its entry sum_v b_i[0, v] b_j[v, w_P_l], which reads row 0 of b_i and
-    the columns w_P of b_j; as b_i b_j lies in eAe, these are its
-    coefficients in the basis. reg[i] is the m_x x m_x matrix of left
-    multiplication by b_i on eAe, which is End_G(x) by a -> R a C.
+    The coefficients of the e X_k e are the columns of L_e R_e, products
+    in A read from the first-cell columns (HomBasis.left and right), and
+    the rref of their rows holds a basis b of eAe, m_x rows with pivots
+    P; for the whole module, e = 1 and b is the orbit basis. A vector of
+    eAe has the coefficients v[P] in b. reg[i] is the m_x x m_x matrix of
+    left multiplication by b_i on eAe, which is End_G(x) by a -> a|x:
+    its column j is (L_b_i b_j)[P]. It is built only for the nodes that
+    reach the certificate.
     """
     end, p = node.parent.end, node.p
-    rows, cols = end.shape
-    w = end.first_cells
-    if node.whole:  # e = 1
-        z = end.left_rows(np.eye(1, rows, dtype=np.int64)[0], p)
-        coords = z[:, w]
+    if node.whole:
+        basis, pivots = np.eye(end.num, dtype=np.int64), range(end.num)
     else:
-        z = end.left_rows(gfp.matmul(node.C[:1], node.R, p)[0], p)
-        coords = gfp.matmul(z, gfp.matmul(node.C, node.R[:, w], p), p)
-    basis, pivots = gfp.rref(coords, p)
-    m = len(pivots)
-    basis = basis[:m]
-    # per basis element, its gather table as in HomBasis.element
-    table = np.concatenate([basis, gfp._mod(-basis, p), np.zeros((m, 1), np.int64)], 1)
-    index = end.index.reshape(end.shape)
-    row0 = table[:, index[0]]
-    reg = np.empty((m, m, m), dtype=np.int64)
-    step = max(1, CELL_BLOCK // (m * rows))
-    for l in range(0, m, step):
-        at = w[list(pivots[l : l + step])]
-        right = table[:, index[:, at]].transpose(1, 0, 2).reshape(rows, -1)
-        prod = gfp.matmul(row0, right, p).reshape(m, m, len(at))
-        reg[:, l : l + len(at)] = prod.transpose(0, 2, 1)
+        q = node.parent.lift_modulus
+        span = gfp.matmul(node.over_q()[1], end.right(node.e, p), q) % p
+        basis, pivots = gfp.rref(span.T, p)
+        basis = basis[: len(pivots)]
+    m, pivots = len(basis), list(pivots)
+    left = end.left(basis, p, pivots)
+    reg = gfp.matmul(left.reshape(m * m, end.num), basis.T, p).reshape(m, m, m)
     return basis, reg
 
 
@@ -1050,7 +1173,7 @@ def _nonlocal_element(reg, p, rng):
     flat = reg.reshape(m, m * m)
     if (p**m - 1) // (p - 1) > LINES:
         for _ in range(TRIES):
-            coeffs = rng.integers(0, p, m)
+            coeffs = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
             element = gfp.matmul(coeffs[None, :], flat, p).reshape(m, m)
             if len(_factor_poly(matrix_minpoly(element, p, rng), p)) > 1:
                 return coeffs
@@ -1067,22 +1190,24 @@ def _nonlocal_element(reg, p, rng):
 
 
 def _split_node(node, rng):
-    """Split the node, or None when it is indecomposable.
+    """The idempotents that split the node, or None when it is
+    indecomposable.
 
-    One round splits by a random endomorphism. When it refuses, End(x) =
-    eAe (_node_algebra) is searched for an element that splits x
-    (_nonlocal_element): none certifies x indecomposable, and the one
-    found splits x, as its minimal polynomial has two coprime factors."""
-    end, p = node.parent.end, node.p
-    split = _split_once(node.restrict(end.sample(rng, p)), p, rng)
+    One round splits by z = e a e for a random element a of A. When it
+    refuses, End(x) = eAe (_node_algebra) is searched for an element that
+    splits x (_nonlocal_element): none certifies x indecomposable, and
+    the one found, already in eAe, splits x, as its minimal polynomial
+    has two coprime factors."""
+    end, p, q = node.parent.end, node.p, node.parent.lift_modulus
+    r, left = node.over_q()
+    split = _split_once(end, r, left, q, node.sandwich(end.sample(rng, p)), p, rng)
     if split is not None:
         return split
     basis, reg = _node_algebra(node)
     coeffs = _nonlocal_element(reg, p, rng)
     if coeffs is None:
         return None
-    a = end.element(gfp.matmul(coeffs[None, :], basis, p)[0], p)
-    split = _split_once(node.restrict(a), p, rng)
+    split = _split_once(end, r, left, q, gfp.matmul(coeffs, basis, p), p, rng)
     if split is None:
         raise IntegrityError("the witness that End(x) is not local did not split the node")
     return split
@@ -1091,14 +1216,15 @@ def _split_node(node, rng):
 def decompose_summands(module, rng, known=frozenset()):
     """The indecomposable summands of the module, as Summand objects.
 
-    The splitting tree holds Summands, from the whole module. A node
-    whose species is in known, a set of class species, is that class:
-    it is accepted at once, its fingerprint tested before its species.
-    Any other node of dimension above 1 is split by an endomorphism
-    drawn from module.end and restricted to the node; if that round
-    refuses, the node is certified indecomposable, or split by a witness,
-    from its endomorphism algebra (_split_node). No leaf rests on luck:
-    each is of a known class, certified, or of dimension 1.
+    The splitting tree holds Summands, from the whole module, each an
+    idempotent of A = End_G(M). A node whose species is in known, a set
+    of class species, is that class: it is accepted at once, its
+    fingerprint tested before its species. Any other node of dimension
+    above 1 is split by e a e for an element a drawn from module.end
+    with the random.Random rng; if that round refuses, the node is
+    certified indecomposable, or split by a witness, from its
+    endomorphism algebra (_split_node). No leaf rests on luck: each is
+    of a known class, certified, or of dimension 1.
     """
     prints = {species[0] for species in known}
     dims = {fingerprint[0] for fingerprint in prints}
@@ -1106,19 +1232,18 @@ def decompose_summands(module, rng, known=frozenset()):
     leaves = []
     while queue:
         node = queue.pop()
-        if node.dim in dims and node.fingerprint() in prints and node.species() in known:
-            leaves.append(node)
-            continue
+        found = node.dim in dims and node.fingerprint() in prints and node.species() in known
         try:
-            split = _split_node(node, rng) if node.dim > 1 else None
+            split = None if found or node.dim == 1 else _split_node(node, rng)
         except IntegrityError as e:
             raise IntegrityError(
                 f"splitting a node of dimension {node.dim} of M{module.ab}: {e}"
             ) from e
+        node._left = None  # a leaf keeps e and its lift
         if split is None:
             leaves.append(node)
         else:
-            queue += [node.part(C, R) for C, R in split]
+            queue += [Summand(module, e, left) for e, left in split]
     total = sum(leaf.dim for leaf in leaves)
     if total != module.dim:
         raise IntegrityError(
@@ -1138,8 +1263,8 @@ def _flat(species):
 
 
 def _check_seed(seed):
-    """Refuse a negative seed, which numpy's SeedSequence rejects only
-    once random numbers are first drawn."""
+    """Refuse a negative seed up front, before any work: an engine seed
+    is a non-negative integer, as the command line's --seed is."""
     if seed < 0:
         raise ValueError(f"the seed must be non-negative, got {seed}")
 
@@ -1268,9 +1393,8 @@ class DirectEngine:
     def _label(self, key, known, where):
         """Split M(key): its one leaf of no species in known."""
         alpha, beta = key
-        rng = np.random.default_rng(
-            [self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta]
-        )
+        seed = (self.seed, 1, len(alpha), *alpha, 999983, len(beta), *beta)
+        rng = random.Random(repr(seed))
         species = set(known.values())
         try:
             leaves = decompose_summands(self.module(key), rng, known=species)

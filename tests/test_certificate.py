@@ -3,11 +3,12 @@ A = End_G(M), against dense computations on the node itself.
 
 A node that refuses its random round is decided in eAe: certified when
 every element is a unit or nilpotent, else split by the first element
-that is neither. The references below work on the d x d matrices
-R X_k C of the node, for the orbit basis X_k of A.
+that is neither. The references below work on the dense d x d matrices
+e X_k e of the node's idempotent e, for the orbit basis X_k of A.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -23,18 +24,32 @@ def orbit_matrix(end, k, p):
     return end.element(coeffs, p).astype(np.int64)
 
 
+def dense_idempotent(node):
+    """The node's idempotent e as a dense d x d matrix."""
+    end, p = node.parent.end, node.p
+    return end.element(end.one if node.whole else node.e, p).astype(np.int64)
+
+
 def dense_end(node):
-    """A basis of End_G(x) as d x d matrices: the rref of the flattened
-    R X_k C over every k."""
-    end, p, d = node.parent.end, node.p, node.dim
-    flat = np.array([node.restrict(orbit_matrix(end, k, p)).ravel() for k in range(end.num)])
+    """A basis of End_G(x) = eAe as d x d matrices: the rref of the
+    flattened e X_k e over every k."""
+    end, p, d = node.parent.end, node.p, node.parent.dim
+    e = dense_idempotent(node)
+    flat = np.array(
+        [
+            gfp.matmul(gfp.matmul(e, orbit_matrix(end, k, p), p), e, p).ravel()
+            for k in range(end.num)
+        ]
+    )
     r, pivots = gfp.rref(flat, p)
     return r[: len(pivots)].reshape(-1, d, d)
 
 
-def is_unit_or_nilpotent(z, p):
+def is_unit_or_nilpotent(z, p, dim):
+    """Whether z in eAe, a d x d matrix, is a unit of eAe, of rank dim x,
+    or nilpotent."""
     d = z.shape[0]
-    if len(gfp.rref(z, p)[1]) == d:
+    if len(gfp.rref(z, p)[1]) == dim:
         return True
     power = np.eye(d, dtype=np.int64)
     for _ in range(d):
@@ -49,7 +64,7 @@ def brute_local(node):
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         if any(coeffs):
             z = gfp._mod(np.tensordot(np.array(coeffs), basis, 1), p)
-            if not is_unit_or_nilpotent(z, p):
+            if not is_unit_or_nilpotent(z, p, node.dim):
                 return False
     return True
 
@@ -70,16 +85,22 @@ def refusing_nodes(monkeypatch, run):
     return nodes
 
 
-def test_left_rows_against_dense():
-    """Z[k] = v X_k, read off the index, equals the dense products."""
+def test_left_and_right_against_dense():
+    """L_a b and R_b a, read off the first-cell columns, are the
+    coefficients of the dense product a b, its entries at the first
+    cells of row 0; the identity is basis element 0."""
     rng = np.random.default_rng(0)
     for ab, p in [(((2, 1, 1), ()), 3), (((2, 1), (2,)), 5), (((1,) * 4, ()), 3)]:
         m = modrep.build_module(ab, p)
         end = m.end
-        v = rng.integers(0, p, m.dim)
-        v[1] = 0
-        want = [gfp.matmul(v[None, :], orbit_matrix(end, k, p), p)[0] for k in range(end.num)]
-        assert np.array_equal(end.left_rows(v, p), np.array(want)), ab
+        assert np.array_equal(end.element(end.one, p), np.eye(m.dim))
+        for _ in range(3):
+            a, b = rng.integers(0, p, (2, end.num))
+            dense = gfp.matmul(end.element(a, p), end.element(b, p), p)
+            want = dense[0, end.first_cells]
+            assert np.array_equal(end.element(want, p), dense), ab
+            assert np.array_equal(gfp.matmul(end.left(a, p), b, p), want), ab
+            assert np.array_equal(gfp.matmul(end.right(b, p), a, p), want), ab
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -99,7 +120,7 @@ def test_algebra_of_refusing_nodes(p, monkeypatch):
     for node in nodes:
         basis, reg = modrep._node_algebra(node)
         assert len(basis) == len(dense_end(node)), (p, node.parent.ab, node.dim)
-        local = modrep._nonlocal_element(reg, p, np.random.default_rng(0)) is None
+        local = modrep._nonlocal_element(reg, p, random.Random(0)) is None
         assert local == brute_local(node), (p, node.parent.ab, node.dim)
         verdicts.add(local)
     assert len(nodes) > 10 and verdicts == {True, False}
@@ -111,9 +132,9 @@ def refuse_first_round(monkeypatch):
     real = modrep._split_once
     calls = []
 
-    def planted(z, p, rng):
-        calls.append(z.shape[0])
-        return None if len(calls) == 1 else real(z, p, rng)
+    def planted(end, r, left, q, z, p, rng):
+        calls.append(r % p)
+        return None if len(calls) == 1 else real(end, r, left, q, z, p, rng)
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     return calls
@@ -127,20 +148,23 @@ def test_planted_sum_of_two_leaves_is_split(pick, monkeypatch):
     nilpotent, and that witness splits the node into the two dimensions."""
     p = 3
     m = modrep.build_module(((1,) * 4, ()), p)
-    leaves = modrep.decompose_summands(m, np.random.default_rng(0))
+    leaves = modrep.decompose_summands(m, random.Random(0))
     pairs = [
         (x, y)
         for x, y in itertools.combinations(leaves, 2)
         if (pick == "isomorphic") == modrep.modules_isomorphic(x, y)
     ]
     x, y = pairs[0]
-    node = modrep.Summand(m, np.hstack([x.C, y.C]), np.vstack([x.R, y.R]))
+    node = modrep.Summand(m, x.e + y.e)
+    assert node.dim == x.dim + y.dim
     basis, reg = modrep._node_algebra(node)
-    assert modrep._nonlocal_element(reg, p, np.random.default_rng(0)) is not None
+    assert modrep._nonlocal_element(reg, p, random.Random(0)) is not None
     calls = refuse_first_round(monkeypatch)
-    split = modrep._split_node(node, np.random.default_rng(1))
+    split = modrep._split_node(node, random.Random(1))
     assert len(calls) == 2 and split is not None
-    assert sorted(c.shape[1] for c, _ in split) == sorted([x.dim, y.dim])
+    assert sorted(modrep.Summand(m, r, left).dim for r, left in split) == sorted(
+        [x.dim, y.dim]
+    )
 
 
 def test_local_node_is_certified_after_one_refusal(monkeypatch):
@@ -148,12 +172,12 @@ def test_local_node_is_certified_after_one_refusal(monkeypatch):
     from its endomorphism algebra, with no second round."""
     p = 3
     m = modrep.build_module(((2, 1, 1), ()), p)
-    leaves = modrep.decompose_summands(m, np.random.default_rng(0))
+    leaves = modrep.decompose_summands(m, random.Random(0))
     leaf = max(leaves, key=lambda s: s.dim)
     assert brute_local(leaf)
     calls = refuse_first_round(monkeypatch)
-    assert modrep._split_node(leaf, np.random.default_rng(1)) is None
-    assert calls == [leaf.dim]
+    assert modrep._split_node(leaf, random.Random(1)) is None
+    assert len(calls) == 1 and np.array_equal(calls[0], leaf.e)
 
 
 def count_refusals(monkeypatch):
@@ -169,8 +193,8 @@ def count_refusals(monkeypatch):
             certified.append(node)
         return split
 
-    def spy_once(z, p, rng):
-        split = real_once(z, p, rng)
+    def spy_once(*args):
+        split = real_once(*args)
         refusals[-1] += split is None
         return split
 
@@ -225,9 +249,9 @@ def test_witness_that_does_not_split_is_loud(monkeypatch):
     round planted to refuse, a decomposable node raises IntegrityError
     naming the module and the node, instead of being accepted."""
     m = modrep.build_module(((2, 1, 1), ()), 3)
-    monkeypatch.setattr(modrep, "_split_once", lambda z, p, rng: None)
+    monkeypatch.setattr(modrep, "_split_once", lambda *args: None)
     with pytest.raises(modrep.IntegrityError) as info:
-        modrep.decompose_summands(m, np.random.default_rng(0))
+        modrep.decompose_summands(m, random.Random(0))
     msg = str(info.value)
     assert f"dimension {m.dim} of M((2, 1, 1), ())" in msg
     assert "did not split" in msg
@@ -245,5 +269,5 @@ def test_large_prime_splits_without_enumerating(p):
     assert isprime(p) and p <= modrep.PRIME_CAP
     m = modrep.build_module(((1,) * 4, ()), p)
     for seed in range(3):
-        leaves = modrep.decompose_summands(m, np.random.default_rng(seed))
+        leaves = modrep.decompose_summands(m, random.Random(seed))
         assert sorted(s.dim for s in leaves) == [1, 1, 2, 2, 3, 3, 3, 3, 3, 3]

@@ -10,6 +10,8 @@ element, each basis element included, must agree with the reference bit
 for bit.
 """
 
+import random
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -132,9 +134,12 @@ def test_sample_matches_reference_draw():
     m = modrep.build_module(((2, 1), (1,)), p)
     hom = modrep._hom_orbits(m, m)
     orbit, coeff, num = ref_hom_orbits(m, m)
-    got = hom.sample(np.random.default_rng(11), p)
-    coeffs = np.random.default_rng(11).integers(0, p, num)
-    assert same_element(got, ref_element(orbit, coeff, hom.shape, coeffs, p), p)
+    got = hom.sample(random.Random(11), p)
+    draw = random.Random(11)
+    coeffs = np.array([draw.randrange(p) for _ in range(num)])
+    assert got.tolist() == coeffs.tolist()
+    want = ref_element(orbit, coeff, hom.shape, coeffs, p)
+    assert same_element(hom.element(got, p), want, p)
 
 
 def ref_index(orbit, coeff, num):

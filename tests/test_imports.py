@@ -33,16 +33,16 @@ def test_cli_import_loads_neither_scipy_nor_sympy():
 
 def test_splitting_loads_no_masked_arrays():
     # np.setdiff1d reaches np.unique, which imports numpy.ma on first use;
-    # the degree-4 sweep at p = 3 splits rows through _projector_split
+    # the degree-4 sweep at p = 3 splits rows through _crt_split
     code = (
         "import sys\n"
         "from skostka import modrep\n"
-        "split = modrep._projector_split\n"
+        "split = modrep._crt_split\n"
         "calls = []\n"
         "def counted(*args):\n"
         "    calls.append(1)\n"
         "    return split(*args)\n"
-        "modrep._projector_split = counted\n"
+        "modrep._crt_split = counted\n"
         "modrep.DirectEngine(3).registry_for(4)\n"
         "print(len(calls) > 0, 'numpy.ma' in sys.modules)\n"
     )

@@ -1,6 +1,7 @@
 """Tests for the module-theoretic decomposition engine."""
 
 import functools
+import random
 import types
 from math import factorial, gcd
 
@@ -298,7 +299,7 @@ def test_orbit_key_overflow_raises(monkeypatch):
 
 
 def test_matrix_minpoly():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     z = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=np.int64)
     m = modrep.matrix_minpoly(z, P, rng)
     # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2 = x^3 + 2x^2 + 2x + 1 mod 3
@@ -362,12 +363,13 @@ def test_poly_eval_matrix_against_horner(p):
 def fitting_leaves(ab, p, seed=0):
     """(module, leaves of decompose_summands) for M(ab)."""
     m = modrep.build_module(ab, p)
-    return m, modrep.decompose_summands(m, np.random.default_rng(seed))
+    return m, modrep.decompose_summands(m, random.Random(seed))
 
 
 def test_leaf_summand_equivariance():
-    # every leaf with maps is a summand: R C = I, and each generator
-    # keeps the image of C, A_g C = C (R A_g C); a whole leaf holds none
+    # every leaf with an idempotent is a summand: as a dense matrix, e is
+    # idempotent, of rank the leaf's dimension, and commutes with each
+    # generator, A_g e = e A_g; a whole leaf holds none
     split = whole = 0
     for p in (3, 5):
         for n in range(5):
@@ -376,15 +378,15 @@ def test_leaf_summand_equivariance():
                 assert sum(s.dim for s in leaves) == m.dim
                 for s in leaves:
                     if s.whole:
-                        assert s.C is None and s.R is None and s.dim == m.dim
+                        assert s.e is None and s.dim == m.dim
                         whole += 1
                         continue
-                    eye = np.eye(s.dim, dtype=np.int64)
-                    assert (gfp.matmul(s.R, s.C, p) == eye).all(), (p, ab)
+                    e = m.end.element(s.e, p).astype(np.int64)
+                    assert (gfp.matmul(e, e, p) == e).all(), (p, ab)
+                    assert gfp.rank(e, p) == s.dim, (p, ab)
                     for g in range(len(m.perms)):
-                        ac = gfp.matmul(generator_matrix(m, g), s.C, p)
-                        restricted = gfp.matmul(s.R, ac, p)
-                        assert (ac == gfp.matmul(s.C, restricted, p)).all()
+                        a = generator_matrix(m, g)
+                        assert (gfp.matmul(a, e, p) == gfp.matmul(e, a, p)).all()
                     split += 1
     assert split > 50 and whole > 0
 
@@ -392,15 +394,15 @@ def test_leaf_summand_equivariance():
 @pytest.mark.parametrize("p", (3, 5))
 def test_whole_modules_hold_no_maps(p):
     """After the degree-6 sweep, the whole summand of every module it
-    built, one per split row, holds no maps, takes its dimension from
-    the module and has the species counted from its label."""
+    built, one per split row, holds no idempotent, takes its dimension
+    from the module and has the species counted from its label."""
     eng = engine(p)
     eng.registry_for(6)
     built = [m for m in eng.modules.values() if m.n == 6]
     assert len(built) == {3: 9, 5: 6}[p]
     for m in built:
         s = modrep.Summand(m)
-        assert s.whole and s.C is None and s.R is None, (p, m.ab)
+        assert s.whole and s.e is None, (p, m.ab)
         assert s.dim == m.dim
         assert s.species() == modrep._whole_species(m.ab, p), (p, m.ab)
 
@@ -416,11 +418,11 @@ def float64_product(a, b, p):
 @pytest.mark.parametrize("ab", [((1,) * 5, ()), ((2, 1, 1, 1), ())])
 def test_leaves_bit_identical_with_float64_products(ab, p, monkeypatch):
     """Products in float32 give every leaf the bytes that products in
-    float64 give it: the same draws, splits and bases."""
+    float64 give it: the same draws, splits and idempotents."""
 
     def leaf_bytes():
         _, leaves = fitting_leaves(ab, p, seed=11)
-        return [(s.C.dtype, s.C.shape, s.C.tobytes(), s.R.tobytes()) for s in leaves]
+        return [(s.e.dtype, s.e.shape, s.e.tobytes(), s.dim) for s in leaves]
 
     assert gfp.product_dtype(modrep.module_dimension(ab), p) is np.float32
     want = leaf_bytes()
@@ -436,35 +438,42 @@ def test_split_integrity_error_names_module_and_node(monkeypatch):
     real = modrep._split_once
     seen = []
 
-    def planted(z, p, rng):
-        if z.shape[0] < m.dim:
-            seen.append(z.shape[0])
+    def planted(end, r, left, q, z, p, rng):
+        if not np.array_equal(r, end.one):
+            seen.append(modrep.Summand(m, r, left).dim)
             raise modrep.IntegrityError("planted fault")
-        return real(z, p, rng)
+        return real(end, r, left, q, z, p, rng)
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     with pytest.raises(modrep.IntegrityError) as info:
-        modrep.decompose_summands(m, np.random.default_rng(0))
+        modrep.decompose_summands(m, random.Random(0))
     msg = str(info.value)
     assert seen and f"dimension {seen[-1]} of M((2, 1, 1), ())" in msg
     assert msg.endswith("planted fault")
 
 
 def test_whole_module_never_multiplies_by_identity(monkeypatch):
-    """The root of the splitting tree is the whole module, whose
-    restrictions and children take no product with its identity."""
+    """The root of the splitting tree is the whole module, whose draws
+    take no product with its identity: its left multiplication, the
+    identity matrix of End(M), is never formed."""
     m = modrep.build_module(((1,) * 4, ()), P)
-    eye = np.eye(m.dim, dtype=np.int64)
-    real = gfp.matmul
-    operands = []
+    eye = np.eye(m.end.num, dtype=np.int64)
+    real, real_left = gfp.matmul, modrep.HomBasis.left
+    operands, lefts = [], []
 
     def spy(a, b, p):
         operands.extend((np.asarray(a), np.asarray(b)))
         return real(a, b, p)
 
+    def spy_left(end, a, q, rows=None):
+        lefts.append(a)
+        return real_left(end, a, q, rows)
+
     monkeypatch.setattr(gfp, "matmul", spy)
-    leaves = modrep.decompose_summands(m, np.random.default_rng(0))
-    assert len(leaves) > 1 and operands
+    monkeypatch.setattr(modrep.HomBasis, "left", spy_left)
+    leaves = modrep.decompose_summands(m, random.Random(0))
+    assert len(leaves) > 1 and operands and lefts
+    assert not any(np.array_equal(a, m.end.one) for a in lefts)
     assert not any(x.shape == eye.shape and (x == eye).all() for x in operands)
 
 
@@ -527,18 +536,17 @@ def test_fingerprint_separates_whole_modules(p):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_fingerprint_routes_agree(p):
-    """The rank route of a proper summand agrees with the count from the
-    label of the whole module: each module of degree <= 4 is also taken
-    as a summand whose inclusion is a permutation matrix."""
+    """The lifted-trace and rank routes of a proper summand agree with the
+    count from the label of the whole module: each module of degree <= 4
+    is also taken as the summand of the idempotent 1, not marked whole."""
     for n in range(2, 5):
         for ab in enumerate_p2(n):
             m = modrep.build_module(ab, p)
             if m.dim == 1:
                 continue
-            perm = np.roll(np.eye(m.dim, dtype=np.int64), 1, axis=0)
-            s = modrep.Summand(m, perm, perm.T.copy())
-            assert not s.whole
-            assert s.fingerprint() == modrep._as_summand(m).fingerprint(), ab
+            s = modrep.Summand(m, m.end.one)
+            assert not s.whole and s.dim == m.dim
+            assert s.species() == modrep._as_summand(m).species(), ab
 
 
 def test_whole_fingerprint_computed_once_per_module(monkeypatch):
@@ -658,7 +666,7 @@ def test_full_module_classification_matches_part_counts(seed, monkeypatch):
             mods = {ab: modrep.build_module(ab, p) for ab in pairs}
             with monkeypatch.context() as m:
                 m.setattr(modrep, "_hom_orbits", refuse)
-                m.setattr(np.random, "default_rng", refuse)
+                m.setattr(modrep, "random", types.SimpleNamespace(Random=refuse))
                 for i, ab in enumerate(pairs):
                     for cd in pairs[i:]:
                         want = tabx.iso_equivalent(ab, cd)
@@ -1038,7 +1046,7 @@ def test_decompose_outside_label_rows_only_solves(p, monkeypatch):
 
     monkeypatch.setattr(modrep.SignedPermModule, "end", property(refuse))
     monkeypatch.setattr(modrep, "decompose_summands", refuse)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(modrep, "random", types.SimpleNamespace(Random=refuse))
     solved = 0
     for n in range(7):
         labels, rows = label_rows(n, p)
@@ -1069,7 +1077,7 @@ def test_solved_rows_agree_with_a_split(p):
                 continue
             known = {classes[label] for label in labels[:i]}
             m = modrep.build_module(rows[i], p)
-            leaves = modrep.decompose_summands(m, np.random.default_rng(i), known=known)
+            leaves = modrep.decompose_summands(m, random.Random(i), known=known)
             new = [leaf for leaf in leaves if leaf.species() not in known]
             assert len(new) == 1, (p, labels[i])
             assert new[0].species() == classes[labels[i]], (p, labels[i])

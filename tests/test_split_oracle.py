@@ -1,15 +1,19 @@
-"""The projector split of a Fitting node against the kernel-and-inverse
-split it replaced.
+"""The Chinese-remainder split of a Fitting node inside an algebra against
+the kernel-and-inverse split of dense matrices.
 
-The reference below is that earlier `_split_once`: one nullspace of
-f_i(z)^(m_i) per coprime factor of the minimal polynomial, then one
-inverse of the concatenated kernel bases. Both draw the same minimal
-polynomial from equal generators, and the generalized kernels are
-unique, so the two must give the same blocks in the same order, though
-in other bases: equal column spans block by block. Each split is also
-checked on its own: entries reduced mod p, R_i C_j = delta_ij I and
-z C_i = C_i (R_i z C_i).
+The reference below is an earlier `_split_once` on the module itself:
+one nullspace of f_i(z)^(m_i) per coprime factor of the minimal
+polynomial, then one inverse of the concatenated kernel bases. The split
+under test works in an algebra on coefficients, End_G(M) or, for the
+chosen minimal polynomials, the full matrix algebra, and returns one
+idempotent per factor. The generalized kernels are unique, so the two
+must give the same blocks in the same order: each idempotent, as a dense
+matrix, is idempotent, orthogonal to the others, commutes with z, sums
+with them to the node's idempotent, and has the column span of the
+reference block.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -34,76 +38,110 @@ def ref_split_once(z, p, rng):
         blocks.append(basis.T)
     u = np.concatenate(blocks, axis=1)
     assert u.shape[1] == z.shape[0]
-    u_inv = gfp.inverse(u, p)
-    assert u_inv is not None
-    out = []
-    start = 0
-    for b in blocks:
-        k = b.shape[1]
-        out.append((b, u_inv[start : start + k]))
-        start += k
-    return out
+    assert gfp.inverse(u, p) is not None
+    return blocks
 
 
-def check_blocks(z, blocks, p):
-    d = z.shape[0]
-    assert sum(c.shape[1] for c, _ in blocks) == d
-    for i, (c, r) in enumerate(blocks):
-        assert c.shape[0] == d and r.shape == (c.shape[1], d)
-        assert np.array_equal(c, c % p) and np.array_equal(r, r % p)
-        for j, (cj, _) in enumerate(blocks):
-            want = np.eye(c.shape[1], dtype=np.int64) if i == j else 0
-            assert (gfp.matmul(r, cj, p) == want).all(), (i, j)
-        restricted = gfp.matmul(gfp.matmul(r, z, p), c, p)
-        assert (gfp.matmul(z, c, p) == gfp.matmul(c, restricted, p)).all(), i
+class Matrices:
+    """The algebra of d x d matrices on their row-major coefficients, with
+    the one operation the split takes: left(a, q), the matrix of x -> a x."""
+
+    def __init__(self, d):
+        self.d = d
+        self.one = np.eye(d, dtype=np.int64).ravel()
+
+    def left(self, a, q):
+        a = np.asarray(a, dtype=np.int64).reshape(self.d, self.d)
+        return np.kron(a, np.eye(self.d, dtype=np.int64)) % q
+
+    def element(self, coeffs, p):
+        return np.asarray(coeffs, dtype=np.int64).reshape(self.d, self.d) % p
 
 
-def compare(z, p, seed=0):
-    """The number of blocks of the split, checked against the reference."""
-    got = modrep._split_once(z, p, np.random.default_rng(seed))
-    want = ref_split_once(z, p, np.random.default_rng(seed))
+def check_split(algebra, e, z, got, want, p):
+    """got, idempotents in the algebra, against want, dense column bases."""
+    E, Z = algebra.element(e, p).astype(np.int64), algebra.element(z, p).astype(np.int64)
+    dense = [algebra.element(x, p).astype(np.int64) for x in got]
+    assert len(got) == len(want)
+    assert all(np.array_equal(x, x % p) for x in got)
+    assert (sum(dense) % p == E).all()
+    for i, (x, c) in enumerate(zip(dense, want)):
+        for j, y in enumerate(dense):
+            want_xy = x if i == j else 0
+            assert (gfp.matmul(x, y, p) == want_xy).all(), (i, j)
+        assert (gfp.matmul(x, Z, p) == gfp.matmul(Z, x, p)).all(), i
+        k = gfp.rank(x, p)
+        assert c.shape[1] == k and gfp.rank(np.concatenate([x, c], axis=1), p) == k
+
+
+def split_once(algebra, e, z, p, seed, left_e=None):
+    """The idempotents of the split of the node e, left_e its L_e over
+    GF(p), by z."""
+    if left_e is None:
+        left_e = algebra.left(e, p)
+    got = modrep._split_once(algebra, e, left_e, p, z, p, random.Random(seed))
+    return None if got is None else [r for r, _ in got]
+
+
+def compare(algebra, e, z, restrict, p, seed=0, left_e=None):
+    """The number of idempotents of the split of the node e by z, checked
+    against the reference on restrict(z), z as a dense matrix on the node,
+    whose blocks restrict maps back to the module."""
+    got = split_once(algebra, e, z, p, seed, left_e)
+    local, back = restrict(algebra.element(z, p).astype(np.int64))
+    want = ref_split_once(local, p, random.Random(seed))
     if want is None:
         assert got is None
         return 1
-    assert got is not None and len(got) == len(want)
-    check_blocks(z, got, p)
-    for (c, _), (cw, _) in zip(got, want):
-        k = c.shape[1]
-        assert cw.shape[1] == k
-        assert gfp.rank(np.concatenate([c, cw], axis=1), p) == k
+    assert got is not None
+    check_split(algebra, e, z, got, [back(c) for c in want], p)
     return len(got)
+
+
+def whole(z):
+    return z, lambda c: c
+
+
+def on_node(E, p):
+    """The dense maps of the node of idempotent E: z -> R z C, and the
+    inclusion c -> C c, with R the rows of the rref of E and C = E[:, pivots]."""
+    r, pivots = gfp.rref(E, p)
+    R, C = r[: len(pivots)], E[:, list(pivots)]
+    return lambda z: (gfp.matmul(gfp.matmul(R, z, p), C, p), lambda c: gfp.matmul(C, c, p))
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_end_samples_degree_five(p):
-    rng = np.random.default_rng(10 + p)
+    rng = random.Random(10 + p)
     splits = 0
     for n in range(6):
         for ab in enumerate_p2(n):
-            m = modrep.build_module(ab, p)
-            end = m.end
-            splits += compare(end.sample(rng, p), p, seed=m.dim) > 1
+            end = modrep.build_module(ab, p).end
+            z = end.sample(rng, p)
+            splits += compare(end, end.one, z, whole, p, seed=len(z)) > 1
     assert splits > 40
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_end_samples_on_nodes(p):
-    """Samples sandwiched on the blocks of a split of the whole module,
-    as decompose_summands forms them on nodes that are not the whole."""
-    rng = np.random.default_rng(20 + p)
+    """Samples sandwiched on the nodes of a split of the whole module, as
+    decompose_summands forms them on nodes that are not the whole."""
+    rng = random.Random(20 + p)
     nodes = 0
     for ab in [ab for n in (4, 5) for ab in enumerate_p2(n)]:
         m = modrep.build_module(ab, p)
         end = m.end
         top = None
-        for _ in range(5):
-            top = modrep._split_once(end.sample(rng, p), p, rng)
+        for seed in range(5):
+            top = split_once(end, end.one, end.sample(rng, p), p, seed)
             if top is not None:
                 break
-        for c, r in top or []:
+        for e in top or []:
+            node = modrep.Summand(m, e)
+            restrict = on_node(end.element(e, p).astype(np.int64), p)
             for k in range(2):
-                z = gfp.matmul(gfp.matmul(r, end.sample(rng, p), p), c, p)
-                compare(z, p, seed=k)
+                z = node.sandwich(end.sample(rng, p))
+                compare(end, e, z, restrict, p, seed=k, left_e=node.over_q()[1] % p)
                 nodes += 1
     assert nodes > 60
 
@@ -149,6 +187,11 @@ def block_diagonal(blocks, p, rng):
             return gfp.matmul(gfp.matmul(s, z, p), s_inv, p)
 
 
+def compare_matrix(z, p, seed=0):
+    algebra = Matrices(len(z))
+    return compare(algebra, algebra.one, z.ravel(), whole, p, seed)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_chosen_factors(p):
     """Repeated linear factors, irreducible quadratics and cubics and
@@ -165,6 +208,7 @@ def test_chosen_factors(p):
     ]
     for polys in cases:
         z = block_diagonal([companion(f, p) for f in polys], p, rng)
+        algebra = Matrices(len(z))
         # every factor of every block's polynomial, with its degree share
         dims = {}
         for f in polys:
@@ -173,9 +217,10 @@ def test_chosen_factors(p):
                 dims[key] = dims.get(key, 0) + (len(g) - 1) * mult
         order = [tuple(g) for g, _ in modrep._factor_poly(mul(*polys, p=p), p)]
         for seed in range(3):
-            assert compare(z, p, seed) == len(order)
-            got = modrep._split_once(z, p, np.random.default_rng(seed))
-            assert [c.shape[1] for c, _ in got] == [dims[k] for k in order]
+            assert compare_matrix(z, p, seed) == len(order)
+            got = split_once(algebra, algebra.one, z.ravel(), p, seed)
+            ranks = [gfp.rank(algebra.element(e, p), p) for e in got]
+            assert ranks == [dims[k] for k in order]
 
 
 def test_nilpotent_and_scalar_do_not_split():
@@ -184,16 +229,20 @@ def test_nilpotent_and_scalar_do_not_split():
     x = np.array([0, 1])
     for polys in ([mul(x, x, x, p=p), x], [np.array([2, 1])] * 3):
         z = block_diagonal([companion(f, p) for f in polys], p, rng)
-        assert compare(z, p) == 1
+        assert compare_matrix(z, p) == 1
 
 
 def test_planted_non_idempotent_projector(monkeypatch):
-    """A wrong inverse in the Chinese-remainder polynomial makes E a
-    polynomial in z that is not idempotent; the rank check refuses it."""
+    """A wrong inverse in the Chinese-remainder polynomial makes f(z) e a
+    polynomial in z that is not idempotent; the check in the algebra
+    refuses it."""
     p = 3
-    z = np.diag([0, 0, 1, 1, 1]).astype(np.int64)
+    z = np.diag([0, 0, 1, 1, 1]).astype(np.int64).ravel()
+    algebra = Matrices(5)
+    left, one = algebra.left(z, p), algebra.one
     parts = [[0, 1], [p - 1, 1]]
-    assert len(modrep._projector_split(z, parts, p)) == 2
+    args = (algebra, left, one, algebra.left(one, p), p, parts, p)
+    assert len(modrep._crt_split(*args)) == 2
     monkeypatch.setattr(modrep, "_poly_invmod", lambda *args: [1])
     with pytest.raises(modrep.IntegrityError, match="not idempotent"):
-        modrep._projector_split(z, parts, p)
+        modrep._crt_split(*args)
