@@ -891,7 +891,7 @@ def _newton(q, p):
         cube = _poly_mul(square, out, q)
         out = _poly_sub([3 * c for c in square], [2 * c for c in cube], q)
         precision *= precision
-    return out[1:]
+    return tuple(out[1:])
 
 
 class Summand:
@@ -914,11 +914,11 @@ class Summand:
         self.whole = e is None
         self.p = parent.p
         self.n = parent.n
-        if not self.whole:
+        if self.whole:
+            self.e, self.dim = None, parent.dim
+        else:
             self.e = gfp.normalize(e, self.p)
             self._rep = gfp.normalize(e, parent.lift_modulus)
-        else:
-            self.e = None
         self._left = left
         self._brauer = {}  # brauer(k) by k
 
@@ -933,8 +933,8 @@ class Summand:
 
     @cached_property
     def dim(self):
-        """dim x, the trace of the lifted idempotent for a proper summand."""
-        return self.parent.dim if self.whole else self._fixed(0, ())[0]
+        """dim x of a proper summand, the trace of its lifted idempotent."""
+        return self._fixed(0, ())[0]
 
     @cached_property
     def _lifted(self):
@@ -1232,7 +1232,8 @@ def decompose_summands(module, rng, known=frozenset()):
     leaves = []
     while queue:
         node = queue.pop()
-        found = node.dim in dims and node.fingerprint() in prints and node.species() in known
+        found = node.dim in dims and node.fingerprint() in prints
+        found = found and node.species() in known
         try:
             split = None if found or node.dim == 1 else _split_node(node, rng)
         except IntegrityError as e:
