@@ -610,16 +610,6 @@ def _poly_gcd(a, b, p):
     return _poly_monic(a, p) if a else a
 
 
-def _poly_lcm(a, b, p):
-    if not a or not b:
-        return []
-    g = _poly_gcd(a, b, p)
-    q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    if r:
-        raise IntegrityError("the gcd does not divide the product")
-    return _poly_monic(q, p)
-
-
 def _poly_prod(polys, p):
     return reduce(lambda a, b: _poly_mul(a, b, p), polys)
 
@@ -646,67 +636,19 @@ def _poly_invmod(a, f, p):
     return [x * inv % p for x in s0]
 
 
-class _Powers:
-    """z, z^2, ... over GF(p), each product taken once, when first asked.
-
-    z is reduced and held in the dtype of its products, so that neither
-    the powers nor a Krylov step converts it again.
-    """
-
-    def __init__(self, z, p):
-        z = gfp.normalize(z, p)
-        self.p = p
-        self.z = z.astype(gfp.product_dtype(z.shape[0], p), copy=False)
-        self._table = [None, z]
-
-    def __len__(self):
-        return len(self._table)
-
-    def __getitem__(self, k):
-        while len(self._table) <= k:
-            self._table.append(gfp.matmul(self._table[-1], self.z, self.p))
-        return self._table[k]
-
-
-def _poly_eval_matrix(coeffs, powers):
-    """coeffs(z) by square-root blocking, few matrix products.
-
-    powers is the _Powers table of z. The coefficients are cut into
-    blocks of s, at least the square root of their number and at most
-    the powers the table already holds; each block is summed from the
-    powers z, ..., z^(s-1), and the blocks are combined by Horner's rule
-    in z^s. No product is taken with the identity or with zero.
-    """
-    p = powers.p
-    coeffs = [int(c) % p for c in coeffs]
-    d = powers.z.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    if not coeffs:
-        return out
-    s = max(isqrt(len(coeffs) - 1) + 1, min(len(powers) - 1, len(coeffs)))
-    blocks = [coeffs[i : i + s] for i in range(0, len(coeffs), s)]
-    diag = np.arange(d)
-    for k, block in enumerate(reversed(blocks)):
-        if k:
-            out = gfp.matmul(out, powers[s], p)
-        # entries stay below s p^2 until the one reduction per block
-        for e in range(1, len(block)):
-            if block[e]:
-                out += block[e] * powers[e]
-        out[diag, diag] += block[0]
-        gfp._mod(out, p)
-    return out
-
-
-def _vector_minpoly(z, v, p):
-    """Monic minimal polynomial of z on the Krylov space of v.
+def matrix_minpoly(z, v, p):
+    """Monic minimal polynomial of the matrix z over GF(p) on the Krylov
+    space of the vector v: exact, from one Krylov run, with no draw and no
+    check. For v the identity of an algebra on which z acts as left
+    multiplication, it is the minimal polynomial of z's element.
 
     Reduces z^k v against the reduced earlier vectors, keeping with each
     the coefficient list of the polynomial in z that produced it from v.
-    z is best given in the dtype of its products, as _Powers holds it,
-    so that no Krylov step converts it.
+    z is converted once to the dtype of its products, so that no Krylov
+    step converts it.
     """
     d = z.shape[0]
+    z = z.astype(gfp.product_dtype(d, p), copy=False)
     rows = []
     cur = np.asarray(v, dtype=np.int64) % p
     for k in range(d + 1):
@@ -725,38 +667,6 @@ def _vector_minpoly(z, v, p):
         rows.append((lead, (red * inv) % p, [x * inv % p for x in cmb]))
         cur = gfp.matmul(z, cur[:, None], p)[:, 0]
     raise IntegrityError("Krylov iteration failed to close")
-
-
-def matrix_minpoly(z, p, rng, start=None):
-    """Monic minimal polynomial of the matrix z over GF(p), or of z on the
-    Krylov space of the vector start when one is given.
-
-    With no start, random vectors drawn from the random.Random rng are
-    taken until the least common multiple of their polynomials
-    annihilates z. With a start, one Krylov run gives the answer exactly,
-    with no draw and no check.
-    """
-    d = z.shape[0]
-    if start is not None:
-        return _vector_minpoly(z.astype(gfp.product_dtype(d, p), copy=False), start, p)
-    if d == 0:
-        return [1]
-    powers = _Powers(z, p)
-    m = [1]
-    for _ in range(6):
-        v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-        if not v.any():
-            v[rng.randrange(d)] = 1
-        m = _poly_lcm(m, _vector_minpoly(powers.z, v, p), p)
-        if len(m) > 1 and not _poly_eval_matrix(m, powers).any():
-            return m
-    for j in range(d):
-        v = np.zeros(d, dtype=np.int64)
-        v[j] = 1
-        m = _poly_lcm(m, _vector_minpoly(powers.z, v, p), p)
-        if not _poly_eval_matrix(m, powers).any():
-            return m
-    raise IntegrityError("minimal polynomial did not annihilate the matrix")
 
 
 def _poly_sub(a, b, p):
@@ -1057,7 +967,7 @@ def _poly_eval_vector(coeffs, left, v, p):
     return out
 
 
-def _split_once(end, r, left_r, q, z, p, rng):
+def _split_once(end, r, left_r, q, z, p):
     """Split the node of idempotent e = r mod p, left_r the matrix L_r
     over Z/q, along the coprime factors of the minimal polynomial of z in
     eAe, z = e z e, or None.
@@ -1073,7 +983,7 @@ def _split_once(end, r, left_r, q, z, p, rng):
     [(r_i, L_r_i)] over Z/q.
     """
     left = end.left(z, p)
-    m = matrix_minpoly(left, p, rng, start=r % p)
+    m = matrix_minpoly(left, r % p, p)
     factors = _factor_poly(m, p)
     if len(factors) < 2:
         return None
@@ -1114,7 +1024,7 @@ def _crt_split(end, left, r, left_r, q, parts, p):
 
 
 def _node_algebra(node):
-    """(basis, reg): End_G(x) of the node x = eM, as eAe inside A.
+    """(basis, reg, one): End_G(x) of the node x = eM, as eAe inside A.
 
     The coefficients of the e X_k e are the columns of L_e R_e, products
     in A read from the first-cell columns (HomBasis.left and right), and
@@ -1122,8 +1032,9 @@ def _node_algebra(node):
     P; for the whole module, e = 1 and b is the orbit basis. A vector of
     eAe has the coefficients v[P] in b. reg[i] is the m_x x m_x matrix of
     left multiplication by b_i on eAe, which is End_G(x) by a -> a|x:
-    its column j is (L_b_i b_j)[P]. It is built only for the nodes that
-    reach the certificate.
+    its column j is (L_b_i b_j)[P]. one, the coefficients e[P] of e in b,
+    is the identity of eAe. It is built only for the nodes that reach the
+    certificate.
     """
     end, p = node.parent.end, node.p
     if node.whole:
@@ -1134,9 +1045,10 @@ def _node_algebra(node):
         basis, pivots = gfp.rref(span.T, p)
         basis = basis[: len(pivots)]
     m, pivots = len(basis), list(pivots)
+    one = (end.one if node.whole else node.e)[pivots]
     left = end.left(basis, p, pivots)
     reg = gfp.matmul(left.reshape(m * m, end.num), basis.T, p).reshape(m, m, m)
-    return basis, reg
+    return basis, reg, one
 
 
 def _lines(m, p):
@@ -1156,10 +1068,11 @@ def _lines(m, p):
             yield block
 
 
-def _nonlocal_element(reg, p, rng):
+def _nonlocal_element(reg, one, p, rng):
     """Coefficients of an element of the algebra whose left regular
     representation on the basis b_i is sum c_i reg[i], one that splits
     a module whose endomorphism algebra it is; None when there is none.
+    one holds the coefficients of the algebra's identity.
 
     Scaling keeps an element a unit or nilpotent, so one element per line
     is tested: a unit when its representation has full rank, nilpotent
@@ -1167,7 +1080,9 @@ def _nonlocal_element(reg, p, rng):
     the module (Fitting), and None means the algebra is local: the module
     is indecomposable. Past LINES lines, as at a large p from m = 2 on,
     up to TRIES random elements are tried first; one whose minimal
-    polynomial has two coprime factors splits the module too.
+    polynomial has two coprime factors splits the module too. A unital
+    algebra acts faithfully on itself, so that polynomial is the one on
+    the Krylov space of the identity.
     """
     m = reg.shape[0]
     flat = reg.reshape(m, m * m)
@@ -1175,7 +1090,7 @@ def _nonlocal_element(reg, p, rng):
         for _ in range(TRIES):
             coeffs = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
             element = gfp.matmul(coeffs[None, :], flat, p).reshape(m, m)
-            if len(_factor_poly(matrix_minpoly(element, p, rng), p)) > 1:
+            if len(_factor_poly(matrix_minpoly(element, one, p), p)) > 1:
                 return coeffs
     for coeffs in _lines(m, p):
         elements = gfp.matmul(coeffs, flat, p).reshape(-1, m, m)
@@ -1200,14 +1115,14 @@ def _split_node(node, rng):
     has two coprime factors."""
     end, p, q = node.parent.end, node.p, node.parent.lift_modulus
     r, left = node.over_q()
-    split = _split_once(end, r, left, q, node.sandwich(end.sample(rng, p)), p, rng)
+    split = _split_once(end, r, left, q, node.sandwich(end.sample(rng, p)), p)
     if split is not None:
         return split
-    basis, reg = _node_algebra(node)
-    coeffs = _nonlocal_element(reg, p, rng)
+    basis, reg, one = _node_algebra(node)
+    coeffs = _nonlocal_element(reg, one, p, rng)
     if coeffs is None:
         return None
-    split = _split_once(end, r, left, q, gfp.matmul(coeffs, basis, p), p, rng)
+    split = _split_once(end, r, left, q, gfp.matmul(coeffs, basis, p), p)
     if split is None:
         raise IntegrityError("the witness that End(x) is not local did not split the node")
     return split
@@ -1336,6 +1251,8 @@ class DirectEngine:
         self.decomps = {}
 
     def module(self, ab):
+        """The canonical module of ab, built once and kept for hom; the
+        sweep builds each row it splits afresh and drops it with the row."""
         key = _canonical_pair(ab)
         if key not in self.modules:
             self.modules[key] = build_module(key, self.p)
@@ -1356,7 +1273,8 @@ class DirectEngine:
         cap, before anything is built. A row whose class is not yet known
         is split: its one leaf of no known species is the class, and that
         leaf twisted by the sign is the class's sign twin, whose row is
-        solved. Each row's solve, holding its class once, is kept."""
+        solved. Each row's solve, holding its class once, is kept; the
+        split module is not, only its class species are."""
         if n in self.registry:
             return self.registry[n]
         p = self.p
@@ -1379,6 +1297,7 @@ class DirectEngine:
                 leaf = self._label(key, known, where)
                 known[label] = leaf.species()
                 twin, twisted = sign_twist_label(label, p), leaf.species_twisted()
+                del leaf  # and with it the row's module, before the next is built
                 if known.setdefault(twin, twisted) != twisted:
                     raise IntegrityError(f"{where}: its class (x) sgn is not {twin}")
             counts = self._solve(key, known, where)
@@ -1398,7 +1317,7 @@ class DirectEngine:
         rng = random.Random(repr(seed))
         species = set(known.values())
         try:
-            leaves = decompose_summands(self.module(key), rng, known=species)
+            leaves = decompose_summands(build_module(key, self.p), rng, known=species)
         except IntegrityError as e:
             raise IntegrityError(f"{self._where(key)}: {e}") from e
         new = [leaf for leaf in leaves if leaf.species() not in species]

@@ -15,6 +15,7 @@ import pytest
 
 from skostka import gfp, modrep
 from skostka.combinat import label_rows
+from test_split_oracle import dense_minpoly
 
 
 def orbit_matrix(end, k, p):
@@ -106,8 +107,11 @@ def test_left_and_right_against_dense():
 @pytest.mark.parametrize("p", (3, 5))
 def test_algebra_of_refusing_nodes(p, monkeypatch):
     """On every node that refuses a round in the degree <= 5 sweeps at
-    seeds 0-2, eAe has the dimension of the span of the R X_k C, and its
-    verdict, local or not, is that of enumerating the d x d matrices."""
+    seeds 0-2, eAe has the dimension of the span of the e X_k e, and its
+    verdict, local or not, is that of enumerating the d x d matrices.
+    Its identity has the coordinates one: each reg[i] takes one to the
+    i-th unit vector, and the Krylov polynomial of one under an element
+    is that element's minimal polynomial in eAe."""
 
     def sweeps():
         for seed in range(3):
@@ -117,10 +121,17 @@ def test_algebra_of_refusing_nodes(p, monkeypatch):
 
     nodes = refusing_nodes(monkeypatch, sweeps)
     verdicts = set()
+    rng = np.random.default_rng(p)
     for node in nodes:
-        basis, reg = modrep._node_algebra(node)
-        assert len(basis) == len(dense_end(node)), (p, node.parent.ab, node.dim)
-        local = modrep._nonlocal_element(reg, p, random.Random(0)) is None
+        basis, reg, one = modrep._node_algebra(node)
+        m = len(basis)
+        assert m == len(dense_end(node)), (p, node.parent.ab, node.dim)
+        assert np.array_equal(gfp.matmul(reg, one, p), np.eye(m)), (p, node.parent.ab)
+        for coeffs in rng.integers(0, p, (3, m)):
+            element = gfp.matmul(coeffs[None, :], reg.reshape(m, m * m), p).reshape(m, m)
+            want = dense_minpoly(element, p)
+            assert modrep.matrix_minpoly(element, one, p) == want, (p, node.parent.ab)
+        local = modrep._nonlocal_element(reg, one, p, random.Random(0)) is None
         assert local == brute_local(node), (p, node.parent.ab, node.dim)
         verdicts.add(local)
     assert len(nodes) > 10 and verdicts == {True, False}
@@ -132,9 +143,9 @@ def refuse_first_round(monkeypatch):
     real = modrep._split_once
     calls = []
 
-    def planted(end, r, left, q, z, p, rng):
+    def planted(end, r, left, q, z, p):
         calls.append(r % p)
-        return None if len(calls) == 1 else real(end, r, left, q, z, p, rng)
+        return None if len(calls) == 1 else real(end, r, left, q, z, p)
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     return calls
@@ -157,8 +168,8 @@ def test_planted_sum_of_two_leaves_is_split(pick, monkeypatch):
     x, y = pairs[0]
     node = modrep.Summand(m, x.e + y.e)
     assert node.dim == x.dim + y.dim
-    basis, reg = modrep._node_algebra(node)
-    assert modrep._nonlocal_element(reg, p, random.Random(0)) is not None
+    _, reg, one = modrep._node_algebra(node)
+    assert modrep._nonlocal_element(reg, one, p, random.Random(0)) is not None
     calls = refuse_first_round(monkeypatch)
     split = modrep._split_node(node, random.Random(1))
     assert len(calls) == 2 and split is not None

@@ -299,61 +299,19 @@ def test_orbit_key_overflow_raises(monkeypatch):
 
 
 def test_matrix_minpoly():
-    rng = random.Random(5)
     z = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=np.int64)
-    m = modrep.matrix_minpoly(z, P, rng)
+    m = modrep.matrix_minpoly(z, [0, 1, 1], P)
     # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2 = x^3 + 2x^2 + 2x + 1 mod 3
     assert m == [1, 2, 2, 1]
     factors = modrep._factor_poly(m, P)
     assert sorted((len(f) - 1, mult) for f, mult in factors) == [(1, 1), (1, 2)]
+    # only the Krylov space of the start: e_0 is an eigenvector, 0 has none
+    assert modrep.matrix_minpoly(z, [1, 0, 0], P) == [2, 1]
+    assert modrep.matrix_minpoly(z, [0, 0, 0], P) == [1]
     nil = np.zeros((4, 4), dtype=np.int64)
     nil[0, 1] = nil[1, 2] = 1
-    m2 = modrep.matrix_minpoly(nil, P, rng)
+    m2 = modrep.matrix_minpoly(nil, [0, 0, 1, 0], P)
     assert m2 == [0, 0, 0, 1]
-
-
-def test_poly_lcm_checks_the_gcd(monkeypatch):
-    # a "gcd" that does not divide the product is refused loudly, also
-    # under python -O
-    monkeypatch.setattr(modrep, "_poly_gcd", lambda a, b, p: [1, 1])
-    with pytest.raises(modrep.IntegrityError, match="gcd"):
-        modrep._poly_lcm([0, 1], [2, 1], P)
-
-
-def horner(coeffs, z, p):
-    d = z.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    for c in reversed([int(c) for c in coeffs]):
-        out = (gfp.matmul(out, z, p) + c * np.eye(d, dtype=np.int64)) % p
-    return out
-
-
-@pytest.mark.parametrize("p", (3, 5, 7))
-def test_poly_eval_matrix_against_horner(p):
-    rng = np.random.default_rng(p)
-    for d in range(1, 21):
-        z = rng.integers(0, p, (d, d))
-        # the products reduce an unreduced matrix the same way
-        z_wide = z + p * rng.integers(-2, 3, (d, d))
-        for length in range(0, 14):
-            polys = [rng.integers(0, p, length), rng.integers(-2 * p, 2 * p, length)]
-            if length:
-                polys.append(np.zeros(length, dtype=np.int64))
-                monomial = np.zeros(length, dtype=np.int64)
-                monomial[-1] = 1
-                polys.append(monomial)
-            for c in polys:
-                want = horner(c, z, p)
-                for mat in (z, z_wide):
-                    got = modrep._poly_eval_matrix(c, modrep._Powers(mat, p))
-                    assert got.dtype == np.int64 and got.shape == (d, d)
-                    assert np.array_equal(got, want), (d, c.tolist())
-    # the empty (zero) polynomial, a constant and a linear one, by hand
-    z = np.array([[0, 1], [2, 1]], dtype=np.int64)
-    powers = modrep._Powers(z, p)
-    assert modrep._poly_eval_matrix([], powers).tolist() == [[0, 0], [0, 0]]
-    assert modrep._poly_eval_matrix([2], powers).tolist() == [[2, 0], [0, 2]]
-    assert modrep._poly_eval_matrix([1, 1], powers).tolist() == [[1, 1], [2, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +350,24 @@ def test_leaf_summand_equivariance():
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_whole_modules_hold_no_maps(p):
+def test_whole_modules_hold_no_maps(p, monkeypatch):
     """After the degree-6 sweep, the whole summand of every module it
     built, one per split row, holds no idempotent, takes its dimension
-    from the module and has the species counted from its label."""
-    eng = engine(p)
+    from the module and has the species counted from its label; the
+    engine keeps none of those modules."""
+    real = modrep.build_module
+    built = []
+
+    def spy(ab, q):
+        built.append(real(ab, q))
+        return built[-1]
+
+    monkeypatch.setattr(modrep, "build_module", spy)
+    eng = modrep.DirectEngine(p)
     eng.registry_for(6)
-    built = [m for m in eng.modules.values() if m.n == 6]
+    built = [m for m in built if m.n == 6]
     assert len(built) == {3: 9, 5: 6}[p]
+    assert not eng.modules
     for m in built:
         s = modrep.Summand(m)
         assert s.whole and s.e is None, (p, m.ab)
@@ -438,11 +406,11 @@ def test_split_integrity_error_names_module_and_node(monkeypatch):
     real = modrep._split_once
     seen = []
 
-    def planted(end, r, left, q, z, p, rng):
+    def planted(end, r, left, q, z, p):
         if not np.array_equal(r, end.one):
             seen.append(modrep.Summand(m, r, left).dim)
             raise modrep.IntegrityError("planted fault")
-        return real(end, r, left, q, z, p, rng)
+        return real(end, r, left, q, z, p)
 
     monkeypatch.setattr(modrep, "_split_once", planted)
     with pytest.raises(modrep.IntegrityError) as info:

@@ -2,15 +2,16 @@
 the kernel-and-inverse split of dense matrices.
 
 The reference below is an earlier `_split_once` on the module itself:
-one nullspace of f_i(z)^(m_i) per coprime factor of the minimal
-polynomial, then one inverse of the concatenated kernel bases. The split
-under test works in an algebra on coefficients, End_G(M) or, for the
-chosen minimal polynomials, the full matrix algebra, and returns one
-idempotent per factor. The generalized kernels are unique, so the two
-must give the same blocks in the same order: each idempotent, as a dense
-matrix, is idempotent, orthogonal to the others, commutes with z, sums
-with them to the node's idempotent, and has the column span of the
-reference block.
+one nullspace of f_i(z)^(m_i) per coprime factor of the dense minimal
+polynomial, the lcm of the Krylov polynomials of the unit vectors, with
+f_i(z) by Horner's rule, then one inverse of the concatenated kernel
+bases. The split under test works in an algebra on coefficients,
+End_G(M) or, for the chosen minimal polynomials, the full matrix
+algebra, and returns one idempotent per factor. The generalized kernels
+are unique, so the two must give the same blocks in the same order: each
+idempotent, as a dense matrix, is idempotent, orthogonal to the others,
+commutes with z, sums with them to the node's idempotent, and has the
+column span of the reference block.
 """
 
 import random
@@ -22,14 +23,32 @@ from skostka import gfp, modrep
 from skostka.combinat import enumerate_p2
 
 
-def ref_split_once(z, p, rng):
-    m = modrep.matrix_minpoly(z, p, rng)
-    factors = modrep._factor_poly(m, p)
+def dense_minpoly(z, p):
+    """The minimal polynomial of the matrix z over GF(p): the lcm of the
+    Krylov polynomials of the unit vectors."""
+    m = [1]
+    for v in np.eye(len(z), dtype=np.int64):
+        f = modrep.matrix_minpoly(z, v, p)
+        m = modrep._poly_divmod(modrep._poly_mul(m, f, p), modrep._poly_gcd(m, f, p), p)[0]
+    return m
+
+
+def horner(coeffs, z, p):
+    """coeffs(z) for the matrix z, by Horner's rule."""
+    d = z.shape[0]
+    out = np.zeros((d, d), dtype=np.int64)
+    for c in reversed([int(c) for c in coeffs]):
+        out = (gfp.matmul(out, z, p) + c * np.eye(d, dtype=np.int64)) % p
+    return out
+
+
+def ref_split_once(z, p):
+    factors = modrep._factor_poly(dense_minpoly(z, p), p)
     if len(factors) < 2:
         return None
     blocks = []
     for f, mult in factors:
-        w = modrep._poly_eval_matrix(f, modrep._Powers(z, p))
+        w = horner(f, z, p)
         wm = w
         for _ in range(mult - 1):
             wm = gfp.matmul(wm, w, p)
@@ -74,22 +93,22 @@ def check_split(algebra, e, z, got, want, p):
         assert c.shape[1] == k and gfp.rank(np.concatenate([x, c], axis=1), p) == k
 
 
-def split_once(algebra, e, z, p, seed, left_e=None):
+def split_once(algebra, e, z, p, left_e=None):
     """The idempotents of the split of the node e, left_e its L_e over
     GF(p), by z."""
     if left_e is None:
         left_e = algebra.left(e, p)
-    got = modrep._split_once(algebra, e, left_e, p, z, p, random.Random(seed))
+    got = modrep._split_once(algebra, e, left_e, p, z, p)
     return None if got is None else [r for r, _ in got]
 
 
-def compare(algebra, e, z, restrict, p, seed=0, left_e=None):
+def compare(algebra, e, z, restrict, p, left_e=None):
     """The number of idempotents of the split of the node e by z, checked
     against the reference on restrict(z), z as a dense matrix on the node,
     whose blocks restrict maps back to the module."""
-    got = split_once(algebra, e, z, p, seed, left_e)
+    got = split_once(algebra, e, z, p, left_e)
     local, back = restrict(algebra.element(z, p).astype(np.int64))
-    want = ref_split_once(local, p, random.Random(seed))
+    want = ref_split_once(local, p)
     if want is None:
         assert got is None
         return 1
@@ -118,7 +137,7 @@ def test_end_samples_degree_five(p):
         for ab in enumerate_p2(n):
             end = modrep.build_module(ab, p).end
             z = end.sample(rng, p)
-            splits += compare(end, end.one, z, whole, p, seed=len(z)) > 1
+            splits += compare(end, end.one, z, whole, p) > 1
     assert splits > 40
 
 
@@ -132,16 +151,16 @@ def test_end_samples_on_nodes(p):
         m = modrep.build_module(ab, p)
         end = m.end
         top = None
-        for seed in range(5):
-            top = split_once(end, end.one, end.sample(rng, p), p, seed)
+        for _ in range(5):
+            top = split_once(end, end.one, end.sample(rng, p), p)
             if top is not None:
                 break
         for e in top or []:
             node = modrep.Summand(m, e)
             restrict = on_node(end.element(e, p).astype(np.int64), p)
-            for k in range(2):
+            for _ in range(2):
                 z = node.sandwich(end.sample(rng, p))
-                compare(end, e, z, restrict, p, seed=k, left_e=node.over_q()[1] % p)
+                compare(end, e, z, restrict, p, left_e=node.over_q()[1] % p)
                 nodes += 1
     assert nodes > 60
 
@@ -187,9 +206,9 @@ def block_diagonal(blocks, p, rng):
             return gfp.matmul(gfp.matmul(s, z, p), s_inv, p)
 
 
-def compare_matrix(z, p, seed=0):
+def compare_matrix(z, p):
     algebra = Matrices(len(z))
-    return compare(algebra, algebra.one, z.ravel(), whole, p, seed)
+    return compare(algebra, algebra.one, z.ravel(), whole, p)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -216,11 +235,10 @@ def test_chosen_factors(p):
                 key = tuple(g)
                 dims[key] = dims.get(key, 0) + (len(g) - 1) * mult
         order = [tuple(g) for g, _ in modrep._factor_poly(mul(*polys, p=p), p)]
-        for seed in range(3):
-            assert compare_matrix(z, p, seed) == len(order)
-            got = split_once(algebra, algebra.one, z.ravel(), p, seed)
-            ranks = [gfp.rank(algebra.element(e, p), p) for e in got]
-            assert ranks == [dims[k] for k in order]
+        assert compare_matrix(z, p) == len(order)
+        got = split_once(algebra, algebra.one, z.ravel(), p)
+        ranks = [gfp.rank(algebra.element(e, p), p) for e in got]
+        assert ranks == [dims[k] for k in order]
 
 
 def test_nilpotent_and_scalar_do_not_split():
