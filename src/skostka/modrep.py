@@ -149,8 +149,8 @@ class SignedPermModule:
 
     @cached_property
     def end(self):
-        """End(M) as a HomBasis, labelled once per module."""
-        return _hom_orbits(self, self)
+        """End(M) as a HomBasis, built once per module."""
+        return HomBasis(self, self)
 
     @cached_property
     def lift_modulus(self):
@@ -168,34 +168,35 @@ class SignedPermModule:
         coordinates a of an element of End(M), and inverse[s] = o^-1 mod q.
 
         tr(s^j a) sums, over the basis words u, the sign of s^j at u times
-        the entry of a at the cell (u, s^j u): one gather of dim cells of
-        the Hom index per power. The powers run until the action returns
-        to the identity, which takes o steps or a divisor of o, over which
-        the average is the same. Kept per words."""
+        the entry of a at the cell (u, s^j u): the powers' cells are
+        labelled in one lookup per word (HomBasis.at). The powers run
+        until the action returns to the identity, which takes o steps or a
+        divisor of o, over which the average is the same. Kept per words."""
         if words not in self._traces:
-            end, q, d = self.end, self.lift_modulus, self.dim
-            cells, identity = np.arange(d) * d, np.arange(d)
+            end, q, identity = self.end, self.lift_modulus, np.arange(self.dim)
             rows, orders = [], []
             for word in words:
                 s = _word_action(self, word)
-                perm, sign = identity, np.ones(d, dtype=np.int64)
-                acc, o = np.zeros(2 * end.num + 1), 0
-                while not o or (perm != identity).any() or (sign != 1).any():
-                    acc += np.bincount(end.index[cells + perm], sign, acc.size)
+                perms, signs = [identity], [np.ones(self.dim, dtype=np.int64)]
+                perm, sign = s
+                while (perm != identity).any() or (sign != 1).any():
+                    perms.append(perm)
+                    signs.append(sign)
                     perm, sign = _compose_words(*s, perm, sign)
-                    o += 1
+                cells = end.at(identity, np.array(perms)).ravel()
+                acc = np.bincount(cells, np.concatenate(signs), 2 * end.num + 1)
                 rows.append(acc[: end.num] - acc[end.num : -1])
-                orders.append(o)
+                orders.append(len(perms))
             rows = np.array(rows, dtype=np.int64).reshape(len(words), end.num)
             inverse = np.array([pow(o, -1, q) for o in orders], dtype=np.int64)
             self._traces[words] = gfp._mod(rows, q), inverse
         return self._traces[words]
 
     def fixed_cells(self, k):
-        """The Hom-index entries of the cells (X[i], X[j]), X the Q_k-fixed
-        words: an element's table gathers there to its block e[X, X]."""
+        """The labels of the cells (X[i], X[j]), X the Q_k-fixed words: an
+        element's table gathers there to its block e[X, X]."""
         X = self.quotients[k][0]
-        return self.end.index.reshape(self.end.shape)[np.ix_(X, X)]
+        return self.end.at(X, X, grid=True)
 
     @cached_property
     def quotients(self):
@@ -373,29 +374,81 @@ def _whole_species(ab, p):
 
 
 class HomBasis:
-    """Basis of the intertwiner space M -> N, encoded cell by cell.
+    """Basis of the intertwiner space M -> N, labelled cell by cell on demand.
 
     An intertwiner X (dim N rows, dim M columns) must satisfy
     X[k', j'] = signN[k] * signM[j] * X[k, j] whenever the generator
     action carries the cell (k, j) to (k', j'), so the space has one
     basis element per orbit of cells that is not forced to zero, num in
-    all, numbered by their first cells in row-major order and +1 there
-    (_hom_orbits reads them off contingency tables). Each cell stores
-    one signed gather index into the table
+    all, numbered by their first cells in row-major order and +1 there.
+
+    A cell pairs a word u of N (its row) with a word v of M. Its
+    S_n-orbit is its contingency table t[a][b] = #{i : u_i = a, v_i =
+    b}: Hom between permutation modules is spanned by double cosets of
+    Young subgroups (James, LNM 682). The table's digits (_key_digits)
+    key the orbit, an int64 product of per-word tables. The stabilizer of
+    the cell permutes the points within each table entry, so the orbit
+    is forced to zero when two points share a c-colour on one side and a
+    d-colour on the other. Otherwise the cell carries (-1)^inv, up to one
+    sign per orbit, where inv counts the inversions of v among the points
+    sharing a d-colour of u and those of u among the points sharing a
+    d-colour of v; both are float32 products of point-pair tables, exact
+    as their entries are at most n(n-1). Row 0 meets every orbit, as S_n
+    moves every word to the first, so the orbits are the distinct keys of
+    row 0, and any cell is labelled by finding its key there (at).
+
+    A label is a signed gather index into the table
     [v_0, ..., v_{num-1}, -v_0, ..., -v_{num-1}, 0] built from the
-    coefficients v of an element: k when the cell carries +1 times
-    basis element k, num + k when it carries -1 times it, and 2 num
-    when the cell is forced to zero. An element is then one gather, made
-    in gfp.product_dtype of its larger side, so that its products on
-    either side take it without a copy; the engine itself holds elements
-    of End(M) only as coefficients, and multiplies them with left and
-    right. No isomorphism question needs a Hom space.
+    coefficients v of an element: k when the cell carries +1 times basis
+    element k, num + k when it carries -1 times it, and 2 num when the
+    cell is forced to zero. The engine holds elements of End(M) only as
+    coefficients, multiplies them with left and right, and gathers only
+    the cells it reads; no isomorphism question needs a Hom space.
     """
 
-    def __init__(self, shape, index, num):
-        self.shape = shape
-        self.index = index
-        self.num = num
+    def __init__(self, m, n_mod):
+        if m.n != n_mod.n or m.p != n_mod.p:
+            raise ValueError("hom requires equal degree and prime")
+        base, digits = _key_digits(m.ab, n_mod.ab)
+        if base**digits >= 2**63:
+            raise OverflowError(
+                f"the Hom-orbit keys of M{m.ab} -> M{n_mod.ab} need {digits} "
+                f"digits in base {base}, beyond int64"
+            )
+        U, cu, du, gu = _pair_tables(n_mod)
+        V, cv, dv, gv = _pair_tables(m)
+        colours = len(m.ab[0]) + len(m.ab[1])
+        self.shape = (n_mod.dim, m.dim)
+        self._keys = ku, kv = base ** (colours * U), base**V
+        ou, ov = np.hstack((du, gu)), np.hstack((gv, dv))
+        # the pair columns that can add to inv: none for End of an unsigned M
+        live = ou.any(axis=0) & ov.any(axis=0)
+        self._odd = ou, ov = ou[:, live], ov[:, live]
+        zero = (np.hstack((cu[:1], du[:1])) @ np.hstack((dv, cv)).T)[0] > 0
+        self._keys0, first = np.unique(ku[0] @ kv.T, return_index=True)
+        ranked = np.argsort(first)
+        ranked = ranked[~zero[first[ranked]]]
+        self.num = num = len(ranked)
+        # the column of each basis element's first cell, in row 0, where it
+        # is +1: its coordinate in an element is that element's entry there
+        self.first_cells = first[ranked]
+        # the label of an orbit's cell by the parity of its inv
+        sign0 = (ou[0] @ ov[self.first_cells].T).astype(np.intp) & 1
+        self._table = np.full((len(first), 2), 2 * num, dtype=np.intp)
+        self._table[ranked, sign0] = np.arange(num)
+        self._table[ranked, 1 - sign0] = num + np.arange(num)
+
+    def at(self, u, v, grid=False):
+        """The labels of the cells (u, v), pointwise over broadcast index
+        arrays, or over the grid u x v of two index vectors, whose keys and
+        parities are matrix products of the per-word tables."""
+        (ku, kv), (ou, ov) = self._keys, self._odd
+        if grid:
+            key, odd = ku[u] @ kv[v].T, ou[u] @ ov[v].T
+        else:
+            key = np.einsum("...i,...i->...", ku[u], kv[v])
+            odd = np.einsum("...i,...i->...", ou[u], ov[v])
+        return self._table[np.searchsorted(self._keys0, key), odd.astype(np.intp) & 1]
 
     def table(self, coeffs, p, dtype=np.int64):
         """The gather table of the element with these coefficients mod p."""
@@ -407,20 +460,16 @@ class HomBasis:
         return table
 
     def element(self, coeffs, p):
+        """The dense element, gathered in gfp.product_dtype of its larger
+        side, so that its products take it without a copy."""
         dtype = gfp.product_dtype(max(self.shape), p)
-        return self.table(coeffs, p, dtype)[self.index].reshape(self.shape)
+        rows, cols = map(np.arange, self.shape)
+        return self.table(coeffs, p, dtype)[self.at(rows, cols, grid=True)]
 
     def sample(self, rng, p):
         """The coefficients of a random element, drawn from the
         random.Random rng."""
         return np.array([rng.randrange(p) for _ in range(self.num)], dtype=np.int64)
-
-    @cached_property
-    def first_cells(self):
-        """The column of each basis element's first cell, in row 0, where
-        it is +1: its coordinate in an element is that element's entry
-        there."""
-        return np.unique(self.index[: self.shape[1]], return_index=True)[1][: self.num]
 
     # End(M) as an algebra A, on coefficients: below, the Hom space is
     # End(M), whose basis element 0 is the identity, as the diagonal is
@@ -438,9 +487,8 @@ class HomBasis:
         elements, as flat arrays: the keys l num + O and l num + O0 of the
         products, the element O of the cell, the element O0 of (0, v), and
         the product of the two signs."""
-        m = self.num
-        index = self.index.reshape(self.shape)
-        cols, row0 = index[:, self.first_cells], index[0]
+        m, words = self.num, np.arange(self.shape[0])
+        cols, row0 = self.at(words, self.first_cells, grid=True), self.at(0, words)
         v, l = np.nonzero((cols < 2 * m) & (row0 < 2 * m)[:, None])
         col, row = cols[v, l], row0[v]
         sign = np.where((col < m) == (row < m), 1.0, -1.0)
@@ -500,61 +548,6 @@ def _pair_tables(module):
     r = len(module.ab[0])
     tables = [x.astype(np.float32) for x in (same & (a < r), same & (a >= r), a > b)]
     return [words] + tables
-
-
-def _hom_orbits(m, n_mod):
-    """HomBasis of the intertwiners m -> n_mod, in closed form.
-
-    A cell pairs a word u of n_mod (its row) with a word v of m. Its
-    S_n-orbit is its contingency table t[a][b] = #{i : u_i = a, v_i =
-    b}: Hom between permutation modules is spanned by double cosets of
-    Young subgroups (James, LNM 682). The table's digits (_key_digits)
-    key the orbit, in one int64 product of per-word tables. The
-    stabilizer of the cell permutes the points within each table entry,
-    so the orbit is forced to zero when two points share a c-colour on
-    one side and a d-colour on the other. Otherwise the cell carries
-    (-1)^inv, up to one sign per orbit, where inv counts the inversions
-    of v among the points sharing a d-colour of u and those of u among
-    the points sharing a d-colour of v; both are float32 products of
-    point-pair tables, exact as their entries are at most n(n-1).
-
-    Row 0 meets every orbit, as S_n moves every word to the first, so
-    each row holds the keys of row 0 permuted, and sorting each row by
-    key carries row 0's orbits to it. Orbits are numbered by their first
-    cell in row-major order, in row 0, with sign +1 there.
-    """
-    if m.n != n_mod.n or m.p != n_mod.p:
-        raise ValueError("hom requires equal degree and prime")
-    base, digits = _key_digits(m.ab, n_mod.ab)
-    if base**digits >= 2**63:
-        raise OverflowError(
-            f"the Hom-orbit keys of M{m.ab} -> M{n_mod.ab} need {digits} "
-            f"digits in base {base}, beyond int64"
-        )
-    U, cu, du, gu = _pair_tables(n_mod)
-    V, cv, dv, gv = _pair_tables(m)
-    colours = len(m.ab[0]) + len(m.ab[1])
-    key = (base ** (colours * U)) @ (base**V).T
-    zero = (np.hstack((cu[:1], du[:1])) @ np.hstack((dv, cv)).T)[0] > 0
-    odd = (np.hstack((du, gu)) @ np.hstack((gv, dv)).T).astype(np.intp) & 1
-    # orbits as the distinct keys of row 0, then in each row by key order
-    _, first, orbit = np.unique(key[0], return_index=True, return_inverse=True)
-    ranked = np.argsort(first)
-    ranked = ranked[~zero[first[ranked]]]
-    num = len(ranked)
-    order = np.argsort(key, axis=1)
-    del key
-    cell = np.empty(order.shape, dtype=np.intp)
-    np.put_along_axis(cell, order, orbit[order[0]], axis=1)
-    del order
-    # the index of an orbit's cell by the parity of its inv
-    table = np.full((len(first), 2), 2 * num, dtype=np.intp)
-    sign0 = odd[0, first[ranked]]
-    table[ranked, sign0] = np.arange(num)
-    table[ranked, 1 - sign0] = num + np.arange(num)
-    cell *= 2
-    cell += odd
-    return HomBasis(cell.shape, table.ravel()[cell.ravel()], num)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,7 +1256,7 @@ class DirectEngine:
         key = (_canonical_pair(ab), _canonical_pair(cd))
         if key not in self.homs:
             m, n_mod = self.module(key[0]), self.module(key[1])
-            self.homs[key] = m.end if m is n_mod else _hom_orbits(m, n_mod)
+            self.homs[key] = m.end if m is n_mod else HomBasis(m, n_mod)
         return self.homs[key]
 
     def registry_for(self, n):

@@ -5,9 +5,10 @@ scipy's connected components of the two-layer cell graph give each cell
 a basis element orbit[cell] (-1 when forced to zero) and a sign
 coeff[cell] in {+1, -1, 0}, and an element is (vals[orbit] * coeff) % p.
 The module reads the same orbits off contingency tables in closed form
-and stores one signed gather index per cell. Every index and every
-element, each basis element included, must agree with the reference bit
-for bit.
+and labels any cell on demand with one signed gather index
+(HomBasis.at). Every label and every element, each basis element
+included, must agree with the reference bit for bit, and the pointwise
+labels with the grid's.
 """
 
 import random
@@ -98,7 +99,7 @@ def test_hom_encoding_against_orbit_coeff(p):
             if key not in mods:
                 mods[key] = modrep.build_module(key, p)
         m, n_mod = mods[ab], mods[cd]
-        hom = modrep._hom_orbits(m, n_mod)
+        hom = modrep.HomBasis(m, n_mod)
         orbit, coeff, num = ref_hom_orbits(m, n_mod)
         shape = (n_mod.dim, m.dim)
         assert hom.num == num and hom.shape == shape, (ab, cd)
@@ -125,14 +126,14 @@ def test_forced_zero_cell_example():
     sgn = modrep.build_module(((), (2,)), 3)
     orbit, coeff, num = ref_hom_orbits(triv, sgn)
     assert num == 0 and coeff.tolist() == [0]
-    hom = modrep._hom_orbits(triv, sgn)
+    hom = modrep.HomBasis(triv, sgn)
     assert hom.num == 0 and hom.element([], 3).tolist() == [[0]]
 
 
 def test_sample_matches_reference_draw():
     p = 3
     m = modrep.build_module(((2, 1), (1,)), p)
-    hom = modrep._hom_orbits(m, m)
+    hom = modrep.HomBasis(m, m)
     orbit, coeff, num = ref_hom_orbits(m, m)
     got = hom.sample(random.Random(11), p)
     draw = random.Random(11)
@@ -147,11 +148,13 @@ def ref_index(orbit, coeff, num):
 
 
 def assert_index_matches(m, n_mod):
-    hom = modrep._hom_orbits(m, n_mod)
+    """The labels of HomBasis.at over the full grid are the reference's."""
+    hom = modrep.HomBasis(m, n_mod)
     orbit, coeff, num = ref_hom_orbits(m, n_mod)
     assert hom.num == num and hom.shape == (n_mod.dim, m.dim)
-    assert hom.index.dtype == np.intp
-    assert np.array_equal(hom.index, ref_index(orbit, coeff, num))
+    index = hom.at(np.arange(n_mod.dim), np.arange(m.dim), grid=True)
+    assert index.dtype == np.intp and index.shape == hom.shape
+    assert np.array_equal(index.ravel(), ref_index(orbit, coeff, num))
 
 
 def test_end_index_degree_five():
@@ -178,7 +181,9 @@ def test_end_index_degree_six():
 
 
 def test_end_index_regular_degree_six():
-    """End(M(1^6)): 720^2 cells, the widest orbits the engine labels."""
+    """End(M(1^6)): 720^2 cells over the full grid, the widest orbits of
+    degree six. The engine never labels them: the sweep counts M(1^6)
+    from its label and never splits it."""
     m = modrep.build_module(((1,) * 6, ()), 3)
     assert_index_matches(m, m)
 
@@ -188,3 +193,31 @@ def test_cross_index_degree_six():
     n_mod = modrep.build_module(((1, 1, 1, 1), (2,)), 3)
     assert_index_matches(m, n_mod)
     assert_index_matches(n_mod, m)
+
+
+def assert_pointwise_matches(hom, rng, perms=()):
+    """HomBasis.at on cell lists gives the grid's entries there: on a
+    stack of random cells, and on the rows against a stack of maps of the
+    rows to the columns, as trace_rows asks for (u, s^j u); the given
+    perms, and random permutations for an End, random maps otherwise."""
+    rows, cols = map(np.arange, hom.shape)
+    grid = hom.at(rows, cols, grid=True)
+    u, v = rng.integers(0, len(rows), (3, 40)), rng.integers(0, len(cols), (3, 40))
+    assert np.array_equal(hom.at(u, v), grid[u, v])
+    end = len(rows) == len(cols)
+    maps = [rng.permutation(cols) if end else rng.choice(cols, len(rows)) for _ in range(3)]
+    maps = np.array([*perms, *maps])
+    assert np.array_equal(hom.at(rows, maps), grid[rows, maps])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pointwise_labels_match_the_grid(p):
+    """End of every module of degree <= 5 against the generator actions,
+    and Hom of every ordered pair of distinct modules of one degree <= 5."""
+    rng = np.random.default_rng(p)
+    for n in range(6):
+        mods = [modrep.build_module(ab, p) for ab in enumerate_p2(n)]
+        for m in mods:
+            for n_mod in mods:
+                hom = modrep.HomBasis(m, n_mod)
+                assert_pointwise_matches(hom, rng, m.perms if m is n_mod else ())

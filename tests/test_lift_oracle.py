@@ -70,13 +70,14 @@ def product_size(a, b):
 @functools.lru_cache(maxsize=None)
 def sweep(p, top=7, seed=0):
     """The sweeps of degree <= top at engine seed seed, recorded: the
-    leaves of every split as (module, leaves); and at degree top, the
+    leaves of every split as (module, leaves); the shapes of the Hom
+    spaces whose dense elements were gathered; and at degree top, the
     GF(p) operands with a side equal to the dimension of the row being
     split, and the largest M N K of a product."""
     engine = modrep.DirectEngine(p, seed)
-    splits, sided, largest, rows = [], [], [0], []
+    splits, sided, largest, rows, dense = [], [], [0], [], []
     real_split, real_label = modrep.decompose_summands, modrep.DirectEngine._label
-    real_product = gfp._product
+    real_product, real_element = gfp._product, modrep.HomBasis.element
     real = {name: getattr(gfp, name) for name in ("matmul", "rref", "rank")}
 
     def spy_split(module, rng, known=frozenset()):
@@ -96,6 +97,10 @@ def sweep(p, top=7, seed=0):
             largest[0] = max(largest[0], product_size(a, b))
         return real_product(a, b, q)
 
+    def spy_element(self, coeffs, p):
+        dense.append(self.shape)
+        return real_element(self, coeffs, p)
+
     def spy(name):
         def call(*args):
             for x in args:
@@ -109,12 +114,15 @@ def sweep(p, top=7, seed=0):
         m.setattr(modrep, "decompose_summands", spy_split)
         m.setattr(modrep.DirectEngine, "_label", spy_label)
         m.setattr(gfp, "_product", spy_product)
+        m.setattr(modrep.HomBasis, "element", spy_element)
         for name in real:
             m.setattr(gfp, name, spy(name))
         for n in range(top + 1):
             engine.degree = n
             engine.registry_for(n)
-    return types.SimpleNamespace(splits=splits, sided=sided, largest=largest[0])
+    return types.SimpleNamespace(
+        splits=splits, sided=sided, largest=largest[0], dense=dense
+    )
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -157,6 +165,37 @@ def test_no_operand_of_the_module_dimension_at_degree_seven(p):
     split works in End_G(M), and the species at k >= 1 on e[X, X]."""
     recorded = sweep(p)
     assert recorded.splits and recorded.sided == []
+
+
+def held_arrays(x):
+    """The arrays in x, through tuples, lists and dicts."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from held_arrays(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from held_arrays(y)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_sweep_labels_only_the_cells_it_reads(p):
+    """The sweeps of degree <= 7 gather no dense element of a Hom space.
+    At degree 7, no array held by the End of a module they split, cached
+    products included, has dim^2 entries: the split labels only the cells
+    it reads (HomBasis.at), never the whole grid. Modules of no more words
+    than the n(n - 1) columns of End's per-word parity tables are left
+    out, as those tables alone reach dim^2 entries there."""
+    recorded = sweep(p)
+    assert recorded.dense == []
+    ends = [(m, vars(m).get("end")) for m, _ in recorded.splits if m.n == 7]
+    ends = [(m, end) for m, end in ends if m.dim > m.n * (m.n - 1)]
+    assert len(ends) >= 4  # 6 at p = 3, 4 at p = 5
+    for m, end in ends:
+        assert "_cells" in vars(end), m.ab
+        largest = max(a.size for a in held_arrays(vars(end)))
+        assert largest < m.dim**2, (m.ab, largest)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 1000))

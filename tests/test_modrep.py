@@ -160,15 +160,15 @@ def test_hom_dimension_fixtures():
     m11 = modrep.build_module(((1, 1), ()), P)
     m20 = modrep.build_module(((2,), ()), P)
     md = modrep.build_module(((1,), (1,)), P)
-    assert modrep._hom_orbits(m11, m11).num == 2
-    assert modrep._hom_orbits(m11, m20).num == 1
-    assert modrep._hom_orbits(md, md).num == 2
+    assert modrep.HomBasis(m11, m11).num == 2
+    assert modrep.HomBasis(m11, m20).num == 1
+    assert modrep.HomBasis(md, md).num == 2
 
 
 def test_hom_basis_elements_intertwine():
     m = modrep.build_module(((2, 1), ()), P)
     n_mod = modrep.build_module(((1, 1), (1,)), P)
-    hom = modrep._hom_orbits(m, n_mod)
+    hom = modrep.HomBasis(m, n_mod)
     assert hom.num
     for e in np.eye(hom.num, dtype=np.int64):
         x = hom.element(e, P).astype(np.int64)
@@ -224,12 +224,12 @@ def test_hom_dim_against_double_coset_count():
         for ab, m in mods.items():
             for cd, n_mod in mods.items():
                 want = mackey_hom_dim(ab, cd)
-                assert modrep._hom_orbits(m, n_mod).num == want, (ab, cd)
+                assert modrep.HomBasis(m, n_mod).num == want, (ab, cd)
     picks = [(((3, 1), (1,)), ((2, 1), (2,))), (((2, 2), (1,)), ((1, 1, 1), (2,)))]
     for ab, cd in picks:
         m = modrep.build_module(ab, P)
         n_mod = modrep.build_module(cd, P)
-        assert modrep._hom_orbits(m, n_mod).num == mackey_hom_dim(ab, cd)
+        assert modrep.HomBasis(m, n_mod).num == mackey_hom_dim(ab, cd)
 
 
 def hom_dim_kernel(m, n_mod):
@@ -267,7 +267,7 @@ def test_hom_dim_against_naive_kernel():
     for ab, cd in pairs:
         m = modrep.build_module(ab, P)
         n_mod = modrep.build_module(cd, P)
-        assert modrep._hom_orbits(m, n_mod).num == hom_dim_kernel(m, n_mod)
+        assert modrep.HomBasis(m, n_mod).num == hom_dim_kernel(m, n_mod)
 
 
 def test_orbit_keys_fit_int64_within_cap():
@@ -291,7 +291,7 @@ def test_orbit_key_overflow_raises(monkeypatch):
     m = modrep.build_module(((5, 1, 1, 1, 1), ()), P)
     assert modrep._key_digits(m.ab, m.ab) == (6, 25) and 6**25 >= 2**63
     with pytest.raises(OverflowError, match="beyond int64"):
-        modrep._hom_orbits(m, m)
+        modrep.HomBasis(m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def test_fingerprint_reject_needs_no_hom(monkeypatch):
     def refuse(*args):
         raise AssertionError("Hom labelled after a fingerprint mismatch")
 
-    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    monkeypatch.setattr(modrep, "HomBasis", refuse)
     assert not modrep.modules_isomorphic(u, v)
 
 
@@ -556,7 +556,7 @@ def test_fingerprint_rejects_shared_summand_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("reached past the fingerprint")
 
-    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    monkeypatch.setattr(modrep, "HomBasis", refuse)
     monkeypatch.setattr(modrep.Summand, "species", refuse)
     assert not modrep.modules_isomorphic(u, v)
 
@@ -604,7 +604,7 @@ def test_negative_seed_refused(monkeypatch):
     def refuse(*args):
         raise AssertionError("work done before the seed was checked")
 
-    monkeypatch.setattr(modrep, "_hom_orbits", refuse)
+    monkeypatch.setattr(modrep, "HomBasis", refuse)
     monkeypatch.setattr(modrep.Summand, "fingerprint", refuse)
     with pytest.raises(ValueError, match="non-negative"):
         modrep.modules_isomorphic(m, m, seed=-1)
@@ -633,7 +633,7 @@ def test_full_module_classification_matches_part_counts(seed, monkeypatch):
             pairs = enumerate_p2(n)
             mods = {ab: modrep.build_module(ab, p) for ab in pairs}
             with monkeypatch.context() as m:
-                m.setattr(modrep, "_hom_orbits", refuse)
+                m.setattr(modrep, "HomBasis", refuse)
                 m.setattr(modrep, "random", types.SimpleNamespace(Random=refuse))
                 for i, ab in enumerate(pairs):
                     for cd in pairs[i:]:
@@ -957,7 +957,7 @@ def test_sweep_splits_only_rows_without_an_earlier_twin(p, split, seed, monkeypa
     earlier sign twin, 9 of 16 at p = 3 and 6 of 12 at p = 5, and
     builds End only for those of them above dimension 1. M(1^6) is never
     split."""
-    real_split, real_end = modrep.decompose_summands, modrep._hom_orbits
+    real_split, real_end = modrep.decompose_summands, modrep.HomBasis
     splits, ends = [], []
 
     def spy_split(module, rng, **kwargs):
@@ -969,7 +969,7 @@ def test_sweep_splits_only_rows_without_an_earlier_twin(p, split, seed, monkeypa
         return real_end(m, n_mod)
 
     monkeypatch.setattr(modrep, "decompose_summands", spy_split)
-    monkeypatch.setattr(modrep, "_hom_orbits", spy_end)
+    monkeypatch.setattr(modrep, "HomBasis", spy_end)
     modrep.DirectEngine(p, seed=seed).registry_for(6)
     _, rows = label_rows(6, p)
     want = [
