@@ -314,25 +314,52 @@ def _normalizer_words(n, p, k):
 
 
 @lru_cache(maxsize=None)
-def _orbit_shapes(n, p, k, word):
-    """Per power h = s^j, j = 0..o-1, of the word s of order o, the
-    orbits of <h, t> on the points as (size, sign of h there) pairs, t
-    the p-cycles x -> x + 1 on the first k blocks; per word."""
-    s = list(range(n))
-    for i in word:
-        s[i], s[i + 1] = s[i + 1], s[i]
+def _orbit_shapes(n, p, k, words):
+    """(types, tallies) for words s of order o prime to p: the orbit types
+    of the powers h = s^j, an orbit type being the sorted multiset of
+    (size, sign of h there) over the orbits of <h, t> on the points, t
+    the p-cycles x -> x + 1 on the first k blocks; and per word s, (o,
+    ((i, how many powers of s have types[i]), ...)). Per (n, p, k, words)."""
     t = [x - x % p + (x + 1) % p if x < k * p else x for x in range(n)]
-    shapes, h = [], list(range(n))
-    while not shapes or h != list(range(n)):
-        low = list(range(n))  # per point, the least point of its orbit
-        for _ in range(n):
-            low = [min(low[x], low[h[x]], low[t[x]]) for x in range(n)]
-        # the sign of h on an orbit is the parity of its inversions there
-        pairs = [(x, y) for y in range(n) for x in range(y) if low[x] == low[y]]
-        inv = [low[x] for x, y in pairs if h[x] > h[y]]
-        shapes.append(tuple((low.count(o), (-1) ** inv.count(o)) for o in set(low)))
-        h = [s[x] for x in h]
-    return tuple(shapes)
+    types, tallies = {}, []  # types: orbit type -> its index
+    for word in words:
+        s = list(range(n))
+        for i in word:
+            s[i], s[i + 1] = s[i + 1], s[i]
+        tally, h = {}, list(range(n))
+        while not tally or h != list(range(n)):
+            low = list(range(n))  # per point, the least point of its orbit
+            for _ in range(n):
+                low = [min(low[x], low[h[x]], low[t[x]]) for x in range(n)]
+            # the sign of h on an orbit is the parity of its inversions there
+            pairs = [(x, y) for y in range(n) for x in range(y) if low[x] == low[y]]
+            inv = [low[x] for x, y in pairs if h[x] > h[y]]
+            orbits = ((low.count(o), (-1) ** inv.count(o)) for o in set(low))
+            i = types.setdefault(tuple(sorted(orbits, reverse=True)), len(types))
+            tally[i] = tally.get(i, 0) + 1
+            h = [s[x] for x in h]
+        tallies.append((sum(tally.values()), tuple(tally.items())))
+    return tuple(types), tuple(tallies)
+
+
+@lru_cache(maxsize=None)
+def _colourings(content, r, shape):
+    """The signed count of the colourings of the orbits of the orbit type
+    shape, largest first, by the colours of content, the first r of them
+    c-colours: a d-coloured orbit counts its sign. The fixed points, last
+    and of sign +1, take the parts left in module_dimension ways."""
+    ways = {content: 1}
+    for m, sign in shape:
+        if m == 1:
+            break
+        left = {}
+        for rest, w in ways.items():
+            for i, c in enumerate(rest):
+                if c >= m:
+                    key = rest[:i] + (c - m,) + rest[i + 1 :]
+                    left[key] = left.get(key, 0) + (w if i < r else sign * w)
+        ways = left
+    return sum(w * module_dimension((rest, ())) for rest, w in ways.items())
 
 
 @lru_cache(maxsize=None)
@@ -342,23 +369,13 @@ def _counted(ab, p, k, words):
     first k blocks (Q_k fixes them with sign +1, a p-cycle being even);
     h in N(Q_k) fixes those constant on the orbits of <h, t>, with its
     sign on the d-coloured ones, so its trace counts signed colourings of
-    the orbits, and s of order o prime to p fixes (1/o) sum_j trace(s^j)."""
-    n, r = size(ab[0]) + size(ab[1]), len(ab[0])
-
-    def trace(shape):
-        ways = {tuple(ab[0]) + tuple(ab[1]): 1}
-        for m, sign in shape:
-            left = {}
-            for rest, w in ways.items():
-                for i, c in enumerate(rest):
-                    if c >= m:
-                        key = rest[:i] + (c - m,) + rest[i + 1 :]
-                        left[key] = left.get(key, 0) + (w if i < r else sign * w)
-            ways = left
-        return sum(ways.values())
-
-    shapes = [_orbit_shapes(n, p, k, word) for word in ((), *words)]
-    dim, *fixed = [sum(map(trace, powers)) // len(powers) for powers in shapes]
+    the orbits, and s of order o prime to p fixes (1/o) sum_j trace(s^j).
+    Traces are counted once per orbit type (_colourings), shared by the
+    powers of every word and by the labels with the same colours."""
+    n, content = size(ab[0]) + size(ab[1]), tuple(ab[0]) + tuple(ab[1])
+    types, tallies = _orbit_shapes(n, p, k, ((), *words))
+    traces = [_colourings(content, len(ab[0]), shape) for shape in types]
+    dim, *fixed = [sum(c * traces[i] for i, c in tally) // o for o, tally in tallies]
     return dim, tuple(fixed)
 
 

@@ -154,13 +154,15 @@ def enumerate_lambda_supp(ab, x, p):
 
 
 @lru_cache(maxsize=None)
-def _normal_pair(alpha, beta):
-    """(wp alpha, wp beta, |alpha|, |beta|) for one row.
+def _normal_pair(alpha, beta, p):
+    """(wp alpha, wp beta, |alpha|, |beta|, sum alpha_j mod p, sum beta_j
+    mod p) for one row at p.
 
     A negative entry raises on every call: lru_cache stores no exception.
     """
     alpha, beta = wp(alpha), wp(beta)
-    return alpha, beta, size(alpha), size(beta)
+    residues = (sum(v % p for v in alpha), sum(v % p for v in beta))
+    return alpha, beta, size(alpha), size(beta), *residues
 
 
 @lru_cache(maxsize=None)
@@ -190,26 +192,18 @@ def signed_kostka(ab, x, oracle):
 
     Evaluates the reduction formula: a sum over the supported level
     tuples of the base multiplicity at level 0 times plain factors at the
-    higher levels. Base cases go straight to the oracle. Values are
-    memoised on the oracle under the normalised row; a miss reads the row
-    and the label from two tables, and returns 0 without enumerating when
-    an exact size or residue bound shows the supported set empty.
+    higher levels. Base cases go straight to the oracle. The row and the
+    label are read from two tables first, and an entry that an exact size
+    or residue bound shows to have an empty supported set is 0 at once,
+    with no memo key built or stored. Base values and enumerated sums are
+    memoised on the oracle under the normalised row.
     """
     p = oracle.p
     lam, mu = tuple(x[0]), tuple(x[1])
-    memo = vars(oracle).setdefault("_skostka_memo", {})
-    # memo keys are normalised and were checked when stored, so a hit on
-    # the raw input needs neither
-    key = (tuple(ab[0]), tuple(ab[1]), lam, mu)
-    if key in memo:
-        return memo[key]
     n, base, lam_digits, mu_digits, lam0, lo, hi = _label_data(lam, mu, p)
-    alpha, beta, a, b = _normal_pair(key[0], key[1])
+    alpha, beta, a, b, ra, rb = _normal_pair(tuple(ab[0]), tuple(ab[1]), p)
     if a + b != n:
         raise ValueError("size mismatch")
-    key = (alpha, beta, lam, mu)
-    if key in memo:
-        return memo[key]
     # A supported tuple has |dlt^(0)| = |beta| - p|mu| = b - lo and
     # |gam^(0)| = |lam(0)| - |dlt^(0)| = hi - b (size bound), and since
     # alpha_j = sum_i p^i gam^(i)_j, gam^(0)_j is at least alpha_j mod p,
@@ -217,14 +211,14 @@ def signed_kostka(ab, x, oracle):
     # set is empty. The bounds live here, not in enumerate_lambda_supp,
     # which vanishing_check uses as the independent side of the
     # vanishing identity.
+    if not base and (not lo <= b <= hi or rb > b - lo or ra > hi - b):
+        return 0
+    memo = vars(oracle).setdefault("_skostka_memo", {})
+    key = (alpha, beta, lam, mu)
+    if key in memo:
+        return memo[key]
     if base:
         val = oracle.projective_signed((alpha, beta), lam)
-    elif (
-        not lo <= b <= hi
-        or sum(v % p for v in beta) > b - lo
-        or sum(v % p for v in alpha) > hi - b
-    ):
-        val = 0
     else:
         val = 0
         for gam, dlt in enumerate_lambda_supp((alpha, beta), (lam, mu), p):

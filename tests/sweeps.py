@@ -1,10 +1,10 @@
-"""Exhaustive combinatorial sweeps shared by tier-1 tests and acceptance
-criterion 11. Each returns None when its property holds over its whole
-scope, else a message naming the first failing case."""
+"""Exhaustive combinatorial sweeps shared by tier-1 tests, acceptance
+criterion 11 and CI. Each returns None when its property holds over its
+whole scope, else a message naming the first failing case."""
 
 import itertools
 
-from skostka import reduction
+from skostka import modrep, reduction
 from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
@@ -200,4 +200,32 @@ def iota_injective():
                             images.add(img)
                         if len(images) != len(g1) * len(g2) * len(g3):
                             return f"embedding collides at {ab}, {x}, r={r}, s={s}"
+    return None
+
+
+def twisted_species(ab, p):
+    """The counted species of M(ab) (x) sgn, as Summand.species_twisted
+    reads it: per k, a word s of odd length fixes Fix(s^2) - Fix(s) and
+    any other word Fix(s)."""
+    n = size(ab[0]) + size(ab[1])
+    out = []
+    for k, (rank, fixed) in enumerate(modrep._whole_species(ab, p)):
+        words = modrep._normalizer_words(n, p, k)
+        squares = modrep._counted(ab, p, k, tuple(w + w for w in words))[1]
+        pairs = zip(words, fixed, squares)
+        out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
+    return tuple(out)
+
+
+def sign_twins(scope=((3, 1, 8), (5, 1, 10), (7, 1, 10))):
+    """M(beta|alpha) = M(alpha|beta) (x) sgn: the species counted from the
+    label of (beta|alpha) is the sign twist of that of (alpha|beta), for
+    every (alpha|beta) of degree low..top, per (p, low, top) of scope.
+    No module is built."""
+    for p, low, top in scope:
+        for n in range(low, top + 1):
+            for alpha, beta in enumerate_p2(n):
+                twin = modrep._whole_species((beta, alpha), p)
+                if twin != twisted_species((alpha, beta), p):
+                    return f"sign twin fails at {(alpha, beta)}, p={p}"
     return None

@@ -18,6 +18,8 @@ from skostka.combinat import (
     wp,
 )
 
+import sweeps
+
 P = 3
 
 
@@ -735,6 +737,26 @@ def counted_against_built(p):
     return len(keys), wrong
 
 
+def fresh_counts(monkeypatch):
+    """Fresh copies of the count caches, so that a planted fault reaches
+    every count and no count made by the true code is reused."""
+    for name in ("_counted", "_colourings"):
+        fresh = functools.lru_cache()(getattr(modrep, name).__wrapped__)
+        monkeypatch.setattr(modrep, name, fresh)
+
+
+def plant_unsigned_orbits(monkeypatch):
+    """The planted wrong sign: every d-coloured orbit counted +1."""
+    real = modrep._orbit_shapes
+
+    def unsigned(*args):
+        types, tallies = real(*args)
+        return tuple(tuple((m, 1) for m, _ in shape) for shape in types), tallies
+
+    fresh_counts(monkeypatch)
+    monkeypatch.setattr(modrep, "_orbit_shapes", unsigned)
+
+
 def test_counted_species_equal_built_species(monkeypatch):
     """The species counted from the label equals the one read off the
     built generator tables on all 218 canonical modules of degree <= 7
@@ -746,16 +768,32 @@ def test_counted_species_equal_built_species(monkeypatch):
         assert wrong == [], p
         total += size
     assert total == 218
-    real = modrep._orbit_shapes
-    monkeypatch.setattr(
-        modrep,
-        "_orbit_shapes",
-        lambda *args: tuple(tuple((m, 1) for m, _ in shape) for shape in real(*args)),
-    )
-    # a fresh count cache, so that no count from the true signs is reused
-    fresh = functools.lru_cache()(modrep._counted.__wrapped__)
-    monkeypatch.setattr(modrep, "_counted", fresh)
+    plant_unsigned_orbits(monkeypatch)
     assert counted_against_built(3)[1]
+
+
+def test_sign_twins_of_counted_species(monkeypatch):
+    """M(beta|alpha) is M(alpha|beta) (x) sgn, so on each of the 2,861
+    pairs (alpha|beta) of degree 1..8 at p = 3 and 1..10 at p = 5 and 7
+    the species counted for the twin is the sign twist of the one
+    counted for the pair, with no module built. Two planted faults are
+    each caught: a count memo keyed without r, the number of c-colours,
+    and every d-coloured orbit counted +1."""
+    assert sweeps.sign_twins() is None
+    with monkeypatch.context() as plant:
+        fresh_counts(plant)
+        count, memo = modrep._colourings.__wrapped__, {}
+
+        def keyed_without_r(content, r, shape):
+            if (content, shape) not in memo:
+                memo[content, shape] = count(content, r, shape)
+            return memo[content, shape]
+
+        plant.setattr(modrep, "_colourings", keyed_without_r)
+        assert sweeps.sign_twins()
+    with monkeypatch.context() as plant:
+        plant_unsigned_orbits(plant)
+        assert sweeps.sign_twins()
 
 
 def word_perm(word, n):

@@ -441,6 +441,33 @@ def test_unnormalised_rows_match_normalised_rows():
                 assert signed_kostka(raw, x, warm) == want, (alpha, beta, x)
 
 
+def memo_size(oracle):
+    return len(vars(oracle).get("_skostka_memo", {}))
+
+
+def test_bounded_zeros_add_no_memo_entry():
+    """An entry that the size or residue bound zeroes adds nothing to the
+    memo and every other entry adds its value; a warm pass returns what
+    the cold pass did and adds nothing. Degree <= 9 at p = 3 and 5."""
+    for p in (3, 5):
+        oracle, cold = PositiveOracle(p), {}
+        for n in range(10):
+            for ab in enumerate_p2(n):
+                for x in enumerate_p2p(n, p):
+                    before = memo_size(oracle)
+                    cold[ab, x] = signed_kostka(ab, x, oracle)
+                    base = x[1] == () and is_p_restricted(x[0], p)
+                    bounded = not base and (
+                        outside_size_bound(ab, x, p) or outside_residue_bound(ab, x, p)
+                    )
+                    assert memo_size(oracle) - before == (not bounded), (p, ab, x)
+                    assert not bounded or cold[ab, x] == 0, (p, ab, x)
+        before = memo_size(oracle)
+        for (ab, x), want in cold.items():
+            assert signed_kostka(ab, x, oracle) == want, (p, ab, x)
+        assert memo_size(oracle) == before
+
+
 def test_nonzero_witness_matches_support():
     p = 3
     for n in range(7):
