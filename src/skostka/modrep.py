@@ -16,13 +16,13 @@ product in A off row 0 and the first-cell columns of that basis
 (HomBasis.left), so no matrix of the module's dimension is formed. A
 node of the tree is an idempotent e of A, held as its coordinates over
 GF(p); the root, the whole module, is e = 1. A node is split by z =
-e a e for a random element a: the coprime factors of the minimal
-polynomial of z in eAe cut it apart by Chinese-remainder idempotents,
-polynomials in z times e, half of the factors at a time, each checked
-to be idempotent and orthogonal to its complement. A node that one
-random z leaves whole is decided exactly in eAe: when every element is
-a unit or nilpotent the node is certified indecomposable, and else an
-element found there splits it.
+e a for a random element a: the coprime factors of the minimal
+polynomial of z on the Krylov space of e, that of e a e in eAe, cut it
+apart in one pass by Chinese-remainder idempotents, polynomials in z
+times e, each checked to be idempotent inside the node, and the rest.
+A node that one random z leaves whole is decided exactly in eAe: when
+every element is a unit or nilpotent the node is certified
+indecomposable, and else an element found there splits it.
 
 Every summand of M(alpha|beta) is a p-permutation module, and its
 species (Summand.species), one entry Summand.brauer(k) per group Q_k of
@@ -467,21 +467,14 @@ class HomBasis:
             odd = np.einsum("...i,...i->...", ou[u], ov[v])
         return self._table[np.searchsorted(self._keys0, key), odd.astype(np.intp) & 1]
 
-    def table(self, coeffs, p, dtype=np.int64):
+    def table(self, coeffs, p):
         """The gather table of the element with these coefficients mod p."""
         v = np.asarray(coeffs, dtype=np.int64) % p
-        table = np.empty(2 * self.num + 1, dtype=dtype)
+        table = np.empty(2 * self.num + 1, dtype=np.int64)
         table[: self.num] = v
         table[self.num : -1] = (-v) % p
         table[-1] = 0
         return table
-
-    def element(self, coeffs, p):
-        """The dense element, gathered in gfp.product_dtype of its larger
-        side, so that its products take it without a copy."""
-        dtype = gfp.product_dtype(max(self.shape), p)
-        rows, cols = map(np.arange, self.shape)
-        return self.table(coeffs, p, dtype)[self.at(rows, cols, grid=True)]
 
     def sample(self, rng, p):
         """The coefficients of a random element, drawn from the
@@ -957,15 +950,6 @@ class Summand:
             out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
         return tuple(out)
 
-    def sandwich(self, a):
-        """e a e, for the coefficients a of an element of A; the whole
-        module, whose e is 1, takes no product."""
-        p = self.p
-        if self.whole:
-            return a % p
-        a_e = gfp.matmul(self.parent.end.left(a, p), self.e, p)
-        return gfp.matmul(self.over_q()[1], a_e, self.parent.lift_modulus) % p
-
 
 def _poly_eval_vector(coeffs, left, v, p):
     """coeffs(z) v by Horner's rule, for left the matrix of x -> z x,
@@ -979,58 +963,50 @@ def _poly_eval_vector(coeffs, left, v, p):
 
 def _split_once(end, r, left_r, q, z, p):
     """Split the node of idempotent e = r mod p, left_r the matrix L_r
-    over Z/q, along the coprime factors of the minimal polynomial of z in
-    eAe, z = e z e, or None.
+    over Z/q, along the coprime factors of the minimal polynomial of z,
+    an element with e z = z, on the Krylov space of e, or None.
 
-    Left multiplication by z maps eA into itself, and its minimal
-    polynomial there is that of z in eAe, whose identity is e: eA is
-    spanned over A by e, so it is the minimal polynomial on the Krylov
-    space of e, which takes no draw and no check. It is also that of z
-    on the node eM. Its k >= 2 coprime parts f_i^(m_i) cut the node into
-    the generalized kernels of the f_i(z)^(m_i), invariant under all that
-    commutes with z, the group action included: direct summands, whose
-    idempotents _crt_split finds. Returns them in factor order, as
-    [(r_i, L_r_i)] over Z/q.
+    Left multiplication by z maps eA into itself, and (e z)^k e =
+    (e z e)^k, so its minimal polynomial on the Krylov space of e is that
+    of e z e in eAe, whose identity is e: eA is spanned over A by e, so
+    it takes no draw and no check. It is also that of e z e on the node
+    eM. Its k >= 2 coprime parts f_i^(m_i) cut the node into the
+    generalized kernels of the f_i(e z e)^(m_i), invariant under all
+    that commutes with e z e, the group action included: direct
+    summands. For each part but the last, g = h (h^-1 mod f_i^(m_i)), h
+    the product of the other parts, is 1 modulo the part and 0 modulo
+    the others, so e_i = g(z) e, read off the Krylov vectors z^j e, is
+    its idempotent (Chinese remainders); e_i^2 = e_i and e_i e = e_i are
+    checked in A, by L_e_i, read over Z/q. The last is the rest of the
+    node, r - sum e_i with L_r - sum L_e_i. Returns them in factor
+    order, as [(r_i, L_r_i)] over Z/q.
     """
     left = end.left(z, p)
-    m = matrix_minpoly(left, r % p, p)
+    e = r % p
+    m = matrix_minpoly(left, e, p)
     factors = _factor_poly(m, p)
     if len(factors) < 2:
         return None
     parts = [_poly_prod([f] * mult, p) for f, mult in factors]
-    return _crt_split(end, left, r, left_r, q, parts, p)
-
-
-def _crt_split(end, left, r, left_r, q, parts, p):
-    """[(r_i, L_r_i)] over Z/q: the idempotents e_i = r_i mod p of the
-    node e = r mod p, left_r its L_r, along coprime parts whose product is
-    the minimal polynomial of z in eAe, left the matrix of x -> z x.
-
-    The parts are cut into two halves with products g and h. The
-    polynomial f = h (h^-1 mod g) is 1 modulo g and 0 modulo h, so
-    e_1 = f(z) e is the idempotent onto the generalized kernel of g(z)
-    along that of h(z) (Chinese remainders), and e_2 = e - e_1 the
-    other; e_1^2 = e_1 and e_1 e_2 = 0 are checked in A, by L_e_1, read
-    over Z/q. The other is r_2 = r - e_1, with L_r_2 = L_r - L_e_1. Each
-    half recurses with the same z, as f'(z) e_1 = f'(z e_1) e_1; the
-    idempotents come out in the order of the parts.
-    """
-    half = len(parts) // 2
-    g, h = _poly_prod(parts[:half], p), _poly_prod(parts[half:], p)
-    e = r % p
-    e1 = _poly_eval_vector(_poly_mul(h, _poly_invmod(h, g, p), p), left, e, p)
-    e2 = gfp._mod(e - e1, p)
-    if not e1.any() or not e2.any():
-        raise IntegrityError("minpoly factor with an empty kernel")
-    left1 = end.left(e1, q)
-    if (gfp.matmul(left1, e1, q) % p != e1).any() or (gfp.matmul(left1, e2, q) % p).any():
-        raise IntegrityError("Chinese-remainder idempotent is not idempotent")
-    r2 = gfp._mod(r - e1, q)
-    left2 = gfp._mod((left_r - left1).astype(np.int64), q).astype(left1.dtype)
+    krylov = [e]  # z^j e for j below deg m, the degree bound of each g
+    for _ in range(len(m) - 2):
+        krylov.append(gfp.matmul(left, krylov[-1], p))
     out = []
-    for sub, ri, li in ((parts[:half], e1, left1), (parts[half:], r2, left2)):
-        out += [(ri, li)] if len(sub) == 1 else _crt_split(end, left, ri, li, q, sub, p)
-    return out
+    for i, part in enumerate(parts[:-1]):
+        h = _poly_prod(parts[:i] + parts[i + 1 :], p)
+        g = _poly_mul(h, _poly_invmod(h, part, p), p)
+        ei = gfp.matmul(np.array(g), np.array(krylov[: len(g)]), p)
+        if not ei.any():
+            raise IntegrityError("minpoly factor with an empty kernel")
+        li = end.left(ei, q)
+        if (gfp.matmul(li, ei, q) % p != ei).any() or (gfp.matmul(li, e, q) % p != ei).any():
+            raise IntegrityError("Chinese-remainder idempotent is not idempotent")
+        out.append((ei, li))
+    rest = gfp._mod(r - sum(ei for ei, _ in out), q)
+    if not (rest % p).any():
+        raise IntegrityError("minpoly factor with an empty kernel")
+    rest_left = left_r.astype(np.int64) - sum(li.astype(np.int64) for _, li in out)
+    return out + [(rest, gfp._mod(rest_left, q).astype(li.dtype))]
 
 
 def _node_algebra(node):
@@ -1118,14 +1094,18 @@ def _split_node(node, rng):
     """The idempotents that split the node, or None when it is
     indecomposable.
 
-    One round splits by z = e a e for a random element a of A. When it
-    refuses, End(x) = eAe (_node_algebra) is searched for an element that
-    splits x (_nonlocal_element): none certifies x indecomposable, and
-    the one found, already in eAe, splits x, as its minimal polynomial
-    has two coprime factors."""
+    One round splits by z = e a for a random element a of A: a itself
+    for the whole module, whose e is 1 and takes no product, and L_r a
+    mod p for any other node. When it refuses, End(x) = eAe
+    (_node_algebra) is searched for an element that splits x
+    (_nonlocal_element): none certifies x indecomposable, and the one
+    found, already in eAe, splits x through the same call, as its
+    minimal polynomial has two coprime factors."""
     end, p, q = node.parent.end, node.p, node.parent.lift_modulus
     r, left = node.over_q()
-    split = _split_once(end, r, left, q, node.sandwich(end.sample(rng, p)), p)
+    a = end.sample(rng, p)
+    z = a if node.whole else gfp.matmul(left, a, q) % p
+    split = _split_once(end, r, left, q, z, p)
     if split is not None:
         return split
     basis, reg, one = _node_algebra(node)
@@ -1145,7 +1125,7 @@ def decompose_summands(module, rng, known=frozenset()):
     idempotent of A = End_G(M). A node whose species is in known, a set
     of class species, is that class: it is accepted at once, its
     fingerprint tested before its species. Any other node of dimension
-    above 1 is split by e a e for an element a drawn from module.end
+    above 1 is split by e a for an element a drawn from module.end
     with the random.Random rng; if that round refuses, the node is
     certified indecomposable, or split by a witness, from its
     endomorphism algebra (_split_node). No leaf rests on luck: each is

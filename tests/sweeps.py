@@ -1,13 +1,17 @@
-"""Exhaustive combinatorial sweeps shared by tier-1 tests, acceptance
-criterion 11 and CI. Each returns None when its property holds over its
-whole scope, else a message naming the first failing case."""
+"""Exhaustive sweeps shared by tier-1 tests, acceptance criterion 11 and
+CI: combinatorial properties, and the regular module against Specht Gram
+ranks. Each returns None when its property holds over its whole scope,
+else a message naming the first failing case."""
 
 import itertools
 
-from skostka import modrep, reduction
+import numpy as np
+
+from skostka import gfp, modrep, reduction
 from skostka.combinat import (
     admits_horizontal_cut,
     bottom_cut,
+    conjugate,
     dominates,
     dominates_pair,
     enumerate_p2,
@@ -228,4 +232,85 @@ def sign_twins(scope=((3, 1, 8), (5, 1, 10), (7, 1, 10))):
                 twin = modrep._whole_species((beta, alpha), p)
                 if twin != twisted_species((alpha, beta), p):
                     return f"sign twin fails at {(alpha, beta)}, p={p}"
+    return None
+
+
+def standard_tableaux(mu):
+    """The standard tableaux of shape mu on the points 0..n-1, as lists
+    of rows: each point goes to the end of a row that is shorter than
+    both its bound and the row above."""
+    n, out = size(mu), []
+
+    def rec(rows, k):
+        if k == n:
+            out.append([list(row) for row in rows])
+            return
+        for i, row in enumerate(rows):
+            if len(row) < mu[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(k)
+                rec(rows, k + 1)
+                row.pop()
+
+    rec([[] for _ in mu], 0)
+    return out
+
+
+def column_orderings(column):
+    """(points in row order, sign) per permutation of the column's points."""
+    out = []
+    for perm in itertools.permutations(range(len(column))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out.append(([column[i] for i in perm], (-1) ** inversions))
+    return out
+
+
+def gram_rank(mu, p):
+    """dim D^mu over GF(p), for mu p-regular: the GF(p) rank of the Gram
+    matrix of the standard polytabloids of shape mu (James, LNM 682). The
+    polytabloid of a tableau t is the signed sum of its column
+    permutations, a vector of M(mu|empty), whose basis is
+    modrep._multiset_words(mu): a tabloid is the word that colours each
+    point by its row."""
+    index = {w: i for i, w in enumerate(modrep._multiset_words(mu))}
+    tableaux = standard_tableaux(mu)
+    vectors = np.zeros((len(tableaux), len(index)), dtype=np.int64)
+    word = [0] * size(mu)
+    for vector, rows in zip(vectors, tableaux):
+        columns = [[row[c] for row in rows if c < len(row)] for c in range(len(rows[0]))]
+        for choice in itertools.product(*map(column_orderings, columns)):
+            sign = 1
+            for points, s in choice:
+                sign *= s
+                for i, point in enumerate(points):
+                    word[point] = i
+            vector[index[tuple(word)]] += sign
+    gram = (vectors @ vectors.T) % p
+    return len(gfp.rref(gram, p)[1])
+
+
+def regular_module(
+    scope=((3, 1, 7), (5, 1, 7), (7, 1, 7)), engine=modrep.DirectEngine, rank=gram_rank
+):
+    """[M(1^n) : Y(lam|empty)] = dim D^lam' for lam p-restricted, and 0
+    for every other label: the regular module F S_n is the sum of the
+    projective indecomposables P(D), each dim D times, and these are the
+    Young modules of the p-restricted labels. The oracle, rank(mu, p) =
+    dim D^mu, shares nothing with the engine, whose side is one
+    decompose per degree, with engine(p) as the engine, for every degree
+    low..top per (p, low, top) of scope."""
+    for p, low, top in scope:
+        eng = engine(p)
+        for n in range(low, top + 1):
+            got = eng.decompose(((1,) * n, ()))
+            want = {
+                (lam, ()): rank(conjugate(lam), p)
+                for lam in partitions_of(n)
+                if is_p_restricted(lam, p)
+            }
+            for label in sorted(set(got) | set(want), key=total_key):
+                if got.get(label, 0) != want.get(label, 0):
+                    return (
+                        f"regular module at degree {n}, p={p}: label {label} "
+                        f"has multiplicity {got.get(label, 0)}, not {want.get(label, 0)}"
+                    )
     return None

@@ -233,7 +233,11 @@ def test_criterion_10_second_prime():
     )
 
 
-# --- 11: exhaustive combinatorial property suites --------------------------------
+# --- 11: exhaustive property suites ----------------------------------------------
+
+
+def regular_module_degree_eight():
+    return sweeps.regular_module(((3, 8, 8), (5, 8, 8), (7, 8, 8)))
 
 
 def test_criterion_11_property_suites():
@@ -246,10 +250,12 @@ def test_criterion_11_property_suites():
         sweeps.order_refinement,
         sweeps.phi_bijection,
         sweeps.iota_injective,
+        regular_module_degree_eight,
     )
     bad = [f"{run.__name__}: {failure}" for run in suites if (failure := run())]
     report(
         11, bad,
-        f"{len(suites)} exhaustive combinatorial suites",
+        f"{len(suites)} exhaustive suites, the regular module at degree 8 "
+        "against Specht Gram ranks included",
         time.perf_counter() - t0, budget=300,
     )

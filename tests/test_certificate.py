@@ -15,6 +15,7 @@ import pytest
 
 from skostka import gfp, modrep
 from skostka.combinat import label_rows
+from test_hom_oracle import dense_element
 from test_split_oracle import dense_minpoly
 
 
@@ -22,13 +23,13 @@ def orbit_matrix(end, k, p):
     """The basis element X_k of the Hom basis as a dense matrix."""
     coeffs = np.zeros(end.num, dtype=np.int64)
     coeffs[k] = 1
-    return end.element(coeffs, p).astype(np.int64)
+    return dense_element(end, coeffs, p)
 
 
 def dense_idempotent(node):
     """The node's idempotent e as a dense d x d matrix."""
     end, p = node.parent.end, node.p
-    return end.element(end.one if node.whole else node.e, p).astype(np.int64)
+    return dense_element(end, end.one if node.whole else node.e, p)
 
 
 def dense_end(node):
@@ -94,12 +95,12 @@ def test_left_and_right_against_dense():
     for ab, p in [(((2, 1, 1), ()), 3), (((2, 1), (2,)), 5), (((1,) * 4, ()), 3)]:
         m = modrep.build_module(ab, p)
         end = m.end
-        assert np.array_equal(end.element(end.one, p), np.eye(m.dim))
+        assert np.array_equal(dense_element(end, end.one, p), np.eye(m.dim))
         for _ in range(3):
             a, b = rng.integers(0, p, (2, end.num))
-            dense = gfp.matmul(end.element(a, p), end.element(b, p), p)
+            dense = gfp.matmul(dense_element(end, a, p), dense_element(end, b, p), p)
             want = dense[0, end.first_cells]
-            assert np.array_equal(end.element(want, p), dense), ab
+            assert np.array_equal(dense_element(end, want, p), dense), ab
             assert np.array_equal(gfp.matmul(end.left(a, p), b, p), want), ab
             assert np.array_equal(gfp.matmul(end.right(b, p), a, p), want), ab
 

@@ -33,16 +33,18 @@ def test_cli_import_loads_neither_scipy_nor_sympy():
 
 def test_splitting_loads_no_masked_arrays():
     # np.setdiff1d reaches np.unique, which imports numpy.ma on first use;
-    # the degree-4 sweep at p = 3 splits rows through _crt_split
+    # the degree-4 sweep at p = 3 splits rows through _split_once, and
+    # only its calls that return a split are counted
     code = (
         "import sys\n"
         "from skostka import modrep\n"
-        "split = modrep._crt_split\n"
+        "split = modrep._split_once\n"
         "calls = []\n"
         "def counted(*args):\n"
-        "    calls.append(1)\n"
-        "    return split(*args)\n"
-        "modrep._crt_split = counted\n"
+        "    out = split(*args)\n"
+        "    calls.extend([1] if out is not None else [])\n"
+        "    return out\n"
+        "modrep._split_once = counted\n"
         "modrep.DirectEngine(3).registry_for(4)\n"
         "print(len(calls) > 0, 'numpy.ma' in sys.modules)\n"
     )
@@ -111,8 +113,8 @@ def test_fitting_splitting_is_the_only_decomposition():
 
 def test_one_door_to_the_direct_engine():
     # multiplicities come from DirectEngine.decompose and projective_signed
-    # alone; dense Hom elements from HomBasis.element, partitions from
-    # partitions_of, the order from total_key and identities from np.eye
+    # alone; partitions from partitions_of, the order from total_key and
+    # identities from np.eye; dense Hom elements are gathered by the tests
     removed = {
         "decompose_labelled",
         "projective_oracle",
@@ -124,6 +126,7 @@ def test_one_door_to_the_direct_engine():
     for mod in (skostka, modrep, combinat, gfp):
         assert sorted(removed.intersection(dir(mod))) == [], mod.__name__
     assert not hasattr(modrep.HomBasis, "matrices")
+    assert not hasattr(modrep.HomBasis, "element")
 
 
 def test_readme_library_tour():

@@ -17,16 +17,20 @@ import numpy as np
 import pytest
 
 from skostka import gfp, modrep
+from test_hom_oracle import dense_element
 
 # OpenBLAS splits a product over two threads from M N K > 262,144 on
 THREADING_BOUND = 262144
+# a floor on the nodes that the sweeps of degree <= 7 build with their L_r:
+# 139 at p = 3 and 83 at p = 5
+HANDED = {3: 120, 5: 70}
 
 
 def rank_route(leaf, words_of=lambda words: words):
     """The species of the leaf by ranks of dense matrices on M, per k the
     words words_of(_normalizer_words)."""
     m, p = leaf.parent, leaf.p
-    e = m.end.element(m.end.one if leaf.whole else leaf.e, p).astype(np.int64)
+    e = dense_element(m.end, m.end.one if leaf.whole else leaf.e, p)
     r, pivots = gfp.rref(e, p)
     R, C = r[: len(pivots)], e[:, list(pivots)]
     d = len(pivots)
@@ -70,14 +74,15 @@ def product_size(a, b):
 @functools.lru_cache(maxsize=None)
 def sweep(p, top=7, seed=0):
     """The sweeps of degree <= top at engine seed seed, recorded: the
-    leaves of every split as (module, leaves); the shapes of the Hom
-    spaces whose dense elements were gathered; and at degree top, the
-    GF(p) operands with a side equal to the dimension of the row being
-    split, and the largest M N K of a product."""
+    leaves of every split as (module, leaves); per node that the
+    splitting tree builds with its L_r, whether that is exactly
+    parent.end.left(r, q) over Z/q, q = parent.lift_modulus; and at
+    degree top, the GF(p) operands with a side equal to the dimension of
+    the row being split, and the largest M N K of a product."""
     engine = modrep.DirectEngine(p, seed)
-    splits, sided, largest, rows, dense = [], [], [0], [], []
+    splits, sided, largest, rows, handed = [], [], [0], [], []
     real_split, real_label = modrep.decompose_summands, modrep.DirectEngine._label
-    real_product, real_element = gfp._product, modrep.HomBasis.element
+    real_product, real_init = gfp._product, modrep.Summand.__init__
     real = {name: getattr(gfp, name) for name in ("matmul", "rref", "rank")}
 
     def spy_split(module, rng, known=frozenset()):
@@ -97,9 +102,11 @@ def sweep(p, top=7, seed=0):
             largest[0] = max(largest[0], product_size(a, b))
         return real_product(a, b, q)
 
-    def spy_element(self, coeffs, p):
-        dense.append(self.shape)
-        return real_element(self, coeffs, p)
+    def spy_init(self, parent, e=None, left=None):
+        real_init(self, parent, e, left)
+        if left is not None:
+            want = parent.end.left(self._rep, parent.lift_modulus)
+            handed.append(left.dtype == want.dtype and np.array_equal(left, want))
 
     def spy(name):
         def call(*args):
@@ -114,14 +121,14 @@ def sweep(p, top=7, seed=0):
         m.setattr(modrep, "decompose_summands", spy_split)
         m.setattr(modrep.DirectEngine, "_label", spy_label)
         m.setattr(gfp, "_product", spy_product)
-        m.setattr(modrep.HomBasis, "element", spy_element)
+        m.setattr(modrep.Summand, "__init__", spy_init)
         for name in real:
             m.setattr(gfp, name, spy(name))
         for n in range(top + 1):
             engine.degree = n
             engine.registry_for(n)
     return types.SimpleNamespace(
-        splits=splits, sided=sided, largest=largest[0], dense=dense
+        splits=splits, sided=sided, largest=largest[0], handed=handed
     )
 
 
@@ -159,6 +166,36 @@ def test_leaf_idempotents_orthogonal_and_sum_to_one(p):
 
 
 @pytest.mark.parametrize("p", (3, 5))
+def test_handed_down_left_multiplications_are_exact(p):
+    """Every node that the splitting tree of the sweeps of degree <= 7
+    builds with its L_r carries exactly parent.end.left(r, q), dtype
+    included: a split hands its children the matrices over Z/q it
+    computed, the rest of the node's as L_r - sum L_e_i, and the lifts
+    and later splits of the children read them."""
+    handed = sweep(p).handed
+    assert len(handed) > HANDED[p] and all(handed)
+
+
+def test_planted_unreduced_rest_fails_the_handed_down_check(monkeypatch):
+    """L_r - sum L_e_i left unreduced mod q for the rest of every split
+    agrees with the right matrix mod q, so no later split notices it;
+    the check of the handed-down L_r does."""
+    real = modrep._split_once
+
+    def planted(end, r, left, q, z, p):
+        split = real(end, r, left, q, z, p)
+        if split is None:
+            return None
+        *parts, (rest, rest_left) = split
+        unreduced = left.astype(np.int64) - sum(li.astype(np.int64) for _, li in parts)
+        return parts + [(rest, unreduced.astype(rest_left.dtype))]
+
+    monkeypatch.setattr(modrep, "_split_once", planted)
+    handed = sweep.__wrapped__(3, 5).handed
+    assert handed and not all(handed)
+
+
+@pytest.mark.parametrize("p", (3, 5))
 def test_no_operand_of_the_module_dimension_at_degree_seven(p):
     """No GF(p) product, elimination or rank of the degree-7 sweep takes
     an operand with a side of the dimension of the row it splits: the
@@ -181,14 +218,13 @@ def held_arrays(x):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_sweep_labels_only_the_cells_it_reads(p):
-    """The sweeps of degree <= 7 gather no dense element of a Hom space.
-    At degree 7, no array held by the End of a module they split, cached
-    products included, has dim^2 entries: the split labels only the cells
-    it reads (HomBasis.at), never the whole grid. Modules of no more words
-    than the n(n - 1) columns of End's per-word parity tables are left
-    out, as those tables alone reach dim^2 entries there."""
+    """At degree 7, no array held by the End of a module the sweeps
+    split, cached products included, has dim^2 entries: the split labels
+    only the cells it reads (HomBasis.at), never the whole grid. Modules
+    of no more words than the n(n - 1) columns of End's per-word parity
+    tables are left out, as those tables alone reach dim^2 entries
+    there."""
     recorded = sweep(p)
-    assert recorded.dense == []
     ends = [(m, vars(m).get("end")) for m, _ in recorded.splits if m.n == 7]
     ends = [(m, end) for m, end in ends if m.dim > m.n * (m.n - 1)]
     assert len(ends) >= 4  # 6 at p = 3, 4 at p = 5

@@ -15,10 +15,12 @@ from skostka.combinat import (
     is_p_restricted,
     label_rows,
     sign_twist_label,
+    total_key,
     wp,
 )
 
 import sweeps
+from test_hom_oracle import dense_element
 
 P = 3
 
@@ -173,7 +175,7 @@ def test_hom_basis_elements_intertwine():
     hom = modrep.HomBasis(m, n_mod)
     assert hom.num
     for e in np.eye(hom.num, dtype=np.int64):
-        x = hom.element(e, P).astype(np.int64)
+        x = dense_element(hom, e, P)
         for g in range(m.n - 1):
             a = generator_matrix(m, g)
             b = generator_matrix(n_mod, g)
@@ -341,7 +343,7 @@ def test_leaf_summand_equivariance():
                         assert s.e is None and s.dim == m.dim
                         whole += 1
                         continue
-                    e = m.end.element(s.e, p).astype(np.int64)
+                    e = dense_element(m.end, s.e, p)
                     assert (gfp.matmul(e, e, p) == e).all(), (p, ab)
                     assert gfp.rank(e, p) == s.dim, (p, ab)
                     for g in range(len(m.perms)):
@@ -795,6 +797,35 @@ def test_sign_twins_of_counted_species(monkeypatch):
         plant_unsigned_orbits(plant)
         assert sweeps.sign_twins()
 
+
+
+def test_regular_module_against_gram_ranks():
+    """[M(1^n) : Y(lam|empty)] is dim D^lam', the Gram rank of the
+    standard polytabloids of shape lam', for lam p-restricted and 0 for
+    every other label, at degree <= 7 for p = 3, 5 and 7. Two planted
+    faults are each caught at degree 6, p = 3: one Gram rank off by one,
+    and one class species of the registry perturbed, the first class of
+    the regular row less the second, so that the row's solve moves the
+    first class's multiplicity onto the second."""
+    assert sweeps.regular_module() is None
+
+    def off_by_one(mu, p):
+        return sweeps.gram_rank(mu, p) + (mu == (3, 2, 1))
+
+    assert sweeps.regular_module(((3, 6, 6),), rank=off_by_one)
+
+    def perturbed(p):
+        engine = modrep.DirectEngine(p)
+        known = engine.registry_for(6)
+        first, second = sorted(engine.decompose(((1,) * 6, ())), key=total_key)[:2]
+        known[first] = tuple(
+            (a - b, tuple(x - y for x, y in zip(f, g)))
+            for (a, f), (b, g) in zip(known[first], known[second])
+        )
+        engine.decomps.clear()
+        return engine
+
+    assert sweeps.regular_module(((3, 6, 6),), engine=perturbed)
 
 def word_perm(word, n):
     """The permutation of the n points that the generator-index word

@@ -11,7 +11,9 @@ algebra, and returns one idempotent per factor. The generalized kernels
 are unique, so the two must give the same blocks in the same order: each
 idempotent, as a dense matrix, is idempotent, orthogonal to the others,
 commutes with z, sums with them to the node's idempotent, and has the
-column span of the reference block.
+column span of the reference block. On a node e, the split by e a gives
+the idempotents of the split by e a e, whose dense restriction the
+reference takes.
 """
 
 import random
@@ -21,6 +23,7 @@ import pytest
 
 from skostka import gfp, modrep
 from skostka.combinat import enumerate_p2
+from test_hom_oracle import dense_element
 
 
 def dense_minpoly(z, p):
@@ -77,10 +80,17 @@ class Matrices:
         return np.asarray(coeffs, dtype=np.int64).reshape(self.d, self.d) % p
 
 
+def element(algebra, coeffs, p):
+    """The element as a dense matrix, of Matrices or of an End."""
+    if isinstance(algebra, Matrices):
+        return algebra.element(coeffs, p)
+    return dense_element(algebra, coeffs, p)
+
+
 def check_split(algebra, e, z, got, want, p):
     """got, idempotents in the algebra, against want, dense column bases."""
-    E, Z = algebra.element(e, p).astype(np.int64), algebra.element(z, p).astype(np.int64)
-    dense = [algebra.element(x, p).astype(np.int64) for x in got]
+    E, Z = element(algebra, e, p), element(algebra, z, p)
+    dense = [element(algebra, x, p) for x in got]
     assert len(got) == len(want)
     assert all(np.array_equal(x, x % p) for x in got)
     assert (sum(dense) % p == E).all()
@@ -107,7 +117,7 @@ def compare(algebra, e, z, restrict, p, left_e=None):
     against the reference on restrict(z), z as a dense matrix on the node,
     whose blocks restrict maps back to the module."""
     got = split_once(algebra, e, z, p, left_e)
-    local, back = restrict(algebra.element(z, p).astype(np.int64))
+    local, back = restrict(element(algebra, z, p))
     want = ref_split_once(local, p)
     if want is None:
         assert got is None
@@ -143,8 +153,9 @@ def test_end_samples_degree_five(p):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_end_samples_on_nodes(p):
-    """Samples sandwiched on the nodes of a split of the whole module, as
-    decompose_summands forms them on nodes that are not the whole."""
+    """Samples e a on the nodes e of a split of the whole module, as
+    _split_node forms them on nodes that are not the whole, split as
+    their sandwiches e a e, which the reference takes on the node."""
     rng = random.Random(20 + p)
     nodes = 0
     for ab in [ab for n in (4, 5) for ab in enumerate_p2(n)]:
@@ -156,11 +167,16 @@ def test_end_samples_on_nodes(p):
             if top is not None:
                 break
         for e in top or []:
-            node = modrep.Summand(m, e)
-            restrict = on_node(end.element(e, p).astype(np.int64), p)
+            left_e = modrep.Summand(m, e).over_q()[1] % p
+            restrict = on_node(dense_element(end, e, p), p)
             for _ in range(2):
-                z = node.sandwich(end.sample(rng, p))
-                compare(end, e, z, restrict, p, left_e=node.over_q()[1] % p)
+                ea = gfp.matmul(left_e, end.sample(rng, p), p)
+                eae = gfp.matmul(end.left(ea, p), e, p)
+                compare(end, e, eae, restrict, p, left_e=left_e)
+                got, want = (split_once(end, e, z, p, left_e) for z in (ea, eae))
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert len(got) == len(want) and all(map(np.array_equal, got, want))
                 nodes += 1
     assert nodes > 60
 
@@ -257,10 +273,9 @@ def test_planted_non_idempotent_projector(monkeypatch):
     p = 3
     z = np.diag([0, 0, 1, 1, 1]).astype(np.int64).ravel()
     algebra = Matrices(5)
-    left, one = algebra.left(z, p), algebra.one
-    parts = [[0, 1], [p - 1, 1]]
-    args = (algebra, left, one, algebra.left(one, p), p, parts, p)
-    assert len(modrep._crt_split(*args)) == 2
+    one = algebra.one
+    args = (algebra, one, algebra.left(one, p), p, z, p)
+    assert len(modrep._split_once(*args)) == 2
     monkeypatch.setattr(modrep, "_poly_invmod", lambda *args: [1])
     with pytest.raises(modrep.IntegrityError, match="not idempotent"):
-        modrep._crt_split(*args)
+        modrep._split_once(*args)
