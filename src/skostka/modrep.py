@@ -29,21 +29,22 @@ species (Summand.species), one entry Summand.brauer(k) per group Q_k of
 k disjoint p-cycles, k = 0..n//p, decides its isomorphism type exactly
 for n < p^2, so modules_isomorphic draws no random number. An entry is
 the dimension and the Brauer character of the Brauer quotient at Q_k;
-at Q_0 = 1 it is the fingerprint, read from traces of e lifted to an
-idempotent over Z/q, and at k >= 1 from ranks of the gather e[X, X].
-Species add over direct sums, and a whole module's is counted from its
-label, so the multiplicities of a module are one exact solve. The
-registry of class species sweeps the label rows in the fixed total
-order: a row whose class is the sign twin of an earlier one is solved
-with the twin's species twisted by the sign; any other row is built and
-split, and its one leaf of no known species, certified indecomposable,
-is its class. Loud integrity errors guard every inconsistency.
+at Q_0 = 1 it is the fingerprint, read from traces of e lifted over
+Z/p^m by a polynomial of degree 2m - 1, and at k >= 1 from ranks of the
+gather e[X, X]. Species add over direct sums, and a whole module's is
+counted from its label, so the multiplicities of a module are one exact
+solve. The registry of class species sweeps the label rows in the fixed
+total order: a row whose class is the sign twin of an earlier one takes
+the twin's species twisted by the sign, which reads Fix(s^2) at the
+class of s^2; any other row is built and split, and its one leaf of no
+known species, certified indecomposable, is its class. Then one solve
+answers every row. Loud integrity errors guard every inconsistency.
 """
 
 import random
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement, product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 import numpy as np
 
@@ -270,23 +271,22 @@ def _perm_word(perm):
 
 
 @lru_cache(maxsize=None)
-def _normalizer_words(n, p, k):
-    """One generator-index word per p-regular class of N(Q_k), for
-    kp <= n < p^2, with Q_k generated by the p-cycles x -> x + 1 on the
-    first k blocks of p points, read as GF(p).
+def _normalizer_classes(n, p, k):
+    """One (cycles, rest) per p-regular class of N(Q_k), for kp <= n < p^2,
+    with Q_k generated by the p-cycles x -> x + 1 on the first k blocks of
+    p points, read as GF(p).
 
     N(Q_k) = AGL(1, p) wr S_k x S_(n - kp). A class of the wreath
     product is a cycle type of the blocks and, per cycle, the class in
     AGL(1, p) of the product around it. Every cycle is shorter than p, so
     the class is p-regular exactly when each of those products is, and
     the p-regular classes of AGL(1, p) are those of x -> a x, one per
-    multiplier a in GF(p)*. A cycle of blocks maps each block to the
-    next by the identity and the last to the first by x -> a x. The
-    other points take a p-regular cycle type of S_(n - kp), on runs of
-    consecutive points. k = 0 lists the p-regular classes of S_n, at
-    any n, but the identity, which fixes all of x(Q_0) = x.
+    multiplier a in GF(p)*: cycles lists (length, a), longest first and
+    then by a. rest is a p-regular cycle type of S_(n - kp). k = 0 lists
+    the p-regular classes of S_n, at any n, but the identity, which fixes
+    all of x(Q_0) = x.
     """
-    blocks = []  # images of the first kp points
+    cycles = []
     for shape in partitions_of(k):
         lengths = sorted(set(shape), reverse=True)
         multisets = [
@@ -294,23 +294,45 @@ def _normalizer_words(n, p, k):
             for length in lengths
         ]
         for pick in product(*multisets):
-            perm, first = [], 0
-            for length, a in zip(shape, [a for group in pick for a in group]):
-                for i in range(1, length):
-                    perm += range((first + i) * p, (first + i + 1) * p)
-                perm += [first * p + a * x % p for x in range(p)]
-                first += length
-            blocks.append(perm)
-    others = []  # images of the other points
-    for rest in partitions_of(n - k * p):
-        if any(part % p == 0 for part in rest) or rest == (1,) * n:
-            continue
-        perm, start = [], k * p
+            cycles.append(tuple(zip(shape, [a for group in pick for a in group])))
+    rests = [r for r in partitions_of(n - k * p) if all(m % p for m in r) and r != (1,) * n]
+    return tuple(product(cycles, rests))
+
+
+@lru_cache(maxsize=None)
+def _normalizer_words(n, p, k):
+    """A generator-index word per class of _normalizer_classes: a cycle of
+    blocks maps each block to the next by the identity and the last to the
+    first by x -> a x; the other points take rest on consecutive runs."""
+    words = []
+    for cycles, rest in _normalizer_classes(n, p, k):
+        perm = []
+        for length, a in cycles:
+            start = len(perm)
+            perm += [*range(start + p, start + length * p), *(start + a * x % p for x in range(p))]
         for part in rest:
-            perm += [*range(start + 1, start + part), start]
-            start += part
-        others.append(perm)
-    return tuple(_perm_word(a + b) for a in blocks for b in others)
+            perm += [*range(len(perm) + 1, len(perm) + part), len(perm)]
+        words.append(_perm_word(perm))
+    return tuple(words)
+
+
+def _squared(cycles, rest, p):
+    """The class (cycles, rest) of s^2 for s of the class (cycles, rest):
+    a cycle (l, a) of blocks squares to (l, a^2) for l odd and to two
+    cycles (l/2, a) for l even, and a part m of rest to m for m odd and
+    to two parts m/2 for m even."""
+    halves = [c for l, a in cycles for c in ([(l, a * a % p)] if l % 2 else [(l // 2, a)] * 2)]
+    parts = [x for m in rest for x in ([m] if m % 2 else [m // 2] * 2)]
+    return tuple(sorted(halves, key=lambda c: (-c[0], c[1]))), tuple(sorted(parts, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _square_classes(n, p, k):
+    """Per word s of _normalizer_words(n, p, k), the index there of the
+    N(Q_k)-class of s^2, or None when s^2 = 1 (_squared)."""
+    classes = _normalizer_classes(n, p, k)
+    index = {c: i for i, c in enumerate(classes)} | {(((1, 1),) * k, (1,) * (n - k * p)): None}
+    return tuple(index[_squared(*c, p)] for c in classes)
 
 
 @lru_cache(maxsize=None)
@@ -793,18 +815,18 @@ def _factor_poly(coeffs, p):
 
 
 @lru_cache(maxsize=None)
-def _newton(q, p):
-    """The coefficients mod q, from x^1 up, of the composite of N(x) =
-    3 x^2 - 2 x^3 with itself until p^(2^k) >= q, for a power q of p:
-    x^2 = x mod p^j gives N(x)^2 = N(x) mod p^(2j), so the composite
-    takes an idempotent mod p to one mod q."""
-    out, precision = [0, 1], p
-    while precision < q:
-        square = _poly_mul(out, out, q)
-        cube = _poly_mul(square, out, q)
-        out = _poly_sub([3 * c for c in square], [2 * c for c in cube], q)
-        precision *= precision
-    return tuple(out[1:])
+def _lift_poly(q, p):
+    """The integer coefficients, from x^1 up, of f = sum_(i >= m)
+    C(2m - 1, i) x^i (1 - x)^(2m - 1 - i), of degree 2m - 1, for q = p^m.
+    f(x) + f(1 - x) = 1, so every term of f (1 - f) = f(x) f(1 - x) holds
+    (x (1 - x))^m, 0 mod q at an idempotent mod p, and f = x modulo p
+    and x^2 - x: f takes an idempotent mod p to one mod q."""
+    m = next(m for m in range(1, q) if p**m >= q)
+    d = 2 * m - 1
+    return tuple(
+        sum(comb(d, i) * comb(d - i, j - i) * (-1) ** (j - i) for i in range(m, j + 1))
+        for j in range(1, d + 1)
+    )
 
 
 class Summand:
@@ -852,10 +874,10 @@ class Summand:
     @cached_property
     def _lifted(self):
         """The idempotent e' of A over Z/q, q = parent.lift_modulus, that
-        e lifts to: Newton's iteration e <- 3 e^2 - 2 e^3, each step of
-        which doubles the power of p to which e^2 = e holds, run as one
-        polynomial in r (_newton), which needs no product but by L_r. The
-        orbit basis is a Z-basis of End_ZG(M_Z), so A has integer
+        e lifts to: f(r) for the polynomial f of degree 2m - 1, q = p^m,
+        that takes an idempotent mod p to one mod q (_lift_poly),
+        evaluated by Horner's rule with no product but by L_r. The orbit
+        basis is a Z-basis of End_ZG(M_Z), so A has integer
         structure constants; r^2 = r mod p is checked. Lifts from other
         r are conjugate in A, which commutes with the group, so their
         traces against group elements are the same."""
@@ -863,7 +885,7 @@ class Summand:
         r, left = self.over_q()
         if ((gfp.matmul(left, r, q) - r) % p).any():
             raise IntegrityError("the idempotent to lift is not idempotent mod p")
-        return _poly_eval_vector(_newton(q, p), left, r, q)
+        return _poly_eval_vector(_lift_poly(q, p), left, r, q)
 
     def _fixed(self, k, words):
         """(dim x(Q_k), (dim Fix(s) on x(Q_k) per word s)) for the summand
@@ -941,11 +963,13 @@ class Summand:
         """The species of x (x) sgn. A p-cycle is even, so (x (x) sgn)(Q_k)
         is x(Q_k) (x) sgn, where a word s of even length fixes what it
         fixed, and one of odd length acts as -s, fixing the (-1)-eigenspace
-        of the semisimple s, of dimension Fix(s^2) - Fix(s), s^2 = s + s."""
+        of the semisimple s, of dimension Fix(s^2) - Fix(s). Fix is a class
+        function on N(Q_k), so Fix(s^2) is read at the class of s^2
+        (_square_classes), or is dim x(Q_k) when s^2 = 1."""
         out = []
         for k, (rank, fixed) in enumerate(self.species()):
             words = _normalizer_words(self.n, self.p, k)
-            squares = self._fixed(k, tuple(w + w for w in words))[1]
+            squares = [rank if c is None else fixed[c] for c in _square_classes(self.n, self.p, k)]
             pairs = zip(words, fixed, squares)
             out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
         return tuple(out)
@@ -1263,8 +1287,9 @@ class DirectEngine:
         cap, before anything is built. A row whose class is not yet known
         is split: its one leaf of no known species is the class, and that
         leaf twisted by the sign is the class's sign twin, whose row is
-        solved. Each row's solve, holding its class once, is kept; the
-        split module is not, only its class species are."""
+        solved. Then all rows are solved at once, each over the classes
+        known at its turn, and each row's solve, holding its class once,
+        is kept; the split module is not, only its class species are."""
         if n in self.registry:
             return self.registry[n]
         p = self.p
@@ -1280,7 +1305,7 @@ class DirectEngine:
             if split[-1]:
                 seen |= {label, sign_twist_label(label, p)}
                 _check_dim(key)
-        known = {}
+        known, solves = {}, []  # solves: (key, where, the classes known there)
         for label, key, fresh in zip(labels, keys, split):
             where = f"sweep at label {label}, {self._where(key)}"
             if fresh:
@@ -1290,7 +1315,8 @@ class DirectEngine:
                 del leaf  # and with it the row's module, before the next is built
                 if known.setdefault(twin, twisted) != twisted:
                     raise IntegrityError(f"{where}: its class (x) sgn is not {twin}")
-            counts = self._solve(key, known, where)
+            solves.append((key, where, len(known)))
+        for label, (key, where, _), counts in zip(labels, solves, self._solve(solves, known)):
             if counts.get(label) != 1:
                 raise IntegrityError(f"{where}: the row does not hold its class once")
             self.decomps[key] = counts
@@ -1318,23 +1344,25 @@ class DirectEngine:
             )
         return new[0]
 
-    def _solve(self, key, known, where):
-        """{label: multiplicity} of M(key) over the classes in known: one
-        linear solve in the flattened species, which add over direct sums,
-        that of M(key) counted from its label. The rounded least-squares
-        answer must be non-negative and reproduce the species, led by the
+    def _solve(self, rows, known):
+        """{label: multiplicity} of M(key) over the first upto classes in
+        known, per (key, where, upto) of rows, in order: one linear solve
+        in the flattened species, which add over direct sums, those of the
+        M(key) counted from their labels. Each rounded least-squares answer
+        must be non-negative and reproduce its species, led by the
         dimension, exactly, from linearly independent class species."""
         labels = list(known)
         A = np.array([_flat(known[label]) for label in labels]).T
-        b = _flat(_whole_species(key, self.p))
-        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        x = np.rint(x).astype(np.int64)
-        if rank < len(labels) or (x < 0).any() or not np.array_equal(A @ x, b):
-            raise IntegrityError(
-                f"{where}: the species is no non-negative integer combination "
-                f"of the {len(labels)} class species (rank {rank})"
-            )
-        return {label: int(m) for label, m in zip(labels, x) if m}
+        B = np.array([_flat(_whole_species(key, self.p)) for key, _, _ in rows]).T
+        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        X = np.rint(X).astype(np.int64)
+        for (_, where, upto), x, b in zip(rows, X.T, B.T):
+            if rank < len(labels) or (x < 0).any() or x[upto:].any() or (A @ x != b).any():
+                raise IntegrityError(
+                    f"{where}: the species is no non-negative integer combination "
+                    f"of the {upto} class species (rank {rank})"
+                )
+            yield {label: int(m) for label, m in zip(labels, x) if m}
 
     def decompose(self, ab):
         """Labelled multiset {(lam, mu): multiplicity} of M(ab): one
@@ -1343,7 +1371,8 @@ class DirectEngine:
         if key not in self.decomps:
             known = self.registry_for(size(key[0]) + size(key[1]))
             if key not in self.decomps:  # the sweep records label rows
-                self.decomps[key] = self._solve(key, known, self._where(key))
+                rows = [(key, self._where(key), len(known))]
+                [self.decomps[key]] = self._solve(rows, known)
         return dict(self.decomps[key])
 
     def projective_signed(self, ab, lam0):

@@ -1,7 +1,7 @@
 """Exhaustive sweeps shared by tier-1 tests, acceptance criterion 11 and
-CI: combinatorial properties, and the regular module against Specht Gram
-ranks. Each returns None when its property holds over its whole scope,
-else a message naming the first failing case."""
+CI: combinatorial properties, counted species, and the regular module
+against Specht Gram ranks. Each returns None when its property holds
+over its whole scope, else a message naming the first failing case."""
 
 import itertools
 
@@ -207,18 +207,28 @@ def iota_injective():
     return None
 
 
-def twisted_species(ab, p):
-    """The counted species of M(ab) (x) sgn, as Summand.species_twisted
-    reads it: per k, a word s of odd length fixes Fix(s^2) - Fix(s) and
-    any other word Fix(s)."""
-    n = size(ab[0]) + size(ab[1])
+def twist(species, squares, n, p):
+    """The sign twist of a species of degree n, as Summand.species_twisted
+    reads it, from squares, per k the fixed points Fix(s^2) of the
+    squared words s + s: a word s of odd length fixes Fix(s^2) - Fix(s)
+    and any other word Fix(s)."""
     out = []
-    for k, (rank, fixed) in enumerate(modrep._whole_species(ab, p)):
+    for k, ((rank, fixed), sq) in enumerate(zip(species, squares)):
         words = modrep._normalizer_words(n, p, k)
-        squares = modrep._counted(ab, p, k, tuple(w + w for w in words))[1]
-        pairs = zip(words, fixed, squares)
-        out.append((rank, tuple(sq - f if len(w) % 2 else f for w, f, sq in pairs)))
+        out.append((rank, tuple(q - f if len(w) % 2 else f for w, f, q in zip(words, fixed, sq))))
     return tuple(out)
+
+
+def twisted_species(ab, p):
+    """The counted species of M(ab) (x) sgn, from the counted fixed points
+    of the squared words."""
+    n = size(ab[0]) + size(ab[1])
+    species = modrep._whole_species(ab, p)
+    squares = [
+        modrep._counted(ab, p, k, tuple(w + w for w in modrep._normalizer_words(n, p, k)))[1]
+        for k in range(len(species))
+    ]
+    return twist(species, squares, n, p)
 
 
 def sign_twins(scope=((3, 1, 8), (5, 1, 10), (7, 1, 10))):
@@ -313,4 +323,25 @@ def regular_module(
                         f"regular module at degree {n}, p={p}: label {label} "
                         f"has multiplicity {got.get(label, 0)}, not {want.get(label, 0)}"
                     )
+    return None
+
+
+def square_classes(scope=((3, 1, 8), (5, 1, 8), (7, 1, 8))):
+    """Fix(s^2) is the entry of the N(Q_k)-class that
+    modrep._square_classes names for s^2, or the dimension of M(Q_k) where
+    it names the identity: per k, the fixed points counted for each
+    squared word s + s on M(ab) equal those counted for its mapped class,
+    for every (alpha|beta) of degree low..top below p^2, per (p, low, top)
+    of scope. No module is built."""
+    for p, low, top in scope:
+        for n in range(low, min(top, p * p - 1) + 1):
+            for k in range(n // p + 1):
+                words = modrep._normalizer_words(n, p, k)
+                classes = modrep._square_classes(n, p, k)
+                squared = tuple(w + w for w in words)
+                for ab in enumerate_p2(n):
+                    rank, fixed = modrep._counted(ab, p, k, words)
+                    mapped = tuple(rank if c is None else fixed[c] for c in classes)
+                    if modrep._counted(ab, p, k, squared)[1] != mapped:
+                        return f"square classes fail at {ab}, p={p}, k={k}"
     return None

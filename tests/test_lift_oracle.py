@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from skostka import gfp, modrep
+import sweeps
 from test_hom_oracle import dense_element
 
 # OpenBLAS splits a product over two threads from M N K > 262,144 on
@@ -63,6 +64,21 @@ def squared(words):
     return tuple(w + w for w in words)
 
 
+@functools.lru_cache(maxsize=None)
+def newton(q, p):
+    """The coefficients mod q, from x^1 up, of the composite of N(x) =
+    3 x^2 - 2 x^3 with itself until p^(2^k) >= q, for a power q of p:
+    x^2 = x mod p^j gives N(x)^2 = N(x) mod p^(2j), so the composite
+    takes an idempotent mod p to one mod q, of degree 3^k."""
+    out, precision = [0, 1], p
+    while precision < q:
+        square = modrep._poly_mul(out, out, q)
+        cube = modrep._poly_mul(square, out, q)
+        out = modrep._poly_sub([3 * c for c in square], [2 * c for c in cube], q)
+        precision *= precision
+    return tuple(out[1:])
+
+
 def product_size(a, b):
     """M N K of a @ b, per matrix of a stack."""
     a, b = np.asarray(a), np.asarray(b)
@@ -76,13 +92,15 @@ def sweep(p, top=7, seed=0):
     """The sweeps of degree <= top at engine seed seed, recorded: the
     leaves of every split as (module, leaves); per node that the
     splitting tree builds with its L_r, whether that is exactly
-    parent.end.left(r, q) over Z/q, q = parent.lift_modulus; and at
+    parent.end.left(r, q) over Z/q, q = parent.lift_modulus; per lift of
+    an idempotent, whether it equals Newton's lift (newton); and at
     degree top, the GF(p) operands with a side equal to the dimension of
     the row being split, and the largest M N K of a product."""
     engine = modrep.DirectEngine(p, seed)
-    splits, sided, largest, rows, handed = [], [], [0], [], []
+    splits, sided, largest, rows, handed, lifts = [], [], [0], [], [], []
     real_split, real_label = modrep.decompose_summands, modrep.DirectEngine._label
     real_product, real_init = gfp._product, modrep.Summand.__init__
+    real_eval = modrep._poly_eval_vector
     real = {name: getattr(gfp, name) for name in ("matmul", "rref", "rank")}
 
     def spy_split(module, rng, known=frozenset()):
@@ -108,6 +126,11 @@ def sweep(p, top=7, seed=0):
             want = parent.end.left(self._rep, parent.lift_modulus)
             handed.append(left.dtype == want.dtype and np.array_equal(left, want))
 
+    def spy_eval(coeffs, left, v, q):
+        out = real_eval(coeffs, left, v, q)
+        lifts.append(np.array_equal(out, real_eval(newton(q, p), left, v, q)))
+        return out
+
     def spy(name):
         def call(*args):
             for x in args:
@@ -122,13 +145,14 @@ def sweep(p, top=7, seed=0):
         m.setattr(modrep.DirectEngine, "_label", spy_label)
         m.setattr(gfp, "_product", spy_product)
         m.setattr(modrep.Summand, "__init__", spy_init)
+        m.setattr(modrep, "_poly_eval_vector", spy_eval)
         for name in real:
             m.setattr(gfp, name, spy(name))
         for n in range(top + 1):
             engine.degree = n
             engine.registry_for(n)
     return types.SimpleNamespace(
-        splits=splits, sided=sided, largest=largest[0], handed=handed
+        splits=splits, sided=sided, largest=largest[0], handed=handed, lifts=lifts
     )
 
 
@@ -136,15 +160,17 @@ def sweep(p, top=7, seed=0):
 def test_lifted_species_equal_rank_route(p):
     """On every leaf of the sweeps of degree <= 7, the species read from
     the lifted idempotent and its gathers equals the rank route of the
-    dense e, and so do the fixed points of the squared words that the
-    sign twist reads."""
+    dense e, and its sign twist, which reads Fix(s^2) from the class of
+    s^2, equals the twist of the rank route by the dense fixed points of
+    the squared words, at every k."""
     leaves = [leaf for _, leaves in sweep(p).splits for leaf in leaves]
     assert len(leaves) > {3: 60, 5: 70}[p]
     for leaf in leaves:
         where = (p, leaf.parent.ab, leaf.dim)
-        assert leaf.species() == rank_route(leaf), where
-        squares = leaf._fixed(0, squared(modrep._normalizer_words(leaf.n, p, 0)))
-        assert squares == rank_route(leaf, squared)[0], where
+        species = rank_route(leaf)
+        assert leaf.species() == species, where
+        squares = [fixed for _, fixed in rank_route(leaf, squared)]
+        assert leaf.species_twisted() == sweeps.twist(species, squares, leaf.n, p), where
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -163,6 +189,54 @@ def test_leaf_idempotents_orthogonal_and_sum_to_one(p):
                 want = x if i == j else np.zeros_like(x)
                 assert np.array_equal(gfp.matmul(left, y, p), want), (module.ab, i, j)
         assert sum(leaf.dim for leaf in leaves) == module.dim
+
+
+def lift_poly_faults(coeffs, p, m):
+    """The properties that the integer polynomial f, of coefficients 0 and
+    then coeffs from x^1 up, fails, over Z, as the lift from p to p^m:
+    f (1 - f) divisible by (x (1 - x))^m, f = x modulo p and x^2 - x, and
+    degree 2m - 1."""
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    f = Poly([*reversed(coeffs), 0], x)
+    faults = []
+    if not (f * (1 - f)).rem(Poly((x * (1 - x)) ** m, x)).is_zero:
+        faults.append("f (1 - f) is not divisible by (x (1 - x))^m")
+    if any(c % p for c in (f - x).rem(Poly(x**2 - x, x)).all_coeffs()):
+        faults.append("f is not x modulo p and x^2 - x")
+    if f.degree() != 2 * m - 1:
+        faults.append(f"f has degree {f.degree()}, not {2 * m - 1}")
+    return faults
+
+
+def test_lift_poly():
+    """For p = 3, 5, 7 and 5039 and every m with p^m <= LIFT_CAP, the lift
+    polynomial to q = p^m has degree 2m - 1, no more than the degree
+    3^ceil(log2 m) of Newton's composite, and takes an idempotent mod p
+    to one mod q; with its top term dropped, it does not."""
+    checked = 0
+    for p in (3, 5, 7, 5039):
+        m = 1
+        while p**m <= modrep.LIFT_CAP:
+            coeffs = modrep._lift_poly(p**m, p)
+            assert lift_poly_faults(coeffs, p, m) == [], (p, m)
+            assert lift_poly_faults(coeffs[:-1], p, m), (p, m)
+            assert len(coeffs) <= len(newton(p**m, p)), (p, m)
+            checked += 1
+            m += 1
+    assert checked == 15 + 10 + 8 + 2
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_lifts_equal_newton_lifts(p):
+    """Every lift of an idempotent in the sweeps of degree <= 7 equals the
+    lift by Newton's composite: both are idempotents mod q, polynomials
+    in r that agree mod p, and two commuting idempotents that agree mod p
+    are equal. There are 139 lifts at p = 3 and 83 at p = 5, one per node
+    built with its L_r, so HANDED floors them too."""
+    lifts = sweep(p).lifts
+    assert len(lifts) > HANDED[p] and all(lifts)
 
 
 @pytest.mark.parametrize("p", (3, 5))

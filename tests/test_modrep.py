@@ -799,6 +799,27 @@ def test_sign_twins_of_counted_species(monkeypatch):
 
 
 
+def test_square_classes_of_counted_species(monkeypatch):
+    """The sign twist reads Fix(s^2) from the class of s^2 in N(Q_k): on
+    every (alpha|beta) of degree <= 8 at p = 3, 5 and 7, per k, the fixed
+    points counted for each squared word equal those of the class that
+    _square_classes names, or the dimension where it names the identity.
+    A planted fault, an odd cycle of blocks keeping its multiplier a
+    instead of a^2, is caught."""
+    assert sweeps.square_classes() is None
+    real = modrep._squared
+
+    def keeps_a(cycles, rest, p):
+        even, rest = real(tuple(c for c in cycles if c[0] % 2 == 0), rest, p)
+        odd = tuple(c for c in cycles if c[0] % 2)
+        return tuple(sorted(even + odd, key=lambda c: (-c[0], c[1]))), rest
+
+    monkeypatch.setattr(modrep, "_squared", keeps_a)
+    fresh = functools.lru_cache()(modrep._square_classes.__wrapped__)
+    monkeypatch.setattr(modrep, "_square_classes", fresh)
+    assert sweeps.square_classes()
+
+
 def test_regular_module_against_gram_ranks():
     """[M(1^n) : Y(lam|empty)] is dim D^lam', the Gram rank of the
     standard polytabloids of shape lam', for lam p-restricted and 0 for
@@ -957,6 +978,51 @@ def test_decomposition_seed_sweep(p):
             first = decs
         for ab in pairs:
             assert decs[ab] == first[ab], (p, seed, ab)
+
+
+@pytest.mark.parametrize("n, p, products", ((6, 3, 624), (8, 3, 5141)))
+def test_sweep_work(n, p, products, monkeypatch):
+    """One registry_for solves all its rows in a single least-squares
+    call, makes at most products GF(p) products (1,046 and 7,941 with a
+    solve per row, Newton's lift and traces of the squared words), and
+    reads no fixed points of a squared word: the sign twist takes them
+    from the class of s^2."""
+    calls = {"lstsq": 0, "matmul": 0}
+    real_lstsq, real_matmul, real_fixed = np.linalg.lstsq, gfp.matmul, modrep.Summand._fixed
+
+    def lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return real_lstsq(*args, **kwargs)
+
+    def matmul(*args):
+        calls["matmul"] += 1
+        return real_matmul(*args)
+
+    def fixed(self, k, words):
+        assert words in ((), modrep._normalizer_words(self.n, self.p, k)), (k, words)
+        return real_fixed(self, k, words)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(gfp, "matmul", matmul)
+    monkeypatch.setattr(modrep.Summand, "_fixed", fixed)
+    modrep.DirectEngine(p).registry_for(n)
+    assert calls["lstsq"] == 1
+    assert 0 < calls["matmul"] <= products
+
+
+def test_sweep_errors_in_row_order(monkeypatch):
+    """With all rows solved at once, the first failing row in sweep order
+    is still the one named: M(2,1) and M(1,1,1), each given twice its
+    species, both hold their class twice, and the error names M(2,1);
+    with M(1,1,1) planted alone, it names M(1,1,1)."""
+    for planted, first in (([(2, 1), (1, 1, 1)], (2, 1)), ([(1, 1, 1)], (1, 1, 1))):
+        with monkeypatch.context() as m:
+            for alpha in planted:
+                plant_species(m, (alpha, ()), lambda v: 2 * v)
+            with pytest.raises(modrep.IntegrityError, match="its class once") as info:
+                modrep.DirectEngine(P, seed=7).registry_for(3)
+        want = f"sweep at label ({first}, ()), M({first}, ()) at engine seed 7"
+        assert want in str(info.value)
 
 
 @pytest.mark.parametrize("p", (3, 5))
